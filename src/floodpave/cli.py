@@ -9,7 +9,8 @@ Exit codes:
   2 usage error (argparse)
   3 schema error (missing/unknown columns, model/data mismatch)
   4 I/O error
-  5 empty result or insufficient data
+  5 empty result or insufficient data (including `explain` on a model with
+    no features, refused before any file is written)
   6 numerical failure (singular design, zero variance)
 
 `train` leaves out of every model the feature columns that are constant on
@@ -58,6 +59,9 @@ EXIT_SCHEMA = 3
 EXIT_IO = 4
 EXIT_EMPTY = 5
 EXIT_NUMERICAL = 6
+
+# Largest |base + sum(phi) - f(x)| that `explain` accepts without a warning.
+SHAP_EFFICIENCY_TOLERANCE = 1e-8
 
 MODEL_DISPLAY_NAMES = {
     "linear": "Linear Regression (LR)",
@@ -441,6 +445,8 @@ def cmd_explain(config: RunConfig) -> int:
     if not model_path:
         raise SchemaError("explain requires explain.model_path (or --model-path)")
     predictor = models.load_model(model_path)
+    if not predictor.feature_names:
+        raise InsufficientDataError(f"model {model_path} has no features to explain")
     table = _load_records(config)
 
     missing = [c for c in predictor.feature_names if c not in table.column_names]
@@ -486,10 +492,22 @@ def cmd_explain(config: RunConfig) -> int:
         )
         explained = complete.subset(idx)
         importance = shapley.summarize(values, explained)
+        gaps = np.abs(values.base_value + values.phi.sum(axis=1) - predictor.predict(X))
+        residual = float(np.max(gaps, initial=0.0))
         _dump_json(
-            {"ranking": list(importance.ranking), "mean_abs": importance.mean_abs},
+            {
+                "ranking": list(importance.ranking),
+                "mean_abs": importance.mean_abs,
+                "max_efficiency_residual": residual,
+            },
             _out_path(config, "shap_summary.json"),
         )
+        if residual > SHAP_EFFICIENCY_TOLERANCE:
+            _say(
+                config,
+                f"[explain] warning: SHAP efficiency residual {residual:.3e} "
+                f"exceeds {SHAP_EFFICIENCY_TOLERANCE:g}",
+            )
         spans = {
             name: (float(np.min(explained.col(name))), float(np.max(explained.col(name))))
             for name in features

@@ -156,6 +156,8 @@ def _check_dims(X, feature_names):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(feature_names):
         raise ValueError(f"expected {len(feature_names)} feature columns, got shape {X.shape}")
+    if np.isnan(X).any():
+        raise ValueError("predict input contains missing values; filter rows first")
     return X
 
 

@@ -2,9 +2,20 @@
 
 The value of a coalition S is the interventional expectation of the
 model output with the explained instance's values on S and background
-rows everywhere else. Exact mode enumerates all 2^M coalitions once
-(memoized across features); sampled mode averages marginal
-contributions over seeded uniform feature permutations.
+rows everywhere else. Sampled mode averages marginal contributions over
+seeded uniform feature permutations. Exact mode gives the Shapley value
+of that game by the cheapest exact route for the predictor type:
+
+- tree, forest and boosting predictors use interventional Tree SHAP
+  (Lundberg et al., Nature MI 2020), which reads each leaf's box off the
+  flat tree arrays and attributes leaf by leaf, with no model calls;
+- linear predictors use the closed form phi_j = w_j * (x_j - mean bg_j)
+  in raw feature units (Lundberg & Lee, arXiv:1705.07874);
+- any other predictor enumerates all 2^M coalitions once (memoized
+  across features) through ``exact_shapley``.
+
+``exact_shapley`` is always the 2^M enumeration; the tests hold both
+closed forms to it, so it is the oracle as well as the fallback.
 """
 
 from __future__ import annotations
@@ -17,11 +28,15 @@ import numpy as np
 
 from ._util import stage_rng
 from .dataset import DataTable
+from .models import BoostingPredictor, ForestPredictor, LinearPredictor, TreePredictor
+from .models.tree import LEAF
 
 MAX_EXACT_FEATURES = 20
 
 # Keep batched predict calls below this many composite rows.
 _CHUNK_ROWS = 200_000
+# Keep each Tree SHAP step below this many (background row, leaf) pairs.
+_CHUNK_PAIRS = 50_000
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,14 @@ def _shapley_weights(n_features: int) -> np.ndarray:
     )
 
 
+def _check_exact_size(n_features: int) -> None:
+    if n_features > MAX_EXACT_FEATURES:
+        raise ValueError(
+            f"exact mode enumerates 2^{n_features} coalitions; limit is M <= {MAX_EXACT_FEATURES}. "
+            "Use mode='sampled'."
+        )
+
+
 def exact_shapley(predictor, x: np.ndarray, background: np.ndarray, config: ShapConfig) -> np.ndarray:
     """Exact Shapley attribution by full coalition enumeration.
 
@@ -124,11 +147,7 @@ def exact_shapley(predictor, x: np.ndarray, background: np.ndarray, config: Shap
     """
     x = np.asarray(x, dtype=float)
     m = len(x)
-    if m > MAX_EXACT_FEATURES:
-        raise ValueError(
-            f"exact mode enumerates 2^{m} coalitions; limit is M <= {MAX_EXACT_FEATURES}. "
-            "Use mode='sampled'."
-        )
+    _check_exact_size(m)
     background = _apply_baseline(np.asarray(background, dtype=float), config)
     values = _coalition_values(predictor.predict, x, background, m)
 
@@ -184,12 +203,129 @@ def shapley_from_permutations(predictor, x, background, permutations, config: Sh
     return phi / len(perms)
 
 
-def sampled_shapley(predictor, x, background, config: ShapConfig) -> np.ndarray:
-    """Monte Carlo Shapley estimate over seeded uniform permutations."""
+def sampled_shapley(predictor, x, background, config: ShapConfig, index: int | None = None) -> np.ndarray:
+    """Monte Carlo Shapley estimate over seeded uniform permutations.
+
+    ``index`` keys the permutation stream, so each explained instance of
+    a batch draws its own stream and the same one when explained alone.
+    """
     x = np.asarray(x, dtype=float)
-    rng = stage_rng(config.seed, "sampled-shap")
+    rng = stage_rng(config.seed, "sampled-shap", index)
     perms = np.array([rng.permutation(len(x)) for _ in range(config.n_permutations)])
     return shapley_from_permutations(predictor, x, background, perms, config)
+
+
+def _tree_terms(predictor):
+    """(Tree, weight) pairs whose weighted sum is the predictor up to a constant, else None."""
+    if isinstance(predictor, TreePredictor):
+        return [(predictor.tree, 1.0)]
+    if isinstance(predictor, ForestPredictor):
+        return [(tree, 1.0 / len(predictor.trees)) for tree in predictor.trees]
+    if isinstance(predictor, BoostingPredictor):
+        # init_value is the same for every coalition, so it adds no attribution.
+        return [(tree, predictor.learning_rate) for tree in predictor.trees]
+    return None
+
+
+def _leaf_boxes(tree, n_features: int):
+    """Per leaf: bounds (lo, hi) such that a row reaches it iff lo < x <= hi on every feature."""
+    lo = np.full((tree.n_nodes, n_features), -np.inf)
+    hi = np.full((tree.n_nodes, n_features), np.inf)
+    frontier = np.array([0])
+    while frontier.size:
+        split = frontier[tree.feature[frontier] != LEAF]
+        f, t = tree.feature[split], tree.threshold[split]
+        left, right = tree.left[split], tree.right[split]
+        lo[left] = lo[right] = lo[split]
+        hi[left] = hi[right] = hi[split]
+        hi[left, f] = np.minimum(hi[split, f], t)
+        lo[right, f] = np.maximum(lo[split, f], t)
+        frontier = np.concatenate([left, right])
+    leaves = np.nonzero(tree.feature == LEAF)[0]
+    return lo[leaves], hi[leaves], tree.value[leaves]
+
+
+def _outside_masks(rows, lo, hi):
+    """(rows, leaves) bitmask of the features on which each row is outside each leaf's box."""
+    out = np.zeros((rows.shape[0], lo.shape[0]), dtype=np.int32)
+    for j in range(lo.shape[1]):
+        col = rows[:, j : j + 1]
+        out |= (~((lo[:, j] < col) & (col <= hi[:, j]))).astype(np.int32) << j
+    return out
+
+
+def _tree_shap(terms, background: np.ndarray, n_features: int):
+    """Interventional Tree SHAP: a function from one instance to its exact phi.
+
+    For an instance x, a background row b and a leaf with value v, let A
+    be the features where x is inside the leaf's box and b is not, and B
+    the reverse. A hybrid row reaches the leaf iff it takes x on all of A
+    and b on all of B, so when some feature is inside for neither the
+    pair adds nothing; otherwise, with a = |A| and c = |B|, each j in A
+    gains v*(a-1)!c!/(a+c)! and each j in B loses v*a!(c-1)!/(a+c)!.
+    Summed over leaves and averaged over b, that is exactly the Shapley
+    value of the 2^M game that ``exact_shapley`` enumerates.
+    """
+    m = n_features
+    size = np.zeros(1 << m, dtype=np.uint8)  # popcount of every feature-set bitmask
+    for j in range(m):
+        size[1 << j : 2 << j] = size[: 1 << j] + 1
+    fact = [math.factorial(k) for k in range(2 * m + 1)]
+    gain = np.zeros((m + 1, m + 1))  # [a, c], for each feature in A
+    loss = np.zeros((m + 1, m + 1))  # [a, c], for each feature in B
+    for a in range(m + 1):
+        for c in range(m + 1):
+            if a:
+                gain[a, c] = fact[a - 1] * fact[c] / fact[a + c]
+            if c:
+                loss[a, c] = fact[a] * fact[c - 1] / fact[a + c]
+
+    # Leaf table of every tree, and the background's masks, once per call.
+    boxes = [_leaf_boxes(tree, m) for tree, _ in terms]
+    if not boxes:
+        return lambda x: np.zeros(m)
+    lo = np.concatenate([box[0] for box in boxes])
+    hi = np.concatenate([box[1] for box in boxes])
+    value = np.concatenate([weight * box[2] for (_, weight), box in zip(terms, boxes)])
+    n_bg = background.shape[0]
+    leaves_per_chunk = max(1, _CHUNK_PAIRS // n_bg)
+    chunks = [slice(s, s + leaves_per_chunk) for s in range(0, len(value), leaves_per_chunk)]
+    bg_out = np.empty((n_bg, len(value)), dtype=np.int32)
+    for part in chunks:
+        bg_out[:, part] = _outside_masks(background, lo[part], hi[part])
+
+    def phi(x: np.ndarray) -> np.ndarray:
+        x_out_all = _outside_masks(x[None], lo, hi)[0]
+        totals = np.zeros(1 << m)  # summed weight per feature set
+        for part in chunks:
+            b_out, x_out = bg_out[:, part], x_out_all[part]
+            # Pairs where every feature is inside for x or for b; then A = b_out, B = x_out.
+            row, leaf = np.nonzero((b_out & x_out) == 0)
+            set_a, set_b = b_out[row, leaf], x_out[leaf]
+            a, c, v = size[set_a], size[set_b], value[part][leaf]
+            keys = np.concatenate([set_a, set_b])
+            weights = np.concatenate([v * gain[a, c], -v * loss[a, c]])
+            totals += np.bincount(keys, weights=weights, minlength=1 << m)
+        # Spread each feature set's weight over its features.
+        sets = np.nonzero(totals)[0]
+        members = (sets[:, None] >> np.arange(m)) & 1
+        return (members.T @ totals[sets]) / n_bg
+
+    return phi
+
+
+def _exact_explainer(predictor, background: np.ndarray, config: ShapConfig, n_features: int):
+    """A function from one instance to its exact phi, by predictor type."""
+    _check_exact_size(n_features)
+    base_bg = _apply_baseline(background, config)
+    terms = _tree_terms(predictor)
+    if terms is not None:
+        return _tree_shap(terms, base_bg, n_features)
+    if isinstance(predictor, LinearPredictor):
+        w, _ = predictor.raw_coefficients()
+        mean_bg = base_bg.mean(axis=0)
+        return lambda x: w * (x - mean_bg)
+    return lambda x: exact_shapley(predictor, x, background, config)
 
 
 def shapley_values(
@@ -205,17 +341,22 @@ def shapley_values(
     stream, so results do not depend on worker count or ordering.
     """
     X = np.asarray(X, dtype=float)
+    if np.isnan(X).any():
+        raise ValueError("instances to explain contain missing values; filter rows first")
     background = np.asarray(background, dtype=float)
     base_bg = _apply_baseline(background, config)
     base_value = float(np.mean(predictor.predict(base_bg)))
 
-    def one(i: int) -> np.ndarray:
-        x = X[i]
-        if config.mode == "exact":
-            return exact_shapley(predictor, x, background, config)
-        rng = stage_rng(config.seed, "sampled-shap", i)
-        perms = np.array([rng.permutation(len(x)) for _ in range(config.n_permutations)])
-        return shapley_from_permutations(predictor, x, background, perms, config)
+    if config.mode == "exact":
+        explain = _exact_explainer(predictor, background, config, X.shape[1])
+
+        def one(i: int) -> np.ndarray:
+            return explain(X[i])
+
+    else:
+
+        def one(i: int) -> np.ndarray:
+            return sampled_shapley(predictor, X[i], background, config, index=i)
 
     indices = range(X.shape[0])
     if n_workers > 1:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from floodpave import cli, synth
+from floodpave import cli, shapley, synth
 from floodpave.cli import (
     EXIT_EMPTY,
     EXIT_IO,
@@ -42,6 +42,18 @@ def make_dataset(tmp_path, subdir="data", **synth_kwargs):
         table, events, gt, d / "records.csv", d / "events.csv", d / "truth.json"
     )
     return str(d / "records.csv"), str(d / "events.csv")
+
+
+def set_constant(records, columns):
+    """Rewrite the records CSV with every value of `columns` set to 1."""
+    lines = open(records).read().splitlines()
+    header = lines[0].split(",")
+    const = {header.index(c) for c in columns}
+    rewritten = [lines[0]] + [
+        ",".join("1" if i in const else v for i, v in enumerate(line.split(",")))
+        for line in lines[1:]
+    ]
+    open(records, "w").write("\n".join(rewritten) + "\n")
 
 
 def hash_tree(directory):
@@ -201,13 +213,7 @@ class TestTrain:
 
     def test_constant_feature_column_is_left_out(self, tmp_path, capsys):
         records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
-        lines = open(records).read().splitlines()
-        const = lines[0].split(",").index("TX_RURAL_URBAN_CODE")
-        rewritten = [lines[0]] + [
-            ",".join("1" if i == const else v for i, v in enumerate(line.split(",")))
-            for line in lines[1:]
-        ]
-        open(records, "w").write("\n".join(rewritten) + "\n")
+        set_constant(records, ["TX_RURAL_URBAN_CODE"])
         out = tmp_path / "o"
         cfg = write_config(
             tmp_path, records_csv=records, out_dir=str(out), grids=SMALL_GRIDS,
@@ -276,6 +282,42 @@ class TestExplain:
         assert main(["--config", cfg, "--quiet", "explain"]) == EXIT_OK
         doc = json.loads((out / "shap_summary.json").read_text())
         assert len(doc["ranking"]) == 9
+        assert 0.0 <= doc["max_efficiency_residual"] <= cli.SHAP_EFFICIENCY_TOLERANCE
+
+    def test_efficiency_residual_above_tolerance_warns(self, trained, tmp_path, monkeypatch, capsys):
+        _, records, out = trained
+        exact = shapley.shapley_values
+
+        def off_by_one(*args, **kwargs):
+            values = exact(*args, **kwargs)
+            return shapley.ShapValues(values.base_value + 1.0, values.phi, values.feature_names)
+
+        monkeypatch.setattr(shapley, "shapley_values", off_by_one)
+        cfg = write_config(
+            tmp_path, records_csv=records, out_dir=str(tmp_path / "o"), seed=21,
+            shap={"background_size": 20},
+            explain={"model_path": str(out / "model_linear.json"),
+                     "instances": "sample:2", "explainers": ["shap"]},
+        )
+        assert main(["--config", cfg, "explain"]) == EXIT_OK
+        doc = json.loads((tmp_path / "o" / "shap_summary.json").read_text())
+        assert doc["max_efficiency_residual"] == pytest.approx(1.0)
+        assert "[explain] warning: SHAP efficiency residual" in capsys.readouterr().err
+
+    def test_model_without_features_is_refused(self, tmp_path):
+        from floodpave.dataset import FEATURE_COLUMNS
+
+        records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        set_constant(records, FEATURE_COLUMNS)
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path, records_csv=records, out_dir=str(out), grids=SMALL_GRIDS,
+            explain={"model_path": str(out / "model_decision_tree.json"),
+                     "instances": "sample:1"},
+        )
+        assert main(["--config", cfg, "--quiet", "train", "--kinds", "linear,decision_tree"]) == EXIT_OK
+        assert main(["--config", cfg, "--quiet", "explain"]) == EXIT_EMPTY
+        assert not (out / "shap_phi.csv").exists()
 
     def test_flood_instance_readings(self, trained):
         tmp_path, records, out = trained

@@ -195,6 +195,22 @@ class TestFitValidation:
         with pytest.raises(ValueError):
             p.predict(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "kind, hp",
+        [
+            ("decision_tree", {"max_depth": 3}),
+            ("random_forest", {"n_estimators": 3, "max_depth": 3}),
+            ("gradient_boosting", {"n_estimators": 3, "max_depth": 2}),
+        ],
+    )
+    def test_tree_predict_rejects_nan(self, kind, hp):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(40, 2))
+        p = models.fit(spec(kind, **hp), x, x[:, 0] + rng.normal(size=40))
+        row = np.array([[0.5, np.nan]])
+        with pytest.raises(ValueError, match="missing"):
+            p.predict(row)
+
 
 class TestEvaluate:
     def test_perfect_fit(self):

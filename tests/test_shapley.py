@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodpave import models, shapley
 from floodpave.dataset import DataTable
@@ -217,3 +219,165 @@ class TestBatchAndSummary:
         cfg = ShapConfig(mode="sampled", n_permutations=150, seed=2)
         vals = shapley.shapley_values(flood_bump_boosting, X[rows], bg, cfg)
         assert np.all(vals.phi[:, flood_idx] > 0.0)
+
+
+def tied_data(seed, n=200, m=4):
+    """Integer-valued features, so many rows tie on every feature."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, m)).astype(float)
+    y = X[:, 0] * X[:, 1] - 2.0 * (X[:, 2] > 1) + rng.normal(scale=0.5, size=n)
+    return X, y
+
+
+def hand_tree(feature, threshold, left, right, value, m):
+    tree = models.Tree(feature, threshold, left, right, value)
+    names = tuple(f"x{j}" for j in range(m))
+    return models.TreePredictor(models.ModelSpec("decision_tree", {}, 0), names, tree)
+
+
+def assert_matches_enumeration(predictor, X, bg, config=ShapConfig()):
+    values = shapley.shapley_values(predictor, X, bg, config)
+    oracle = np.vstack([exact_shapley(predictor, x, bg, config) for x in X])
+    assert np.max(np.abs(values.phi - oracle)) < 1e-10
+
+
+class TestExactDispatch:
+    """Tree SHAP and the linear closed form against the 2^M enumeration."""
+
+    @pytest.mark.parametrize(
+        "kind, hp",
+        [
+            ("decision_tree", {"max_depth": 6}),
+            ("random_forest", {"n_estimators": 4, "max_depth": 5, "feature_subsample": 0.5}),
+            ("gradient_boosting", {"n_estimators": 15, "max_depth": 3, "subsample": 0.75}),
+        ],
+    )
+    @pytest.mark.parametrize("baseline", ["interventional", "mean_impute"])
+    def test_fitted_tree_models(self, kind, hp, baseline):
+        X, y = tied_data(13)
+        predictor = models.fit(models.ModelSpec(kind, hp, 3), X, y)
+        assert_matches_enumeration(predictor, X[:8], X[100:130], ShapConfig(baseline=baseline))
+
+    @pytest.mark.parametrize("chunk_pairs", [1, 45])
+    def test_leaf_chunks(self, monkeypatch, chunk_pairs):
+        X, y = tied_data(21)
+        predictor = models.fit(models.ModelSpec("random_forest", {"n_estimators": 3, "max_depth": 4}, 0), X, y)
+        monkeypatch.setattr(shapley, "_CHUNK_PAIRS", chunk_pairs)
+        assert_matches_enumeration(predictor, X[:5], X[20:40])
+
+    def test_one_row_background(self):
+        X, y = tied_data(14)
+        predictor = models.fit(models.ModelSpec("gradient_boosting", {"n_estimators": 10}, 0), X, y)
+        assert_matches_enumeration(predictor, X[:8], X[50:51])
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            # x0 <= 2 -> (x0 <= 1 -> (x1 <= 0.5 -> 1 | 2) | 3) | 4
+            dict(
+                feature=[0, 0, 1, -1, -1, -1, -1],
+                threshold=[2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0],
+                left=[1, 2, 3, -1, -1, -1, -1],
+                right=[6, 5, 4, -1, -1, -1, -1],
+                value=[0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+            ),
+            # x0 <= 1 -> (x0 <= 2 -> 1 | 2) | (x0 <= 0.5 -> 3 | (x1 <= 0.5 -> 4 | 5));
+            # the second split on x0 is redundant on both sides, so leaves 2 and 3 are unreachable
+            dict(
+                feature=[0, 0, -1, -1, 0, -1, 1, -1, -1],
+                threshold=[1.0, 2.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0],
+                left=[1, 2, -1, -1, 5, -1, 7, -1, -1],
+                right=[4, 3, -1, -1, 6, -1, 8, -1, -1],
+                value=[0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 4.0, 5.0],
+            ),
+        ],
+        ids=["nested", "redundant"],
+    )
+    def test_same_feature_split_twice_on_one_path(self, arrays):
+        predictor = hand_tree(m=3, **arrays)
+        # instances sit on the thresholds as well as between them
+        grid = np.array(list(itertools.product([0.0, 0.5, 1.0, 1.5, 2.0, 3.0], [0.0, 0.5, 1.0], [0.0])))
+        assert_matches_enumeration(predictor, grid, grid[::2])
+
+    def test_single_leaf_tree(self):
+        predictor = hand_tree([-1], [0.0], [-1], [-1], [7.5], m=2)
+        values = shapley.shapley_values(predictor, np.ones((3, 2)), np.zeros((4, 2)), ShapConfig())
+        assert values.phi.tolist() == [[0.0, 0.0]] * 3
+        assert values.base_value == 7.5
+
+    def test_boosting_without_trees(self):
+        X, y = tied_data(15)
+        predictor = models.fit(models.ModelSpec("gradient_boosting", {"n_estimators": 0}, 0), X, y)
+        assert_matches_enumeration(predictor, X[:3], X[10:20])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), depth=st.integers(0, 4))
+    def test_random_small_trees(self, data, m, depth):
+        feature, threshold, left, right, value = [], [], [], [], []
+
+        def grow(d):
+            node = len(feature)
+            for column in (feature, threshold, left, right, value):
+                column.append(-1)
+            value[node] = data.draw(st.floats(-10, 10), label="value")
+            if d < depth and data.draw(st.booleans(), label="split"):
+                feature[node] = data.draw(st.integers(0, m - 1), label="feature")
+                threshold[node] = data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), label="threshold")
+                left[node] = grow(d + 1)
+                right[node] = grow(d + 1)
+            return node
+
+        grow(0)
+        predictor = hand_tree(feature, threshold, left, right, value, m)
+        cells = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+        rows = lambda n: st.lists(st.lists(cells, min_size=m, max_size=m), min_size=1, max_size=n)
+        X = np.array(data.draw(rows(3), label="instances"))
+        bg = np.array(data.draw(rows(6), label="background"))
+        assert_matches_enumeration(predictor, X, bg)
+
+    @pytest.mark.parametrize("baseline", ["interventional", "mean_impute"])
+    def test_linear_closed_form(self, baseline):
+        X, y = tied_data(16, m=5)
+        predictor = models.fit(models.ModelSpec("ridge", {"alpha": 1.0}, 0), X, y)
+        assert_matches_enumeration(predictor, X[:8], X[40:90], ShapConfig(baseline=baseline))
+
+    def test_other_predictors_enumerate(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(4, 3))
+        bg = rng.normal(size=(9, 3))
+        values = shapley.shapley_values(ProductModelThree(), X, bg, ShapConfig())
+        oracle = np.vstack([exact_shapley(ProductModelThree(), x, bg, ShapConfig()) for x in X])
+        assert np.array_equal(values.phi, oracle)
+
+    def test_tree_models_do_not_enumerate(self, monkeypatch):
+        X, y = tied_data(18)
+        predictor = models.fit(models.ModelSpec("random_forest", {"n_estimators": 3}, 0), X, y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_shapley called for a tree model")
+
+        monkeypatch.setattr(shapley, "exact_shapley", refuse)
+        shapley.shapley_values(predictor, X[:2], X[10:20], ShapConfig())
+
+    def test_missing_instance_values_rejected(self):
+        X, y = tied_data(20)
+        predictor = models.fit(models.ModelSpec("decision_tree", {"max_depth": 3}, 0), X, y)
+        row = X[:1].copy()
+        row[0, 1] = np.nan
+        with pytest.raises(ValueError, match="missing"):
+            shapley.shapley_values(predictor, row, X[10:20], ShapConfig())
+
+    def test_feature_cap_applies_to_every_kind(self):
+        predictor = hand_tree([-1], [0.0], [-1], [-1], [1.0], m=21)
+        with pytest.raises(ValueError, match="sampled"):
+            shapley.shapley_values(predictor, np.zeros((1, 21)), np.zeros((1, 21)), ShapConfig())
+
+    def test_sampled_rows_use_the_per_index_stream(self):
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(3, 3))
+        bg = rng.normal(size=(8, 3))
+        cfg = ShapConfig(mode="sampled", n_permutations=30, seed=4)
+        values = shapley.shapley_values(ProductModelThree(), X, bg, cfg)
+        for i in range(3):
+            row = sampled_shapley(ProductModelThree(), X[i], bg, cfg, index=i)
+            assert np.array_equal(values.phi[i], row)
