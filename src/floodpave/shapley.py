@@ -9,13 +9,12 @@ of that game by the cheapest exact route for the predictor type:
 - tree, forest and boosting predictors use interventional Tree SHAP
   (Lundberg et al., Nature MI 2020), which reads each leaf's box off the
   flat tree arrays and attributes leaf by leaf, with no model calls;
-- linear predictors use the closed form phi_j = w_j * (x_j - mean bg_j)
-  in raw feature units (Lundberg & Lee, arXiv:1705.07874);
-- any other predictor enumerates all 2^M coalitions once (memoized
-  across features) through ``exact_shapley``.
+- any other predictor, linear ones included, enumerates all 2^M
+  coalitions once (memoized across features) through ``exact_shapley``.
 
-``exact_shapley`` is always the 2^M enumeration; the tests hold both
-closed forms to it, so it is the oracle as well as the fallback.
+``exact_shapley`` is always the 2^M enumeration; the tests hold Tree
+SHAP to it, so it is the oracle as well as the fallback. Instances and
+background rows must be finite: the leaf-box test cannot place -inf.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from ._util import stage_rng
 from .dataset import DataTable
-from .models import BoostingPredictor, ForestPredictor, LinearPredictor, TreePredictor
+from .models import BoostingPredictor, ForestPredictor, TreePredictor
 from .models.tree import LEAF
 
 MAX_EXACT_FEATURES = 20
@@ -321,10 +320,6 @@ def _exact_explainer(predictor, background: np.ndarray, config: ShapConfig, n_fe
     terms = _tree_terms(predictor)
     if terms is not None:
         return _tree_shap(terms, base_bg, n_features)
-    if isinstance(predictor, LinearPredictor):
-        w, _ = predictor.raw_coefficients()
-        mean_bg = base_bg.mean(axis=0)
-        return lambda x: w * (x - mean_bg)
     return lambda x: exact_shapley(predictor, x, background, config)
 
 
@@ -341,9 +336,12 @@ def shapley_values(
     stream, so results do not depend on worker count or ordering.
     """
     X = np.asarray(X, dtype=float)
-    if np.isnan(X).any():
-        raise ValueError("instances to explain contain missing values; filter rows first")
     background = np.asarray(background, dtype=float)
+    # A leaf box starts at lo = -inf and tests lo < x, so -inf (like NaN)
+    # would sit outside every box although predict places it.
+    for name, rows in (("instances to explain", X), ("background", background)):
+        if not np.isfinite(rows).all():
+            raise ValueError(f"{name}: missing or infinite values; filter rows first")
     base_bg = _apply_baseline(background, config)
     base_value = float(np.mean(predictor.predict(base_bg)))
 

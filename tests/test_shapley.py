@@ -242,7 +242,7 @@ def assert_matches_enumeration(predictor, X, bg, config=ShapConfig()):
 
 
 class TestExactDispatch:
-    """Tree SHAP and the linear closed form against the 2^M enumeration."""
+    """Tree SHAP against the 2^M enumeration."""
 
     @pytest.mark.parametrize(
         "kind, hp",
@@ -335,12 +335,6 @@ class TestExactDispatch:
         bg = np.array(data.draw(rows(6), label="background"))
         assert_matches_enumeration(predictor, X, bg)
 
-    @pytest.mark.parametrize("baseline", ["interventional", "mean_impute"])
-    def test_linear_closed_form(self, baseline):
-        X, y = tied_data(16, m=5)
-        predictor = models.fit(models.ModelSpec("ridge", {"alpha": 1.0}, 0), X, y)
-        assert_matches_enumeration(predictor, X[:8], X[40:90], ShapConfig(baseline=baseline))
-
     def test_other_predictors_enumerate(self):
         rng = np.random.default_rng(17)
         X = rng.normal(size=(4, 3))
@@ -366,6 +360,18 @@ class TestExactDispatch:
         row[0, 1] = np.nan
         with pytest.raises(ValueError, match="missing"):
             shapley.shapley_values(predictor, row, X[10:20], ShapConfig())
+
+    @pytest.mark.parametrize("where", ["instance", "background"])
+    @pytest.mark.parametrize("cell", [-np.inf, np.inf])
+    def test_infinite_values_rejected(self, where, cell):
+        # The leaf-box test lo < x puts x = -inf outside every box, where
+        # predict sends it left; exact_shapley would disagree.
+        X, y = tied_data(22)
+        predictor = models.fit(models.ModelSpec("decision_tree", {"max_depth": 3}, 0), X, y)
+        rows, bg = X[:2].copy(), X[10:20].copy()
+        (rows if where == "instance" else bg)[1, 2] = cell
+        with pytest.raises(ValueError, match=f"{where}.*infinite"):
+            shapley.shapley_values(predictor, rows, bg, ShapConfig())
 
     def test_feature_cap_applies_to_every_kind(self):
         predictor = hand_tree([-1], [0.0], [-1], [-1], [1.0], m=21)
