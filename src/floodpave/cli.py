@@ -13,10 +13,12 @@ Exit codes:
     no features, refused before any file is written)
   6 numerical failure (singular design, zero variance)
 
-`train` leaves out of every model the feature columns that are constant on
-the training split and lists them in train_summary.json under
-"dropped_constant_columns"; exit 6 remains for a design that is still
-singular after that, and for a zero-variance target.
+`train` refuses a records file holding ±inf in a feature or target cell
+of a complete row (exit 1, before any model is written). It leaves out of
+every model the feature columns that are constant on the training split
+and lists them in train_summary.json under "dropped_constant_columns";
+exit 6 remains for a design that is still singular after that, and for a
+zero-variance target.
 """
 
 from __future__ import annotations
@@ -343,6 +345,11 @@ def _training_frame(config: RunConfig):
     complete = filter_complete(table, features + [TARGET_COLUMN])
     if complete.n_rows < 2:
         raise InsufficientDataError("no complete training rows after filtering")
+    # filter_complete drops NaN only. An inf cell would make np.std NaN, so
+    # cmd_train would drop its column as constant, or become a tree threshold.
+    infinite = [c for c in features + [TARGET_COLUMN] if not np.isfinite(complete.col(c)).all()]
+    if infinite:
+        raise ValueError(f"non-finite value(s) in column(s) {infinite}; fix or drop those rows")
     return complete, features
 
 
@@ -365,9 +372,7 @@ def cmd_train(config: RunConfig) -> int:
         grid = config.grids.get(kind, models.default_grid(kind))
         seed = int(stage_seed(config.seed, "train", models.MODEL_KINDS.index(kind)).generate_state(1)[0])
         if grid:
-            cv = models.grid_search_cv(
-                kind, grid, X_train, y_train, config.cv_folds, seed, n_workers=config.workers
-            )
+            cv = models.grid_search_cv(kind, grid, X_train, y_train, config.cv_folds, seed)
             best_spec = cv.best_spec
         else:
             best_spec = models.ModelSpec(kind, {}, seed)
@@ -569,7 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--seed", type=int, help="root seed for all stages")
     parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--workers", type=int, help="worker threads for parallel stages")
+    parser.add_argument(
+        "--workers", type=int, help="worker threads for explain (SHAP and LIME); train runs in one thread"
+    )
     parser.add_argument("--quiet", action="store_true", default=None, help="suppress progress lines")
     parser.add_argument("--records", dest="records_csv", help="section-year records CSV")
     parser.add_argument("--events", dest="events_csv", help="flood events CSV")

@@ -30,12 +30,23 @@ class FloodEvent:
     end_marker: str | None = None
 
     def covers_section(self, section_id: str) -> bool:
-        # Missing markers flood the whole route; comparison is lexicographic.
-        if self.start_marker is not None and section_id < self.start_marker:
+        # Missing markers flood the whole route.
+        if self.start_marker is not None and _section_order(section_id, self.start_marker) < 0:
             return False
-        if self.end_marker is not None and section_id > self.end_marker:
+        if self.end_marker is not None and _section_order(section_id, self.end_marker) > 0:
             return False
         return True
+
+
+def _section_order(a: str, b: str) -> int:
+    """-1, 0 or 1 as section id ``a`` sorts before, with or after ``b``.
+
+    Two ids made of ASCII digits compare as integers, so "9" < "10";
+    any other pair compares as strings.
+    """
+    if a.isascii() and b.isascii() and a.isdigit() and b.isdigit():
+        a, b = int(a), int(b)
+    return (a > b) - (a < b)
 
 
 @dataclass(frozen=True)

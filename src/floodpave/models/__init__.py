@@ -71,8 +71,9 @@ _FITTERS = {
 def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names=None):
     """Train one model; returns an immutable predictor.
 
-    Rejects empty or NaN-bearing inputs up front so solver internals can
-    assume clean matrices.
+    Rejects empty inputs and any NaN or ±inf up front so solver internals
+    can assume clean, finite matrices (an infinite feature value would
+    become an infinite split threshold with an unreachable child).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -82,8 +83,8 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names=None):
         raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)}")
     if len(y) == 0:
         raise ValueError("cannot fit on empty data")
-    if np.isnan(X).any() or np.isnan(y).any():
-        raise ValueError("fit input contains missing values; filter rows first")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("fit input contains missing or non-finite values; filter rows first")
     if feature_names is None:
         feature_names = tuple(f"x{j}" for j in range(X.shape[1]))
     return _FITTERS[spec.kind](spec, X, y, feature_names)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +53,32 @@ def expand_grid(kind: str, grid: dict, seed: int) -> list[ModelSpec]:
     return [ModelSpec(kind, dict(zip(keys, combo)), seed) for combo in combos]
 
 
+# Kinds whose fit with n_estimators=k is exactly the first k trees of a
+# larger fit: tree i draws from child i of the spec seed's SeedSequence
+# whatever the ensemble size, and boosting stage i sees only stages < i.
+_PREFIX_KINDS = ("random_forest", "gradient_boosting")
+
+
+def _prefix_groups(candidates: list[ModelSpec]) -> list[list[int]]:
+    """Candidate indices grouped by every hyperparameter except n_estimators.
+
+    Ensemble kinds group candidates that can share one fit; every other
+    kind gets one group per candidate.
+    """
+    if not candidates or candidates[0].kind not in _PREFIX_KINDS:
+        return [[i] for i in range(len(candidates))]
+    groups: list[tuple[dict, list[int]]] = []
+    for i, spec in enumerate(candidates):
+        rest = {k: v for k, v in spec.hyperparameters.items() if k != "n_estimators"}
+        for other, members in groups:
+            if other == rest:
+                members.append(i)
+                break
+        else:
+            groups.append((rest, [i]))
+    return [members for _, members in groups]
+
+
 def grid_search_cv(
     kind: str,
     grid: dict,
@@ -61,12 +86,16 @@ def grid_search_cv(
     y: np.ndarray,
     k: int,
     seed: int,
-    n_workers: int = 1,
 ) -> CVResult:
     """Pick the candidate with the lowest mean held-out-fold MSE.
 
     Every candidate sees the same seeded folds. Ties go to the earlier
-    candidate in enumeration order.
+    candidate in enumeration order. For random forests and gradient
+    boosting, candidates that differ only in ``n_estimators`` share one
+    fit per fold: the largest is fitted, and each smaller one is scored
+    on its first ``n_estimators`` trees, which are exactly the trees its
+    own fit would grow, so every score equals that of a separate fit.
+    Candidates run one after another in this thread.
     """
     from . import fit  # deferred: avoids import cycle with the dispatch module
 
@@ -76,20 +105,20 @@ def grid_search_cv(
     folds, assignments = kfold_indices(len(y), k, seed)
     all_idx = np.arange(len(y))
 
-    def mean_fold_mse(spec: ModelSpec) -> float:
-        mses = []
+    fold_mses: list[list[float]] = [[] for _ in candidates]
+    for members in _prefix_groups(candidates):
+        largest = max(members, key=lambda i: candidates[i].hyperparameters.get("n_estimators", 0))
         for fold in folds:
             train = np.setdiff1d(all_idx, fold, assume_unique=True)
-            predictor = fit(spec, X[train], y[train])
-            residual = y[fold] - predictor.predict(X[fold])
-            mses.append(float(np.mean(residual**2)))
-        return float(np.mean(mses))
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            scores = list(pool.map(mean_fold_mse, candidates))
-    else:
-        scores = [mean_fold_mse(spec) for spec in candidates]
+            predictor = fit(candidates[largest], X[train], y[train])
+            for i in members:
+                scored = predictor
+                if i != largest:
+                    n_trees = candidates[i].hyperparameters["n_estimators"]
+                    scored = replace(predictor, spec=candidates[i], trees=predictor.trees[:n_trees])
+                residual = y[fold] - scored.predict(X[fold])
+                fold_mses[i].append(float(np.mean(residual**2)))
+    scores = [float(np.mean(mses)) for mses in fold_mses]
 
     best_i = int(np.argmin(scores))
     return CVResult(

@@ -120,6 +120,8 @@ class LinearPredictor:
             raise ValueError(
                 f"expected {len(self.feature_names)} feature columns, got shape {X.shape}"
             )
+        if np.isnan(X).any():
+            raise ValueError("predict input contains missing values; filter rows first")
         return ((X - self.mu) / self.sigma) @ self.coef + self.intercept
 
     def raw_coefficients(self):

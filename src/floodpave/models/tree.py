@@ -4,6 +4,14 @@ Splits minimize the summed child squared error (equivalently, maximize
 variance reduction) over midpoint thresholds between consecutive
 distinct sorted values. All tie-breaks are first-come in a fixed
 enumeration order, so a fit is a pure function of (data, spec, seed).
+
+``build_tree`` sorts each feature once, at the root, with a stable
+argsort, and carries a (features, rows) block of per-feature sorted row
+ids down the tree. A split partitions that block stably, so every node
+sees its rows in (value, row id) order, the order a stable per-node
+argsort would give, and ``_best_split`` scores all candidate features
+in one vectorized pass with the same per-feature arithmetic. Splits,
+thresholds and ties are therefore those of sorting at every node.
 """
 
 from __future__ import annotations
@@ -57,34 +65,59 @@ class Tree:
         return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
 
 
-def _best_split(X, y, idx, features, min_leaf):
-    """Best (sse, feature, threshold) over candidate features at a node, or None."""
-    n = idx.size
-    y_node = y[idx]
-    best = None
-    for j in features:
-        v = X[idx, j]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = y_node[order]
-        cum_y = np.cumsum(ys)
-        cum_y2 = np.cumsum(ys * ys)
-        total_y, total_y2 = cum_y[-1], cum_y2[-1]
+def _best_split(Xt, y, order, features, min_leaf):
+    """Best (sse, feature, threshold) over candidate features at a node, or None.
 
-        # split after sorted position k: left has k+1 rows
-        left_n = np.arange(1, n)
-        valid = vs[1:] > vs[:-1]
-        if min_leaf > 1:
-            valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        if not valid.any():
-            continue
-        left_sse = cum_y2[:-1] - cum_y[:-1] ** 2 / left_n
-        right_sse = (total_y2 - cum_y2[:-1]) - (total_y - cum_y[:-1]) ** 2 / (n - left_n)
-        sse = np.where(valid, left_sse + right_sse, np.inf)
-        k = int(np.argmin(sse))
-        if best is None or sse[k] < best[0]:
-            best = (float(sse[k]), int(j), float((vs[k] + vs[k + 1]) / 2.0))
-    return best
+    ``order[j]`` holds the node's rows sorted by feature j (ties by row
+    id). Every candidate feature is scored in one pass over a
+    (features, rows) block; per feature the arithmetic is the plain
+    prefix-sum form, and the first feature holding the lowest SSE wins.
+    """
+    rows = order if features.size == order.shape[0] else order.take(features, axis=0)
+    n = rows.shape[1]
+    # flat positions into Xt: row id plus the feature's offset
+    vs = Xt.take(rows + (features * Xt.shape[1]).astype(rows.dtype)[:, None])
+    ys = y.take(rows)
+    cum_y = np.cumsum(ys, axis=1)
+    cum_y2 = np.cumsum(np.square(ys, out=ys), axis=1, out=ys)
+
+    # split after sorted position k: left has k+1 rows
+    left_n = np.arange(1, n)
+    valid = vs[:, 1:] > vs[:, :-1]
+    if min_leaf > 1:
+        valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
+    splittable = np.flatnonzero(valid.any(axis=1))
+    if splittable.size == 0:
+        return None
+    # sse = (cy2 - cy**2 / left_n) + ((total_y2 - cy2) - (total_y - cy)**2 / (n - left_n)),
+    # evaluated in place to keep the per-node temporaries few.
+    cy, cy2 = cum_y[:, :-1], cum_y2[:, :-1]
+    sse = np.square(cy)
+    sse /= left_n
+    np.subtract(cy2, sse, out=sse)
+    np.subtract(cum_y[:, -1:], cy, out=cy)
+    np.square(cy, out=cy)
+    cy /= n - left_n
+    np.subtract(cum_y2[:, -1:], cy2, out=cy2)
+    cy2 -= cy
+    sse += cy2
+    sse[~valid] = np.inf
+
+    k = sse.argmin(axis=1)
+    lowest = sse[np.arange(sse.shape[0]), k]
+    r = splittable[np.argmin(lowest[splittable])]
+    kr = k[r]
+    return float(lowest[r]), int(features[r]), float((vs[r, kr] + vs[r, kr + 1]) / 2.0)
+
+
+def _presort(Xt):
+    """Each feature's rows in ascending value order, ties by row id.
+
+    Ids are int32 when every flat position into ``Xt`` fits, to keep the
+    per-node index blocks small.
+    """
+    ids = np.int32 if Xt.size <= np.iinfo(np.int32).max else np.int64
+    return np.argsort(Xt, axis=1, kind="stable").astype(ids)
 
 
 def build_tree(
@@ -105,11 +138,13 @@ def build_tree(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n_features = X.shape[1]
+    n_rows, n_features = X.shape
     all_features = np.arange(n_features)
     if feature_subsample < 1.0 and rng is None:
         raise ValueError("feature_subsample < 1 requires an rng")
     n_sub = max(1, int(round(feature_subsample * n_features)))
+    Xt = np.ascontiguousarray(X.T)
+    go_left = np.empty(n_rows, dtype=bool)
 
     feature, threshold, left, right, value = [], [], [], [], []
 
@@ -121,34 +156,52 @@ def build_tree(
         value.append(0.0)
         return len(feature) - 1
 
-    def grow(idx, depth):
+    def may_split(n, depth):
+        return depth < max_depth and n >= min_samples_split and n >= 2 * min_samples_leaf
+
+    def sorted_rows(order, mask, n_kept):
+        # Stable partition: each feature's sorted row list keeps its order.
+        return np.compress(mask.ravel(), order).reshape(n_features, n_kept)
+
+    def grow(idx, order, depth):
+        # idx: the node's rows in ascending id order; order: (n_features, n)
+        # per-feature sorted rows, or None when the node cannot split.
         node = new_node()
         y_node = y[idx]
-        value[node] = float(y_node.mean())
-        n = idx.size
-        if depth >= max_depth or n < min_samples_split or n < 2 * min_samples_leaf:
+        mean = y_node.mean()
+        value[node] = float(mean)
+        if order is None:
             return node
-        parent_sse = float(np.sum((y_node - y_node.mean()) ** 2))
+        parent_sse = float(np.sum((y_node - mean) ** 2))
         if parent_sse == 0.0:
             return node
         if feature_subsample < 1.0:
             candidates = np.sort(rng.choice(n_features, size=n_sub, replace=False))
         else:
             candidates = all_features
-        best = _best_split(X, y, idx, candidates, min_samples_leaf)
+        best = _best_split(Xt, y, order, candidates, min_samples_leaf)
         if best is None:
             return node
         sse, feat, thr = best
         if parent_sse - sse <= _MIN_REDUCTION * max(parent_sse, 1.0):
             return node
-        mask = X[idx, feat] <= thr
+        mask = Xt[feat, idx] <= thr
         feature[node] = feat
         threshold[node] = thr
-        left[node] = grow(idx[mask], depth + 1)
-        right[node] = grow(idx[~mask], depth + 1)
+        left_idx, right_idx = idx[mask], idx[~mask]
+        go_left[idx] = mask
+        goes = go_left.take(order)
+        left_order = right_order = None
+        if may_split(left_idx.size, depth + 1):
+            left_order = sorted_rows(order, goes, left_idx.size)
+        if may_split(right_idx.size, depth + 1):
+            right_order = sorted_rows(order, ~goes, right_idx.size)
+        del order, goes  # only the children's blocks stay alive down the recursion
+        left[node] = grow(left_idx, left_order, depth + 1)
+        right[node] = grow(right_idx, right_order, depth + 1)
         return node
 
-    grow(np.arange(X.shape[0]), 0)
+    grow(np.arange(n_rows), _presort(Xt) if may_split(n_rows, 0) else None, 0)
     return Tree(feature, threshold, left, right, value)
 
 

@@ -9,6 +9,7 @@ import pytest
 from floodpave import cli, shapley, synth
 from floodpave.cli import (
     EXIT_EMPTY,
+    EXIT_FAILURE,
     EXIT_IO,
     EXIT_OK,
     EXIT_SCHEMA,
@@ -236,6 +237,23 @@ class TestTrain:
             header = next(csv.reader(fh))
         assert "TX_RURAL_URBAN_CODE" not in header
         assert "Flood" in header
+
+    def test_infinite_feature_cell_is_refused(self, tmp_path, capsys):
+        records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        lines = open(records).read().splitlines()
+        header = lines[0].split(",")
+        col, target = header.index("TX_TRUCK_AADT_PCT"), header.index("NEXT_YEAR_IRI")
+        row = next(i for i, line in enumerate(lines[1:], 1) if line.split(",")[target])
+        cells = lines[row].split(",")
+        cells[col] = "inf"
+        lines[row] = ",".join(cells)
+        open(records, "w").write("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, records_csv=records, out_dir=str(out), grids=SMALL_GRIDS)
+        assert main(["--config", cfg, "train"]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "TX_TRUCK_AADT_PCT" in err
+        assert not out.exists() or not list(out.glob("model_*.json"))
 
 
 @pytest.fixture(scope="module")

@@ -96,15 +96,51 @@ class TestGridSearch:
         ]
         assert combos == [(1, 1), (1, 3), (2, 1), (2, 3)]
 
-    def test_workers_do_not_change_result(self):
+    @pytest.mark.parametrize(
+        "kind, grid",
+        [
+            (
+                "random_forest",
+                {"max_depth": [2, 4], "n_estimators": [4, 1, 4, 2], "feature_subsample": [0.5]},
+            ),
+            (
+                "gradient_boosting",
+                {"subsample": [0.75, 1.0], "n_estimators": [3, 0, 6, 3], "max_depth": [2]},
+            ),
+        ],
+        ids=["random_forest", "gradient_boosting"],
+    )
+    def test_prefix_reuse_equals_independent_fits(self, monkeypatch, kind, grid):
+        # Candidates differing only in n_estimators share one fit per fold;
+        # every score must equal that of fitting the candidate on its own.
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(40, 3))
-        y = x[:, 0] - x[:, 2] + rng.normal(scale=0.3, size=40)
-        grid = {"alpha": [0.01, 1.0, 10.0]}
-        serial = grid_search_cv("lasso", grid, x, y, k=4, seed=3, n_workers=1)
-        parallel = grid_search_cv("lasso", grid, x, y, k=4, seed=3, n_workers=3)
-        assert [m for _, m in serial.per_candidate] == [m for _, m in parallel.per_candidate]
-        assert serial.best_spec == parallel.best_spec
+        x = rng.integers(0, 4, size=(45, 3)).astype(float)
+        y = x[:, 0] - x[:, 2] + rng.normal(scale=0.3, size=45)
+        k, seed = 3, 5
+        folds, _ = kfold_indices(len(y), k, seed)
+        expected = []
+        for spec in models.expand_grid(kind, grid, seed):
+            mses = []
+            for fold in folds:
+                train = np.setdiff1d(np.arange(len(y)), fold)
+                p = models.fit(spec, x[train], y[train])
+                mses.append(float(np.mean((y[fold] - p.predict(x[fold])) ** 2)))
+            expected.append(float(np.mean(mses)))
+
+        fitted = []
+        real_fit = models.fit
+
+        def counting_fit(spec, *args, **kwargs):
+            fitted.append(spec.hyperparameters["n_estimators"])
+            return real_fit(spec, *args, **kwargs)
+
+        monkeypatch.setattr(models, "fit", counting_fit)
+        res = grid_search_cv(kind, grid, x, y, k=k, seed=seed)
+        assert [m for _, m in res.per_candidate] == expected
+        assert [s for s, _ in res.per_candidate] == models.expand_grid(kind, grid, seed)
+        assert res.best_spec is res.per_candidate[int(np.argmin(expected))][0]
+        assert len(fitted) == 2 * k  # two groups: the two values of the other varied key
+        assert set(fitted) == {max(grid["n_estimators"])}
 
     def test_default_grids_construct_valid_specs(self):
         for kind in models.MODEL_KINDS:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from floodpave.dataset import DataTable
 from floodpave.errors import SchemaError
@@ -53,6 +55,13 @@ class TestTagFlooded:
         ev = FloodEvent("A", 2012, start_marker="0002", end_marker="0003")
         tagged, _ = tag_flooded(t, [ev])
         assert tagged.col("Flood").tolist() == [0.0, 1.0, 1.0, 0.0]
+
+    def test_unpadded_numeric_ids_compare_as_numbers(self):
+        sections = ("8", "9", "10", "11", "100")
+        t = panel_table([("A", s, 2012, 80.0) for s in sections])
+        ev = FloodEvent("A", 2012, start_marker="9", end_marker="11")
+        tagged, _ = tag_flooded(t, [ev])
+        assert tagged.col("Flood").tolist() == [0.0, 1.0, 1.0, 1.0, 0.0]
 
     def test_idempotent(self):
         t = panel_table([("A", "1", y, 70.0) for y in range(2010, 2016)])
@@ -171,3 +180,32 @@ class TestEventsCsv:
         path.write_text("ROUTE_NAME\nFM1\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="FLOOD_YEAR"):
             load_events_csv(path)
+
+
+class TestCoversSection:
+    @given(
+        a=st.integers(0, 10**6),
+        lo=st.integers(0, 10**6),
+        hi=st.integers(0, 10**6),
+        pads=st.tuples(*[st.integers(0, 3)] * 3),
+    )
+    def test_integer_ids_compare_numerically(self, a, lo, hi, pads):
+        sid, start, end = ("0" * p + str(v) for p, v in zip(pads, (a, lo, hi)))
+        assert FloodEvent("A", 2012, start, end).covers_section(sid) == (lo <= a <= hi)
+        assert FloodEvent("A", 2012, None, end).covers_section(sid) == (a <= hi)
+        assert FloodEvent("A", 2012, start, None).covers_section(sid) == (lo <= a)
+
+    @given(a=st.integers(0, 9999), lo=st.integers(0, 9999), hi=st.integers(0, 9999))
+    def test_equal_width_padded_ids_match_string_order(self, a, lo, hi):
+        # The synthetic panel's "%04d" ids: numeric order is string order.
+        sid, start, end = (f"{v:04d}" for v in (a, lo, hi))
+        assert FloodEvent("A", 2012, start, end).covers_section(sid) == (start <= sid <= end)
+
+    @given(
+        sid=st.text(min_size=1, max_size=6),
+        start=st.text(min_size=1, max_size=6),
+        end=st.text(min_size=1, max_size=6),
+    )
+    def test_non_integer_ids_compare_as_strings(self, sid, start, end):
+        assume(not (sid.isascii() and sid.isdigit()))
+        assert FloodEvent("A", 2012, start, end).covers_section(sid) == (start <= sid <= end)

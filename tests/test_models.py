@@ -189,6 +189,29 @@ class TestFitValidation:
         with pytest.raises(ValueError, match="missing"):
             models.fit(spec("linear"), x, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("kind", ["linear", "decision_tree"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_non_finite_rejected(self, kind, bad, where):
+        # An infinite threshold would leave one child of its split unreachable.
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        if where == "X":
+            x[1, 0] = bad
+        else:
+            y[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            models.fit(spec(kind), x, y)
+
+    @pytest.mark.parametrize("kind", ["linear", "ridge", "lasso"])
+    def test_linear_predict_rejects_nan(self, kind):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(20, 2))
+        p = models.fit(spec(kind), x, x[:, 0] + rng.normal(size=20))
+        with pytest.raises(ValueError, match="missing"):
+            p.predict(np.array([[np.nan, 1.0]]))
+        assert np.isfinite(p.predict(x)).all()
+
     def test_dimension_mismatch_on_predict(self):
         rng = np.random.default_rng(0)
         p = models.fit(spec("linear"), rng.normal(size=(10, 2)), rng.normal(size=10))
