@@ -7,16 +7,18 @@ byte-identical; reports are JSON plus plot-ready CSV, never images.
 Exit codes:
   0 success
   2 usage error (argparse)
-  3 schema error (missing/unknown columns, model/data mismatch)
+  3 schema error (missing/unknown columns, model/data mismatch, a YEAR or
+    FLOOD_YEAR cell that is not a finite number)
   4 I/O error
   5 empty result or insufficient data (including `explain` on a model with
     no features, refused before any file is written)
   6 numerical failure (singular design, zero variance)
 
-`train` refuses a records file holding ±inf in a feature or target cell
-of a complete row (exit 1, before any model is written). It leaves out of
-every model the feature columns that are constant on the training split
-and lists them in train_summary.json under "dropped_constant_columns";
+`describe` and `train` refuse a records file holding ±inf in a feature
+(or, for `train`, target) cell of a complete row: exit 1, before any
+file is written. `train` leaves out of every model the feature columns
+that are constant on the training split and lists them in
+train_summary.json under "dropped_constant_columns";
 exit 6 remains for a design that is still singular after that, and for a
 zero-variance target.
 """
@@ -157,6 +159,18 @@ def _present_features(table: DataTable) -> list[str]:
     return [c for c in FEATURE_COLUMNS if c in table.column_names]
 
 
+def _refuse_non_finite(table: DataTable, columns: list[str]) -> None:
+    """Raise ValueError naming the columns of `table` that hold ±inf or NaN.
+
+    filter_complete drops NaN only. An inf cell would make np.std NaN, so a
+    column would be dropped as constant, reach a report as a non-JSON
+    Infinity, or become a tree threshold.
+    """
+    bad = [c for c in columns if not np.isfinite(table.col(c)).all()]
+    if bad:
+        raise ValueError(f"non-finite value(s) in column(s) {bad}; fix or drop those rows")
+
+
 def _varying_columns(table: DataTable, columns: list[str]) -> list[str]:
     """The columns of `columns` whose values are not all equal in `table`."""
     return [c for c in columns if float(np.std(table.col(c))) > 0.0]
@@ -200,6 +214,7 @@ def cmd_describe(config: RunConfig) -> int:
     table = _load_records(config)
     features = _present_features(table)
     complete = filter_complete(table, features)
+    _refuse_non_finite(complete, features)
     stats = describe(complete, features)
 
     # Table layout echoes the encoded-label convention for categoricals.
@@ -345,11 +360,7 @@ def _training_frame(config: RunConfig):
     complete = filter_complete(table, features + [TARGET_COLUMN])
     if complete.n_rows < 2:
         raise InsufficientDataError("no complete training rows after filtering")
-    # filter_complete drops NaN only. An inf cell would make np.std NaN, so
-    # cmd_train would drop its column as constant, or become a tree threshold.
-    infinite = [c for c in features + [TARGET_COLUMN] if not np.isfinite(complete.col(c)).all()]
-    if infinite:
-        raise ValueError(f"non-finite value(s) in column(s) {infinite}; fix or drop those rows")
+    _refuse_non_finite(complete, features + [TARGET_COLUMN])
     return complete, features
 
 

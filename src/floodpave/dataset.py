@@ -159,18 +159,47 @@ def _parse_cell(text: str) -> float:
         return math.nan
 
 
+def _parse_column(texts: list[str]) -> list[float]:
+    """`_parse_cell` over stripped cells, in one pass unless a cell fails."""
+    try:
+        return [float(t) if t else math.nan for t in texts]
+    except ValueError:
+        return [_parse_cell(t) for t in texts]
+
+
+def _is_text_column(texts: list[str], parsed: list[float]) -> bool:
+    """True if the column has a non-empty cell and none reads as a number."""
+    if any(not math.isnan(v) for v in parsed):
+        return False
+    nonempty = [t for t in texts if t]
+    return bool(nonempty) and all(t.lower() != "nan" for t in nonempty)
+
+
+def _label_encode(texts: list[str]) -> tuple[list[float], list[str]]:
+    """First-appearance label codes (NaN for empty cells) and the label list."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(t, len(index)) if t else math.nan for t in texts]
+    return codes, list(index)
+
+
 def load_csv(path, schema, categorical: set[str] | None = None) -> DataTable:
     """Load a UTF-8 comma-delimited CSV into a DataTable.
 
     The header must contain every column in ``schema`` plus the
     ROUTE_NAME / SECTION_ID / YEAR key columns. All non-key header
     columns are loaded, so extra columns beyond the schema survive.
+    Rows whose cells are all blank are skipped; a short row reads as
+    empty cells past its end, and cells past the header are ignored.
 
     Categorical columns are label-encoded in first-appearance order and
     the label list is recorded in ``encodings``. When ``categorical`` is
     None a column is auto-detected as categorical if none of its
-    non-empty cells parse as a number; otherwise it is numeric and parse
-    failures become NaN.
+    non-empty cells parse as a number; otherwise it is numeric and
+    empty or unparseable cells become NaN.
+
+    The rows are transposed once and each column is stripped and parsed
+    in one pass; a numeric column falls back to a per-cell parse only
+    when some cell in it is not a number.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -180,7 +209,7 @@ def load_csv(path, schema, categorical: set[str] | None = None) -> DataTable:
             except StopIteration:
                 raise SchemaError(f"{path}: empty file, no header row") from None
             header = [h.strip() for h in header]
-            raw_rows = [row for row in reader if any(cell.strip() for cell in row)]
+            raw_rows = [row for row in reader if "".join(row).strip()]
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
 
@@ -191,48 +220,39 @@ def load_csv(path, schema, categorical: set[str] | None = None) -> DataTable:
     col_of = {name: header.index(name) for name in header}
     data_columns = [c for c in header if c not in KEY_COLUMNS]
 
-    def cell(row, name):
-        i = col_of[name]
-        return row[i].strip() if i < len(row) else ""
+    width = len(header)
+    padded = (row if len(row) >= width else row + [""] * (width - len(row)) for row in raw_rows)
+    by_index = list(zip(*padded)) or [()] * width
 
-    row_keys = []
-    for row in raw_rows:
-        year_text = cell(row, YEAR_COLUMN)
+    def texts(name: str) -> list[str]:
+        return [t.strip() for t in by_index[col_of[name]]]
+
+    years = []
+    for year_text in texts(YEAR_COLUMN):
         try:
-            year = int(float(year_text))
-        except ValueError:
+            years.append(int(float(year_text)))
+        except (ValueError, OverflowError):
             raise SchemaError(f"{path}: unparseable YEAR value {year_text!r}") from None
-        row_keys.append((cell(row, ROUTE_COLUMN), cell(row, SECTION_COLUMN), year))
-
-    if categorical is None:
-        categorical = set()
-        for name in data_columns:
-            texts = [cell(r, name) for r in raw_rows]
-            nonempty = [t for t in texts if t]
-            if nonempty and all(math.isnan(_parse_cell(t)) and t.lower() != "nan" for t in nonempty):
-                categorical.add(name)
+    row_keys = tuple(zip(texts(ROUTE_COLUMN), texts(SECTION_COLUMN), years))
 
     n = len(raw_rows)
     values = np.full((n, len(data_columns)), np.nan)
     encodings: dict[str, list[str]] = {}
     for j, name in enumerate(data_columns):
-        if name in categorical:
-            labels: list[str] = []
-            index: dict[str, int] = {}
-            for i, row in enumerate(raw_rows):
-                text = cell(row, name)
-                if not text:
-                    continue
-                if text not in index:
-                    index[text] = len(labels)
-                    labels.append(text)
-                values[i, j] = index[text]
-            encodings[name] = labels
+        column = texts(name)
+        if categorical is None:
+            parsed = _parse_column(column)
+            is_text = _is_text_column(column, parsed)
         else:
-            for i, row in enumerate(raw_rows):
-                values[i, j] = _parse_cell(cell(row, name))
+            is_text = name in categorical
+            parsed = None if is_text else _parse_column(column)
+        if is_text:
+            codes, encodings[name] = _label_encode(column)
+            values[:, j] = codes
+        else:
+            values[:, j] = parsed
 
-    return DataTable(tuple(data_columns), values, encodings, tuple(row_keys))
+    return DataTable(tuple(data_columns), values, encodings, row_keys)
 
 
 def filter_complete(table: DataTable, required) -> DataTable:

@@ -95,7 +95,7 @@ def load_events_csv(path) -> list[FloodEvent]:
                     continue
                 try:
                     year = int(float(row["FLOOD_YEAR"]))
-                except (KeyError, ValueError):
+                except (KeyError, ValueError, OverflowError):
                     raise SchemaError(
                         f"{path}: unparseable FLOOD_YEAR {row.get('FLOOD_YEAR')!r}"
                     ) from None

@@ -8,6 +8,7 @@ grid means the same thing across features with wildly different units.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from .spec import ModelSpec
 
 LASSO_TOL = 1e-6
 LASSO_MAX_SWEEPS = 10_000
+
+log = logging.getLogger(__name__)
 
 
 def least_squares(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -168,7 +171,13 @@ def fit_linear_family(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_nam
     if spec.kind == "ridge":
         coef = ridge_normal_equations(Z, y_centered, alpha)
     elif spec.kind == "lasso":
-        coef, _ = lasso_coordinate_descent(Z, y_centered, alpha)
+        coef, sweeps = lasso_coordinate_descent(Z, y_centered, alpha, max_sweeps=LASSO_MAX_SWEEPS)
+        if sweeps >= LASSO_MAX_SWEEPS:
+            log.warning(
+                "lasso fit with alpha=%r reached the sweep cap (%d sweeps); "
+                "coefficients may not have converged to tol=%g",
+                alpha, sweeps, LASSO_TOL,
+            )
     else:
         raise ValueError(f"not a linear-family kind: {spec.kind}")
     return LinearPredictor(spec, tuple(feature_names), mu, sigma, coef, y_mean)

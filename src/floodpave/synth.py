@@ -6,6 +6,11 @@ pairwise interaction terms on nominally standardized features, a flood
 bump in flood years, and Gaussian noise. The target column of a record
 is exactly the following year's roughness, so the ground-truth function
 doubles as an oracle for model fits and attribution engines.
+
+scipy is imported inside `_initial_iri_params` and `generate`, the only
+functions that use it, rather than at module level: the package imports
+this module, and loading scipy would otherwise add most of the start-up
+time of every other command.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import fsolve
-from scipy.stats import truncnorm
 
 from ._util import stage_rng, write_text_atomic
 from .dataset import (
@@ -135,6 +138,8 @@ class SynthSpec:
 
 def _initial_iri_params(target_mean: float, target_std: float):
     """Pre-truncation (loc, scale) whose >=26 truncation hits the target moments."""
+    from scipy.optimize import fsolve
+    from scipy.stats import truncnorm
 
     def moment_gap(p):
         loc, scale = p[0], abs(p[1])
@@ -153,6 +158,8 @@ def generate(spec: SynthSpec):
     round(flood_fraction * n_sections); flood years leave room for the
     three-years-before and one-year-after observations.
     """
+    from scipy.stats import truncnorm
+
     rng = stage_rng(spec.seed, "synth")
     gt = spec.ground_truth
     n = spec.n_sections

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +59,18 @@ def set_constant(records, columns):
     open(records, "w").write("\n".join(rewritten) + "\n")
 
 
+def set_cell(records, column, value, complete=True):
+    """Rewrite one cell of `column`; with `complete`, in a row that has a target."""
+    lines = open(records).read().splitlines()
+    header = lines[0].split(",")
+    col, target = header.index(column), header.index("NEXT_YEAR_IRI")
+    row = next(i for i, line in enumerate(lines[1:], 1) if line.split(",")[target] or not complete)
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+    open(records, "w").write("\n".join(lines) + "\n")
+
+
 def hash_tree(directory):
     out = {}
     for name in sorted(os.listdir(directory)):
@@ -110,6 +124,17 @@ class TestDescribe:
                            out_dir=str(tmp_path / "o"))
         assert main(["--config", cfg, "--quiet", "describe"]) == EXIT_IO
 
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_feature_cell_is_refused(self, tmp_path, capsys, value):
+        records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        set_cell(records, "TX_TRUCK_AADT_PCT", value, complete=False)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, records_csv=records, out_dir=str(out))
+        assert main(["--config", cfg, "describe"]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "non-finite value(s) in column(s) ['TX_TRUCK_AADT_PCT']" in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_rerun_identical_bytes(self, tmp_path):
         records, events = make_dataset(tmp_path, n_sections=30, noise_std=1.0)
         out = tmp_path / "o"
@@ -156,6 +181,31 @@ class TestFloodAnalysis:
         assert main(["--config", cfg, "--quiet", "flood-analysis"]) == EXIT_OK
         deltas = (tmp_path / "o" / "deltas.csv").read_text()
         assert "FM0481" in deltas
+
+
+class TestKeyYears:
+    @pytest.mark.parametrize("command", ["describe", "flood-analysis", "train"])
+    def test_infinite_year_is_schema_error(self, tmp_path, capsys, command):
+        records, events = make_dataset(tmp_path, n_sections=20, noise_std=1.0)
+        set_cell(records, "YEAR", "inf", complete=False)
+        cfg = write_config(
+            tmp_path, records_csv=records, events_csv=events, out_dir=str(tmp_path / "o")
+        )
+        assert main(["--config", cfg, command]) == EXIT_SCHEMA
+        assert "unparseable YEAR value 'inf'" in capsys.readouterr().err
+
+    def test_infinite_flood_year_is_schema_error(self, tmp_path, capsys):
+        records, events = make_dataset(tmp_path, n_sections=20, noise_std=1.0)
+        lines = open(events).read().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index("FLOOD_YEAR")] = "-inf"
+        lines[1] = ",".join(cells)
+        open(events, "w").write("\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path, records_csv=records, events_csv=events, out_dir=str(tmp_path / "o")
+        )
+        assert main(["--config", cfg, "flood-analysis"]) == EXIT_SCHEMA
+        assert "unparseable FLOOD_YEAR '-inf'" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -240,14 +290,7 @@ class TestTrain:
 
     def test_infinite_feature_cell_is_refused(self, tmp_path, capsys):
         records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
-        lines = open(records).read().splitlines()
-        header = lines[0].split(",")
-        col, target = header.index("TX_TRUCK_AADT_PCT"), header.index("NEXT_YEAR_IRI")
-        row = next(i for i, line in enumerate(lines[1:], 1) if line.split(",")[target])
-        cells = lines[row].split(",")
-        cells[col] = "inf"
-        lines[row] = ",".join(cells)
-        open(records, "w").write("\n".join(lines) + "\n")
+        set_cell(records, "TX_TRUCK_AADT_PCT", "inf")
         out = tmp_path / "o"
         cfg = write_config(tmp_path, records_csv=records, out_dir=str(out), grids=SMALL_GRIDS)
         assert main(["--config", cfg, "train"]) == EXIT_FAILURE
@@ -410,6 +453,30 @@ class TestDeterminism:
             assert main(["--config", cfg2, "--quiet", "explain"]) == EXIT_OK
             hashes.append(hash_tree(out))
         assert hashes[0] == hashes[1]
+
+
+class TestStartup:
+    def test_only_synth_gen_loads_scipy(self, tmp_path):
+        # scipy's import costs most of a command's start-up; only synth-gen needs it.
+        records, _ = make_dataset(tmp_path, n_sections=20, noise_std=1.0)
+        script = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import floodpave, floodpave.cli\n"
+            "print(scipy_modules())\n"
+            f"code = floodpave.cli.main(['--records', {records!r}, '--out', {str(tmp_path / 'o')!r},"
+            " '--quiet', 'describe'])\n"
+            "print(code, scipy_modules())\n"
+            f"floodpave.cli.main(['--out', {str(tmp_path / 's')!r}, '--quiet', 'synth-gen'])\n"
+            "print(bool(scipy_modules()))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.splitlines() == ["[]", "0 []", "True"]
 
 
 class TestConfigHandling:

@@ -181,6 +181,13 @@ class TestEventsCsv:
         with pytest.raises(SchemaError, match="FLOOD_YEAR"):
             load_events_csv(path)
 
+    @pytest.mark.parametrize("year", ["inf", "-inf", "nan", "x"])
+    def test_non_finite_year_is_schema_error(self, tmp_path, year):
+        path = tmp_path / "events.csv"
+        path.write_text(f"ROUTE_NAME,FLOOD_YEAR\nFM1,2014\nFM2,{year}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"unparseable FLOOD_YEAR {year!r}"):
+            load_events_csv(path)
+
 
 class TestCoversSection:
     @given(

@@ -5,7 +5,7 @@ import pytest
 
 from floodpave import models
 from floodpave.errors import InsufficientDataError, SingularDesignError, ZeroVarianceError
-from floodpave.models import ModelSpec
+from floodpave.models import ModelSpec, linear
 
 from conftest import manual_linear
 
@@ -202,6 +202,22 @@ class TestFitValidation:
             y[2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             models.fit(spec(kind), x, y)
+
+    def test_lasso_sweep_cap_is_logged(self, monkeypatch, caplog):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(50, 3))
+        x[:, 1] = x[:, 0] + 0.01 * rng.normal(size=50)
+        y = x @ np.array([1.0, 2.0, -1.0]) + rng.normal(size=50)
+        with caplog.at_level("WARNING", logger="floodpave.models.linear"):
+            converged = models.fit(spec("lasso", alpha=0.1), x, y)
+        assert not caplog.records
+        monkeypatch.setattr(linear, "LASSO_MAX_SWEEPS", 2)
+        with caplog.at_level("WARNING", logger="floodpave.models.linear"):
+            capped = models.fit(spec("lasso", alpha=0.1), x, y)
+        [record] = caplog.records
+        assert "alpha=0.1" in record.getMessage() and "(2 sweeps)" in record.getMessage()
+        assert not np.array_equal(capped.coef, converged.coef)
+        assert set(capped.to_dict()) == set(converged.to_dict())
 
     @pytest.mark.parametrize("kind", ["linear", "ridge", "lasso"])
     def test_linear_predict_rejects_nan(self, kind):
