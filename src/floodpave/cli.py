@@ -8,19 +8,20 @@ Exit codes:
   0 success
   2 usage error (argparse)
   3 schema error (missing/unknown columns, model/data mismatch, a YEAR or
-    FLOOD_YEAR cell that is not a finite number)
+    FLOOD_YEAR cell that is not a finite number, an unknown config key or
+    explainer name)
   4 I/O error
   5 empty result or insufficient data (including `explain` on a model with
     no features, refused before any file is written)
   6 numerical failure (singular design, zero variance)
 
-`describe` and `train` refuse a records file holding ±inf in a feature
-(or, for `train`, target) cell of a complete row: exit 1, before any
-file is written. `train` leaves out of every model the feature columns
-that are constant on the training split and lists them in
-train_summary.json under "dropped_constant_columns";
-exit 6 remains for a design that is still singular after that, and for a
-zero-variance target.
+`describe`, `train` and `explain` refuse a records file holding ±inf in
+a feature (or, for `train`, target) cell of a complete row: exit 1,
+before any file is written. `train` leaves out of every model the
+feature columns that are constant on the training split and lists them
+in train_summary.json under "dropped_constant_columns"; exit 6 remains
+for a design that is still singular after that, and for a zero-variance
+target.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -105,6 +106,8 @@ class RunConfig:
             for key, value in doc.items():
                 if not hasattr(cfg, key):
                     raise SchemaError(f"unknown config key {key!r}")
+                if isinstance(getattr(cfg, key), dict) and not isinstance(value, dict):
+                    raise SchemaError(f"config key {key!r} must be a JSON object")
                 setattr(cfg, key, value)
         for key, value in overrides.items():
             if value is not None:
@@ -456,7 +459,48 @@ def _safe_name(key) -> str:
     return "_".join(str(part).replace("/", "-").replace(" ", "-") for part in key)
 
 
+EXPLAIN_KEYS = ("model_path", "instances", "explainers")
+EXPLAINERS = ("shap", "lime")
+
+
+def _section_config(cls, name: str, section: dict, **extra):
+    """Build config dataclass `cls` from config section `name`, refusing unknown keys.
+
+    `seed` comes from the root config. Integer and boolean fields are
+    coerced, so 100.0 is a valid background_size.
+    """
+    defaults = {f.name: f.default for f in fields(cls) if f.name != "seed"}
+    unknown = sorted(set(section) - set(defaults))
+    if unknown:
+        raise SchemaError(f"unknown {name} config key(s) {unknown}; allowed: {sorted(defaults)}")
+    kwargs = {}
+    for key, value in section.items():
+        kind = type(defaults[key])
+        try:
+            kwargs[key] = kind(value) if kind in (int, bool) else value
+        except (TypeError, ValueError):
+            raise SchemaError(f"{name}.{key} must be an integer, got {value!r}") from None
+    return cls(**kwargs, **extra)
+
+
+def _check_explain_section(section: dict) -> list[str]:
+    """The explainers that config section `explain` asks for; refuses unknown keys and names."""
+    unknown = sorted(set(section) - set(EXPLAIN_KEYS))
+    if unknown:
+        raise SchemaError(f"unknown explain config key(s) {unknown}; allowed: {sorted(EXPLAIN_KEYS)}")
+    explainers = section.get("explainers", list(EXPLAINERS))
+    if not isinstance(explainers, list) or not explainers:
+        raise SchemaError(f"explain.explainers must be a non-empty list drawn from {list(EXPLAINERS)}")
+    unknown = [e for e in explainers if e not in EXPLAINERS]
+    if unknown:
+        raise SchemaError(f"unknown explainer(s) {unknown}; choose from {list(EXPLAINERS)}")
+    return explainers
+
+
 def cmd_explain(config: RunConfig) -> int:
+    explainers = _check_explain_section(config.explain)
+    shap_cfg = _section_config(shapley.ShapConfig, "shap", config.shap, seed=config.seed)
+    lime_base = _section_config(lime.LimeConfig, "lime", config.lime)
     model_path = config.explain.get("model_path")
     if not model_path:
         raise SchemaError("explain requires explain.model_path (or --model-path)")
@@ -472,6 +516,7 @@ def cmd_explain(config: RunConfig) -> int:
     complete = filter_complete(table, features)
     if complete.n_rows == 0:
         raise InsufficientDataError("no complete rows to explain")
+    _refuse_non_finite(complete, features)
 
     # Background comes from the same training split the models saw.
     train, _ = train_test_split(complete, config.test_fraction, config.seed)
@@ -480,16 +525,8 @@ def cmd_explain(config: RunConfig) -> int:
     idx = _select_instances(complete, selector, config.seed)
     X = complete.matrix(features)[idx]
     keys = [complete.row_keys[i] for i in idx]
-    explainers = config.explain.get("explainers", ["shap", "lime"])
 
     if "shap" in explainers:
-        shap_cfg = shapley.ShapConfig(
-            mode=config.shap.get("mode", "exact"),
-            background_size=int(config.shap.get("background_size", 100)),
-            n_permutations=int(config.shap.get("n_permutations", 2000)),
-            seed=config.seed,
-            baseline=config.shap.get("baseline", "interventional"),
-        )
         background = shapley.draw_background(
             train, features, shap_cfg.background_size, config.seed
         )
@@ -537,18 +574,11 @@ def cmd_explain(config: RunConfig) -> int:
         _say(config, f"[explain] SHAP ({shap_cfg.mode}) over {len(keys)} instance(s)")
 
     if "lime" in explainers:
-        lime_cfg_base = dict(
-            n_samples=int(config.lime.get("n_samples", 5000)),
-            kernel_width_sigma=config.lime.get("kernel_width_sigma"),
-            max_features_K=int(config.lime.get("max_features_K", 6)),
-            n_bins=int(config.lime.get("n_bins", 4)),
-            discretize=bool(config.lime.get("discretize", True)),
-        )
-        stats = lime.training_stats(train, features, lime_cfg_base["n_bins"])
+        stats = lime.training_stats(train, features, lime_base.n_bins)
 
         def explain_one(i: int):
             seed = int(stage_seed(config.seed, "lime", int(idx[i])).generate_state(1)[0])
-            cfg = lime.LimeConfig(seed=seed, **lime_cfg_base)
+            cfg = replace(lime_base, seed=seed)
             return lime.fit_local_surrogate(
                 predictor, X[i], train, cfg, instance_key=keys[i], stats=stats
             )
@@ -633,7 +663,7 @@ def main(argv=None) -> int:
                 config.explain["model_path"] = args.model_path
             if getattr(args, "instances", None):
                 config.explain["instances"] = args.instances
-            if getattr(args, "explainers", None):
+            if getattr(args, "explainers", None) is not None:
                 config.explain["explainers"] = [
                     e.strip() for e in args.explainers.split(",") if e.strip()
                 ]

@@ -78,6 +78,7 @@ def load_events_csv(path) -> list[FloodEvent]:
     """Read a flood-events CSV: ROUTE_NAME, FLOOD_YEAR, START_MARKER, END_MARKER.
 
     Marker columns are optional; empty cells mean no bound on that side.
+    Cells beyond the header (which DictReader files under None) are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -90,7 +91,7 @@ def load_events_csv(path) -> list[FloodEvent]:
                     raise SchemaError(f"{path}: missing required column(s) ['{required}']")
             events = []
             for row in reader:
-                row = {(k or "").strip(): (v or "").strip() for k, v in row.items()}
+                row = {k.strip(): (v or "").strip() for k, v in row.items() if k is not None}
                 if not row.get("ROUTE_NAME"):
                     continue
                 try:

@@ -2,9 +2,11 @@
 
 The value of a coalition S is the interventional expectation of the
 model output with the explained instance's values on S and background
-rows everywhere else. Sampled mode averages marginal contributions over
-seeded uniform feature permutations. Exact mode gives the Shapley value
-of that game by the cheapest exact route for the predictor type:
+rows everywhere else. Every path that calls ``predict`` gets coalition
+values from one evaluator, ``_coalition_values``. Sampled mode averages
+marginal contributions over p seeded uniform feature permutations and
+evaluates each distinct prefix coalition once: at most min(2^M, p*M + 1)
+coalitions per instance. Exact mode takes the cheapest exact route:
 
 - tree, forest and boosting predictors use interventional Tree SHAP
   (Lundberg et al., Nature MI 2020), which reads each leaf's box off the
@@ -90,35 +92,33 @@ def _apply_baseline(background: np.ndarray, config: ShapConfig) -> np.ndarray:
     return background
 
 
+def _coalition_values(predict_fn, x, background, onoff):
+    """Mean prediction over the background for each row of a (coalitions, M) membership mask.
+
+    A coalition's composite rows take x where its mask is True and each
+    background row's value elsewhere.
+    """
+    n_bg = background.shape[0]
+    values = np.empty(len(onoff))
+    per_chunk = max(1, _CHUNK_ROWS // n_bg)
+    for start in range(0, len(onoff), per_chunk):
+        part = onoff[start : start + per_chunk]
+        rows = np.tile(background, (len(part), 1))
+        take_x = np.repeat(part, n_bg, axis=0)
+        rows[take_x] = np.broadcast_to(x, rows.shape)[take_x]
+        values[start : start + len(part)] = predict_fn(rows).reshape(len(part), n_bg).mean(axis=1)
+    return values
+
+
 def value_function(predictor, x: np.ndarray, subset, background: np.ndarray) -> float:
     """Interventional coalition value: mean prediction with x fixed on the subset."""
     x = np.asarray(x, dtype=float)
     background = np.asarray(background, dtype=float)
     if background.shape[0] < 1:
         raise ValueError("background must be non-empty")
-    rows = background.copy()
-    subset = list(subset)
-    if subset:
-        rows[:, subset] = x[subset]
-    return float(np.mean(predictor.predict(rows)))
-
-
-def _coalition_values(predict_fn, x, background, n_features):
-    """Model output expectation for every one of the 2^M coalition masks."""
-    n_masks = 1 << n_features
-    n_bg = background.shape[0]
-    values = np.empty(n_masks)
-    masks_per_chunk = max(1, _CHUNK_ROWS // n_bg)
-    bits = np.arange(n_features)
-    for start in range(0, n_masks, masks_per_chunk):
-        masks = np.arange(start, min(start + masks_per_chunk, n_masks))
-        onoff = ((masks[:, None] >> bits[None, :]) & 1).astype(bool)
-        rows = np.tile(background, (len(masks), 1))
-        take_x = np.repeat(onoff, n_bg, axis=0)
-        rows[take_x] = np.broadcast_to(x, rows.shape)[take_x]
-        preds = predict_fn(rows)
-        values[masks] = preds.reshape(len(masks), n_bg).mean(axis=1)
-    return values
+    onoff = np.zeros((1, len(x)), dtype=bool)
+    onoff[0, list(subset)] = True
+    return float(_coalition_values(predictor.predict, x, background, onoff)[0])
 
 
 def _shapley_weights(n_features: int) -> np.ndarray:
@@ -148,12 +148,10 @@ def exact_shapley(predictor, x: np.ndarray, background: np.ndarray, config: Shap
     m = len(x)
     _check_exact_size(m)
     background = _apply_baseline(np.asarray(background, dtype=float), config)
-    values = _coalition_values(predictor.predict, x, background, m)
-
     masks = np.arange(1 << m)
-    sizes = np.zeros(len(masks), dtype=np.int64)
-    for j in range(m):
-        sizes += (masks >> j) & 1
+    onoff = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
+    values = _coalition_values(predictor.predict, x, background, onoff)
+    sizes = onoff.sum(axis=1)
     weights = _shapley_weights(m)
 
     phi = np.empty(m)
@@ -168,7 +166,9 @@ def shapley_from_permutations(predictor, x, background, permutations, config: Sh
     """Average marginal contributions along explicit feature orderings.
 
     The estimator underneath sampled mode; handing it all M! orderings
-    reproduces the exact attribution.
+    reproduces the exact attribution. The empty coalition and the p*M
+    prefixes are deduplicated, so each distinct coalition is evaluated
+    once: min(2^M, p*M + 1) evaluations.
     """
     x = np.asarray(x, dtype=float)
     m = len(x)
@@ -178,28 +178,22 @@ def shapley_from_permutations(predictor, x, background, permutations, config: Sh
     background = np.asarray(background, dtype=float)
     if config is not None:
         background = _apply_baseline(background, config)
-    n_bg = background.shape[0]
+    p = len(perms)
 
-    v_empty = float(np.mean(predictor.predict(background)))
+    # position[i, f] = step at which permutation i introduces feature f
+    position = np.empty((p, m), dtype=np.int64)
+    position[np.arange(p)[:, None], perms] = np.arange(m)
+    prefixes = position[:, None, :] <= np.arange(m)[None, :, None]  # (p, step, feature)
+    onoff = np.concatenate([np.zeros((1, m), dtype=bool), prefixes.reshape(p * m, m)])
+    coalitions, which = np.unique(onoff, axis=0, return_inverse=True)
+    # ravel: the inverse's shape differs across numpy 2.0.x releases
+    v = _coalition_values(predictor.predict, x, background, coalitions)[which.ravel()]
+
+    v_step = v[1:].reshape(p, m)
+    v_prev = np.concatenate([np.full((p, 1), v[0]), v_step[:, :-1]], axis=1)
     phi = np.zeros(m)
-    perms_per_chunk = max(1, _CHUNK_ROWS // (m * n_bg))
-    steps = np.arange(m)
-    for start in range(0, len(perms), perms_per_chunk):
-        chunk = perms[start : start + perms_per_chunk]
-        p = len(chunk)
-        # position[i, f] = step at which permutation i introduces feature f
-        position = np.empty((p, m), dtype=np.int64)
-        position[np.arange(p)[:, None], chunk] = steps[None, :]
-        in_coalition = position[:, None, :] <= steps[None, :, None]  # (p, step, feature)
-
-        take_x = np.repeat(in_coalition.reshape(p * m, m), n_bg, axis=0)
-        rows = np.tile(background, (p * m, 1))
-        rows[take_x] = np.broadcast_to(x, rows.shape)[take_x]
-        v = predictor.predict(rows).reshape(p, m, n_bg).mean(axis=2)
-
-        v_prev = np.concatenate([np.full((p, 1), v_empty), v[:, :-1]], axis=1)
-        np.add.at(phi, chunk.ravel(), (v - v_prev).ravel())
-    return phi / len(perms)
+    np.add.at(phi, perms.ravel(), (v_step - v_prev).ravel())
+    return phi / p
 
 
 def sampled_shapley(predictor, x, background, config: ShapConfig, index: int | None = None) -> np.ndarray:

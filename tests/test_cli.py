@@ -422,6 +422,53 @@ class TestExplain:
         code = main(["--config", cfg, "--quiet", "explain"])
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("explainers", ["lime", "shap"])
+    def test_infinite_feature_cell_is_refused(self, trained, tmp_path, capsys, explainers):
+        _, records, out = trained
+        bad = tmp_path / "records.csv"
+        bad.write_text(open(records).read(), encoding="utf-8")
+        set_cell(str(bad), "TX_TRUCK_AADT_PCT", "inf")
+        cfg = write_config(
+            tmp_path, records_csv=str(bad), out_dir=str(tmp_path / "o"), seed=21,
+            lime={"n_samples": 300}, explain={"model_path": str(out / "model_gradient_boosting.json")},
+        )
+        assert main(["--config", cfg, "--quiet", "explain", "--explainers", explainers]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "non-finite value(s) in column(s) ['TX_TRUCK_AADT_PCT']" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "section, offending",
+        [
+            ({"explain": {"explainers": ["shapp"]}, "shap": {"n_permutations": 5}}, "shapp"),
+            ({"explain": {"explainers": []}}, "non-empty"),
+            ({"explain": {"instance": "all"}}, "instance"),
+            ({"shap": {"n_permutation": 5}}, "n_permutation"),
+            ({"shap": {"seed": 3}}, "seed"),
+            ({"lime": {"n_sample": 300}}, "n_sample"),
+            ({"shap": 5}, "'shap' must be a JSON object"),
+            ({"lime": {"n_samples": None}}, "lime.n_samples must be an integer"),
+            ({"explain": {"explainers": [["shap"]]}}, "[['shap']]"),
+        ],
+    )
+    def test_config_typo_is_schema_error(self, trained, tmp_path, capsys, section, offending):
+        _, records, out = trained
+        explain = {"model_path": str(out / "model_linear.json"), **section.pop("explain", {})}
+        cfg = write_config(
+            tmp_path, records_csv=records, out_dir=str(tmp_path / "o"), explain=explain, **section
+        )
+        assert main(["--config", cfg, "--quiet", "explain"]) == EXIT_SCHEMA
+        assert offending in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["", ",", "shap,limes"])
+    def test_bad_explainers_flag_is_schema_error(self, trained, tmp_path, flag):
+        _, records, out = trained
+        cfg = write_config(tmp_path, records_csv=records, out_dir=str(tmp_path / "o"),
+                           explain={"model_path": str(out / "model_linear.json")})
+        assert main(["--config", cfg, "--quiet", "explain", "--explainers", flag]) == EXIT_SCHEMA
+        assert not (tmp_path / "o").exists()
+
     def test_missing_model_path_is_schema_error(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=20)
         cfg = write_config(tmp_path, records_csv=records, out_dir=str(tmp_path / "o"))

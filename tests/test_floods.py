@@ -181,6 +181,11 @@ class TestEventsCsv:
         with pytest.raises(SchemaError, match="FLOOD_YEAR"):
             load_events_csv(path)
 
+    def test_cells_beyond_the_header_are_ignored(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("ROUTE_NAME,FLOOD_YEAR\nFM1,2014,extra\nFM2,2015\n", encoding="utf-8")
+        assert load_events_csv(path) == [FloodEvent("FM1", 2014, None, None), FloodEvent("FM2", 2015, None, None)]
+
     @pytest.mark.parametrize("year", ["inf", "-inf", "nan", "x"])
     def test_non_finite_year_is_schema_error(self, tmp_path, year):
         path = tmp_path / "events.csv"

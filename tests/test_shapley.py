@@ -150,6 +150,36 @@ class TestSampledShapley:
         span = expected.max() - expected.min()
         assert np.max(np.abs(phi - expected)) < 0.05 * span
 
+    def test_each_distinct_coalition_is_predicted_once(self):
+        counted = CountingPredictor(ProductModelThree())
+        bg = np.random.default_rng(23).normal(size=(7, 3))
+        perms = np.array(list(itertools.permutations(range(3))))
+        shapley.shapley_from_permutations(counted, np.ones(3), bg, perms)
+        # 19 prefixes (the empty one and 3 per ordering) are 2^3 distinct coalitions
+        assert counted.rows_predicted == (2**3) * 7
+
+    @pytest.mark.parametrize(
+        "kind, hp",
+        [
+            ("linear", {}),
+            ("decision_tree", {"max_depth": 6}),
+            ("random_forest", {"n_estimators": 4, "max_depth": 5, "feature_subsample": 0.5}),
+            ("gradient_boosting", {"n_estimators": 15, "max_depth": 3, "subsample": 0.75}),
+        ],
+    )
+    @pytest.mark.parametrize("baseline", ["interventional", "mean_impute"])
+    def test_matches_per_permutation_estimator(self, kind, hp, baseline):
+        X, y = tied_data(24, m=6)
+        X += np.random.default_rng(24).normal(scale=0.1, size=X.shape)
+        predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y)
+        cfg = ShapConfig(mode="sampled", n_permutations=200, seed=6, baseline=baseline)
+        bg = shapley._apply_baseline(X[100:140], cfg)
+        rng = np.random.default_rng(25)
+        perms = np.array([rng.permutation(6) for _ in range(200)])
+        for x in X[:3]:
+            got = shapley.shapley_from_permutations(predictor, x, X[100:140], perms, cfg)
+            assert np.array_equal(got, per_permutation_estimator(predictor, x, bg, perms))
+
     def test_seed_determinism(self):
         p = ProductModel()
         bg = np.random.default_rng(11).normal(size=(10, 2))
@@ -157,6 +187,22 @@ class TestSampledShapley:
         a = sampled_shapley(p, np.ones(2), bg, cfg)
         b = sampled_shapley(p, np.ones(2), bg, cfg)
         assert np.array_equal(a, b)
+
+
+def per_permutation_estimator(predictor, x, background, perms):
+    """Sampled mode's estimator with no shared coalitions: predict every prefix of every ordering."""
+    m, n_bg = len(x), background.shape[0]
+    v_empty = float(np.mean(predictor.predict(background)))
+    phi = np.zeros(m)
+    for perm in perms:
+        rows = np.tile(background, (m, 1))
+        for step, feature in enumerate(perm):
+            rows[step * n_bg :, feature] = x[feature]  # prefix `step` and every later one
+        prev = v_empty
+        for feature, v in zip(perm, predictor.predict(rows).reshape(m, n_bg).mean(axis=1)):
+            phi[feature] += v - prev
+            prev = v
+    return phi / len(perms)
 
 
 class ProductModelThree:
