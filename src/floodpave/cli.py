@@ -9,7 +9,7 @@ Exit codes:
   2 usage error (argparse)
   3 schema error (missing/unknown columns, model/data mismatch, a YEAR or
     FLOOD_YEAR cell that is not a finite number, an unknown config key or
-    explainer name)
+    explainer name, a malformed `--instances` selector)
   4 I/O error
   5 empty result or insufficient data (including `explain` on a model with
     no features, refused before any file is written)
@@ -21,7 +21,10 @@ before any file is written. `train` leaves out of every model the
 feature columns that are constant on the training split and lists them
 in train_summary.json under "dropped_constant_columns"; exit 6 remains
 for a design that is still singular after that, and for a zero-variance
-target.
+target. `train` writes cv_results.csv: one row per grid-search candidate
+of each kind, with its hyperparameters, the MSE of every fold, their
+mean, and whether it was scored on its own fit or on an `n_estimators`
+prefix or a depth truncation of another candidate's fit.
 """
 
 from __future__ import annotations
@@ -381,6 +384,7 @@ def cmd_train(config: RunConfig) -> int:
     y_test = test.col(TARGET_COLUMN)
 
     results = []
+    cv_rows = []
     best_by_mse = None
     for kind in config.model_kinds:
         grid = config.grids.get(kind, models.default_grid(kind))
@@ -388,6 +392,14 @@ def cmd_train(config: RunConfig) -> int:
         if grid:
             cv = models.grid_search_cv(kind, grid, X_train, y_train, config.cv_folds, seed)
             best_spec = cv.best_spec
+            cv_rows += [
+                [kind, i, json.dumps(spec.hyperparameters, sort_keys=True)]
+                + [_fmt(v) for v in fold_mses]
+                + [_fmt(mean), source]
+                for i, ((spec, mean), fold_mses, source) in enumerate(
+                    zip(cv.per_candidate, cv.fold_mses, cv.sources)
+                )
+            ]
         else:
             best_spec = models.ModelSpec(kind, {}, seed)
         predictor = models.fit(best_spec, X_train, y_train, feature_names=features)
@@ -409,6 +421,11 @@ def cmd_train(config: RunConfig) -> int:
             best_by_mse = (metrics.mse, kind)
         _say(config, f"[train] {kind}: mse={metrics.mse:.4f} mae={metrics.mae:.4f} r2={metrics.r2:.4f}")
 
+    folds = [f"fold_{f + 1}_mse" for f in range(config.cv_folds)]
+    _dump_csv(
+        [["kind", "candidate", "hyperparameters"] + folds + ["mean_mse", "scored_as"]] + cv_rows,
+        _out_path(config, "cv_results.csv"),
+    )
     _dump_csv(
         [["Model", "MSE", "MAE", "R2"]]
         + [[r["display"], _fmt(r["mse"]), _fmt(r["mae"]), _fmt(r["r2"])] for r in results],
@@ -435,24 +452,44 @@ def cmd_train(config: RunConfig) -> int:
 # ------------------------------------------------------------------ explain
 
 
-def _select_instances(table: DataTable, selector: str, seed: int) -> np.ndarray:
+INSTANCE_FORMS = "all | sample:N | key:ROUTE,SECTION,YEAR"
+
+
+def _select_instances(table: DataTable, selector, seed: int) -> np.ndarray:
+    """Row indices named by an ``--instances`` selector; a malformed one is a SchemaError."""
+
+    def malformed(why: str) -> SchemaError:
+        return SchemaError(f"bad instance selector {selector!r}: {why}; expected {INSTANCE_FORMS}")
+
     if selector == "all":
         return np.arange(table.n_rows)
-    if selector.startswith("sample:"):
-        n = int(selector.split(":", 1)[1])
+    if not isinstance(selector, str):
+        raise malformed("not a string")
+    form, colon, arg = selector.partition(":")
+    if colon and form == "sample":
+        try:
+            n = int(arg)
+        except ValueError:
+            raise malformed("N is not an integer") from None
         if n < 1:
-            raise ValueError("sample size must be >= 1")
+            raise malformed("N must be >= 1")
         rng = stage_rng(seed, "explain-sample")
         n = min(n, table.n_rows)
         return np.sort(rng.choice(table.n_rows, size=n, replace=False))
-    if selector.startswith("key:"):
-        route, section, year = selector.split(":", 1)[1].split(",")
-        key = (route, section, int(year))
+    if colon and form == "key":
+        parts = arg.split(",")
+        if len(parts) != 3:
+            raise malformed(f"a key has 3 comma-separated parts, got {len(parts)}")
+        route, section, year = parts
+        try:
+            key = (route, section, int(year))
+        except ValueError:
+            raise malformed("YEAR is not an integer") from None
         idx = [i for i, k in enumerate(table.row_keys) if k == key]
         if not idx:
             raise InsufficientDataError(f"no row with key {key}")
         return np.array(idx)
-    raise ValueError(f"bad instance selector {selector!r}; use all, sample:N, or key:R,S,Y")
+    raise malformed("unknown form")
 
 
 def _safe_name(key) -> str:
@@ -630,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--kinds", help="comma-separated subset of model kinds")
     explain = sub.add_parser("explain", help="SHAP and LIME attributions for a saved model")
     explain.add_argument("--model-path", help="persisted model JSON")
-    explain.add_argument("--instances", help="all | sample:N | key:ROUTE,SECTION,YEAR")
+    explain.add_argument("--instances", help=INSTANCE_FORMS)
     explain.add_argument("--explainers", help="comma-separated subset of {shap,lime}")
     return parser
 

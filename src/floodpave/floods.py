@@ -113,13 +113,12 @@ def load_events_csv(path) -> list[FloodEvent]:
         raise OSError(f"cannot read {path}: {exc}") from exc
 
 
-def _row_matches(event: FloodEvent, key) -> bool:
-    route, section, year = key
-    return route == event.route_name and year == event.flood_year and event.covers_section(section)
-
-
 def tag_flooded(table: DataTable, events: list[FloodEvent]):
     """Set the Flood column to 1 exactly where a row matches an event.
+
+    A row matches an event of its own route and year whose marker range
+    covers its section (``FloodEvent.covers_section``). Events are indexed
+    by (route, year), so each row tests only the events of its bucket.
 
     Returns ``(tagged_table, warnings)``. Events naming a route absent
     from the table produce one warning string each rather than failing.
@@ -136,9 +135,13 @@ def tag_flooded(table: DataTable, events: list[FloodEvent]):
         if ev.route_name not in routes_present
     ]
 
+    buckets: dict[tuple[str, int], list[FloodEvent]] = {}
+    for ev in events:
+        buckets.setdefault((ev.route_name, ev.flood_year), []).append(ev)
     flood = np.zeros(table.n_rows)
-    for i, key in enumerate(table.row_keys):
-        if any(_row_matches(ev, key) for ev in events):
+    for i, (route, section, year) in enumerate(table.row_keys):
+        bucket = buckets.get((route, year))
+        if bucket and any(ev.covers_section(section) for ev in bucket):
             flood[i] = 1.0
     return table.replace_column(FLOOD_COLUMN, flood), warnings
 

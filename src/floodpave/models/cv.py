@@ -15,6 +15,8 @@ class CVResult:
     per_candidate: tuple  # (ModelSpec, mean fold MSE) in enumeration order
     best_spec: ModelSpec
     fold_assignments: np.ndarray
+    fold_mses: tuple = ()  # per candidate, the MSE of each fold in fold order
+    sources: tuple = ()  # per candidate, how it was scored (see grid_search_cv)
 
 
 def kfold_indices(n: int, k: int, seed: int):
@@ -59,24 +61,54 @@ def expand_grid(kind: str, grid: dict, seed: int) -> list[ModelSpec]:
 _PREFIX_KINDS = ("random_forest", "gradient_boosting")
 
 
-def _prefix_groups(candidates: list[ModelSpec]) -> list[list[int]]:
-    """Candidate indices grouped by every hyperparameter except n_estimators.
+def _depth_nested(spec: ModelSpec) -> bool:
+    """Whether a fit at ``max_depth`` d is a deeper fit's trees cut at depth d.
 
-    Ensemble kinds group candidates that can share one fit; every other
-    kind gets one group per candidate.
+    True for trees that draw no randomness while they grow: a decision
+    tree, and a forest that considers every feature at every split (a
+    bootstrap is drawn before its tree grows). A forest with
+    ``feature_subsample`` < 1 draws a feature subset at each split in
+    depth-first order, so a deeper tree's extra splits shift the draws of
+    every later node; boosting fits each stage to the residuals of the
+    earlier, depth-dependent stages.
     """
-    if not candidates or candidates[0].kind not in _PREFIX_KINDS:
-        return [[i] for i in range(len(candidates))]
-    groups: list[tuple[dict, list[int]]] = []
+    hp = spec.hyperparameters
+    return spec.kind == "decision_tree" or (
+        spec.kind == "random_forest" and hp["feature_subsample"] >= 1.0
+    )
+
+
+def _shared_fit_groups(candidates: list[ModelSpec]) -> list[list[int]]:
+    """Candidate indices grouped by the hyperparameters a shared fit cannot vary.
+
+    Ensemble kinds leave ``n_estimators`` out of the key, and depth-nested
+    specs leave out ``max_depth``; other candidates share a fit only with
+    their duplicates.
+    """
+    groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(candidates):
-        rest = {k: v for k, v in spec.hyperparameters.items() if k != "n_estimators"}
-        for other, members in groups:
-            if other == rest:
-                members.append(i)
-                break
-        else:
-            groups.append((rest, [i]))
-    return [members for _, members in groups]
+        varied = {"n_estimators"} if spec.kind in _PREFIX_KINDS else set()
+        if _depth_nested(spec):
+            varied.add("max_depth")
+        key = tuple((k, v) for k, v in spec.hyperparameters.items() if k not in varied)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _fit_size(spec: ModelSpec) -> tuple:
+    hp = spec.hyperparameters
+    return hp.get("max_depth", 0), hp.get("n_estimators", 0)
+
+
+def _cut(predictor, spec: ModelSpec):
+    """``predictor``'s first ``n_estimators`` trees, cut at ``spec``'s ``max_depth``."""
+    hp = spec.hyperparameters
+    if spec.kind == "decision_tree":
+        return replace(predictor, spec=spec, tree=predictor.tree.truncate(hp["max_depth"]))
+    trees = predictor.trees[: hp["n_estimators"]]
+    if _depth_nested(spec) and hp["max_depth"] < predictor.spec.hyperparameters["max_depth"]:
+        trees = tuple(tree.truncate(hp["max_depth"]) for tree in trees)
+    return replace(predictor, spec=spec, trees=trees)
 
 
 def grid_search_cv(
@@ -90,11 +122,23 @@ def grid_search_cv(
     """Pick the candidate with the lowest mean held-out-fold MSE.
 
     Every candidate sees the same seeded folds. Ties go to the earlier
-    candidate in enumeration order. For random forests and gradient
-    boosting, candidates that differ only in ``n_estimators`` share one
-    fit per fold: the largest is fitted, and each smaller one is scored
-    on its first ``n_estimators`` trees, which are exactly the trees its
-    own fit would grow, so every score equals that of a separate fit.
+    candidate in enumeration order. Candidates that one fit can serve
+    share it, fold by fold, and each is scored exactly as its own fit:
+
+    - random forests and gradient boosting: candidates that differ only
+      in ``n_estimators`` are scored on the first ``n_estimators`` trees
+      of the largest, which are the trees their own fits would grow;
+    - decision trees, and forests with ``feature_subsample`` 1: candidates
+      that differ only in ``max_depth`` (and ``n_estimators``) are scored
+      on the deepest fit's trees cut at their own depth (``Tree.truncate``),
+      since such trees draw no randomness while they grow. A forest with
+      ``feature_subsample`` < 1 draws a feature subset at every split in
+      depth-first order, so a deeper tree's extra splits change the draws
+      of later nodes: such forests are not nested by depth.
+
+    ``sources`` says, per candidate, "own fit", "n_estimators prefix of
+    #i" or "depth truncation of #i", where i is the 0-based index of the
+    candidate that was fitted (a truncation may also take a prefix).
     Candidates run one after another in this thread.
     """
     from . import fit  # deferred: avoids import cycle with the dispatch module
@@ -106,16 +150,21 @@ def grid_search_cv(
     all_idx = np.arange(len(y))
 
     fold_mses: list[list[float]] = [[] for _ in candidates]
-    for members in _prefix_groups(candidates):
-        largest = max(members, key=lambda i: candidates[i].hyperparameters.get("n_estimators", 0))
+    sources = ["own fit"] * len(candidates)
+    for members in _shared_fit_groups(candidates):
+        # (max_depth, n_estimators); the grid is a product, so one member has both maxima
+        size = {i: _fit_size(candidates[i]) for i in members}
+        largest = max(members, key=size.get)
+        for i in members:
+            if size[i][0] < size[largest][0]:
+                sources[i] = f"depth truncation of #{largest}"
+            elif size[i][1] < size[largest][1]:
+                sources[i] = f"n_estimators prefix of #{largest}"
         for fold in folds:
             train = np.setdiff1d(all_idx, fold, assume_unique=True)
             predictor = fit(candidates[largest], X[train], y[train])
             for i in members:
-                scored = predictor
-                if i != largest:
-                    n_trees = candidates[i].hyperparameters["n_estimators"]
-                    scored = replace(predictor, spec=candidates[i], trees=predictor.trees[:n_trees])
+                scored = predictor if size[i] == size[largest] else _cut(predictor, candidates[i])
                 residual = y[fold] - scored.predict(X[fold])
                 fold_mses[i].append(float(np.mean(residual**2)))
     scores = [float(np.mean(mses)) for mses in fold_mses]
@@ -125,4 +174,6 @@ def grid_search_cv(
         per_candidate=tuple(zip(candidates, scores)),
         best_spec=candidates[best_i],
         fold_assignments=assignments,
+        fold_mses=tuple(tuple(mses) for mses in fold_mses),
+        sources=tuple(sources),
     )

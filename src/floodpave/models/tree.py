@@ -5,13 +5,20 @@ variance reduction) over midpoint thresholds between consecutive
 distinct sorted values. All tie-breaks are first-come in a fixed
 enumeration order, so a fit is a pure function of (data, spec, seed).
 
-``build_tree`` sorts each feature once, at the root, with a stable
-argsort, and carries a (features, rows) block of per-feature sorted row
-ids down the tree. A split partitions that block stably, so every node
-sees its rows in (value, row id) order, the order a stable per-node
-argsort would give, and ``_best_split`` scores all candidate features
-in one vectorized pass with the same per-feature arithmetic. Splits,
-thresholds and ties are therefore those of sorting at every node.
+``build_tree`` carries a (features, rows) block of per-feature sorted
+row ids down the tree. A split partitions that block stably, so every
+node sees its rows in (value, row id) order, the order a stable
+per-node argsort would give, and ``_best_split`` scores all candidate
+features in one vectorized pass with the same per-feature arithmetic.
+Splits, thresholds and ties are therefore those of sorting at every
+node.
+
+The block is sorted once per fit, not once per tree: an ensemble sorts
+its training rows once (``_presort``), and each tree's block is derived
+from that shared root order by ``_rows_block`` (rows left out of a
+subsample dropped, bootstrap copies expanded), which equals a stable
+argsort of the tree's own rows (XGBoost's presorted column blocks,
+arXiv:1603.02754).
 """
 
 from __future__ import annotations
@@ -41,6 +48,32 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
+    def truncate(self, max_depth: int) -> "Tree":
+        """This tree cut off at ``max_depth``, its nodes renumbered in preorder.
+
+        Split nodes at depth ``max_depth`` become leaves that keep their
+        value, and everything below them is dropped. For a fit that draws
+        no randomness while it grows, the result equals a fit at
+        ``max_depth``: a node's split never depends on the depth limit
+        below it, and ``build_tree`` numbers nodes in preorder.
+        """
+        keep = np.zeros(self.n_nodes, dtype=bool)
+        level = np.zeros(1, dtype=np.int64)
+        for _ in range(max_depth):
+            keep[level] = True
+            level = level[self.feature[level] != LEAF]
+            level = np.concatenate([self.left[level], self.right[level]])
+        keep[level] = True
+        feature = self.feature.copy()
+        feature[level] = LEAF
+        feature = feature[keep]
+        split = feature != LEAF
+        new_id = np.cumsum(keep) - 1
+        left = np.where(split, new_id.take(self.left[keep]), LEAF)
+        right = np.where(split, new_id.take(self.right[keep]), LEAF)
+        threshold = np.where(split, self.threshold[keep], 0.0)
+        return Tree(feature, threshold, left, right, self.value[keep])
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(X.shape[0], dtype=np.int64)
         while True:
@@ -65,49 +98,61 @@ class Tree:
         return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
 
 
-def _best_split(Xt, y, order, features, min_leaf):
+def _best_split(Xt, y, order, features, min_leaf, left_n, right_n):
     """Best (sse, feature, threshold) over candidate features at a node, or None.
 
     ``order[j]`` holds the node's rows sorted by feature j (ties by row
     id). Every candidate feature is scored in one pass over a
-    (features, rows) block; per feature the arithmetic is the plain
-    prefix-sum form, and the first feature holding the lowest SSE wins.
+    (features, rows) block, and the first feature holding the lowest SSE
+    wins. ``left_n`` and ``right_n`` are the child sizes, as floats, of a
+    split after each sorted position (see ``_divisors``). The SSE is
+    computed only where a split is valid, position by position with the
+    plain prefix-sum arithmetic, so it is the same number whichever
+    positions are left out.
     """
     rows = order if features.size == order.shape[0] else order.take(features, axis=0)
     n = rows.shape[1]
     # flat positions into Xt: row id plus the feature's offset
     vs = Xt.take(rows + (features * Xt.shape[1]).astype(rows.dtype)[:, None])
-    ys = y.take(rows)
-    cum_y = np.cumsum(ys, axis=1)
-    cum_y2 = np.cumsum(np.square(ys, out=ys), axis=1, out=ys)
-
-    # split after sorted position k: left has k+1 rows
-    left_n = np.arange(1, n)
+    # a split after sorted position k leaves k+1 rows on the left
     valid = vs[:, 1:] > vs[:, :-1]
     if min_leaf > 1:
-        valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
-    splittable = np.flatnonzero(valid.any(axis=1))
-    if splittable.size == 0:
+        valid[:, : min_leaf - 1] = False
+        valid[:, max(n - min_leaf, 0) :] = False
+    at = valid.ravel().nonzero()[0]  # in (feature, position) order
+    if at.size == 0:
         return None
-    # sse = (cy2 - cy**2 / left_n) + ((total_y2 - cy2) - (total_y - cy)**2 / (n - left_n)),
-    # evaluated in place to keep the per-node temporaries few.
-    cy, cy2 = cum_y[:, :-1], cum_y2[:, :-1]
+    f = at // (n - 1)
+    k = at - f * (n - 1)
+    at += f  # the same (feature, position) in a (features, n) block
+    ys = y.take(rows)
+    cum_y = ys.cumsum(axis=1)
+    cum_y2 = np.square(ys, out=ys).cumsum(axis=1, out=ys)
+    cy, cy2 = cum_y.take(at), cum_y2.take(at)
+    # sse = (cy2 - cy**2 / left_n) + ((total_y2 - cy2) - (total_y - cy)**2 / right_n),
+    # evaluated in place to keep the temporaries few.
     sse = np.square(cy)
-    sse /= left_n
+    sse /= left_n.take(k)
     np.subtract(cy2, sse, out=sse)
-    np.subtract(cum_y[:, -1:], cy, out=cy)
+    np.subtract(cum_y[:, -1].take(f), cy, out=cy)
     np.square(cy, out=cy)
-    cy /= n - left_n
-    np.subtract(cum_y2[:, -1:], cy2, out=cy2)
+    cy /= right_n.take(k)
+    np.subtract(cum_y2[:, -1].take(f), cy2, out=cy2)
     cy2 -= cy
     sse += cy2
-    sse[~valid] = np.inf
 
-    k = sse.argmin(axis=1)
-    lowest = sse[np.arange(sse.shape[0]), k]
-    r = splittable[np.argmin(lowest[splittable])]
-    kr = k[r]
-    return float(lowest[r]), int(features[r]), float((vs[r, kr] + vs[r, kr + 1]) / 2.0)
+    best = sse.argmin()
+    r, kr = f[best], k[best]
+    return float(sse[best]), int(features[r]), float((vs[r, kr] + vs[r, kr + 1]) / 2.0)
+
+
+def _divisors(n_rows):
+    """Left and right child sizes, as floats, of each split of an ``n_rows``-row node.
+
+    A node of n rows divides by ``left[: n - 1]`` and ``right[n_rows - n :]``,
+    so one pair serves a whole tree.
+    """
+    return np.arange(1, n_rows, dtype=float), np.arange(n_rows - 1, 0, -1, dtype=float)
 
 
 def _presort(Xt):
@@ -120,6 +165,30 @@ def _presort(Xt):
     return np.argsort(Xt, axis=1, kind="stable").astype(ids)
 
 
+def _rows_block(root, idx):
+    """The presorted block of ``X[idx]``, derived from ``root = _presort(X.T)``.
+
+    ``idx`` is sorted and may leave rows out (a subsample) or repeat
+    them (a bootstrap). Each entry of ``root`` is expanded by its row's
+    count in ``idx`` (0, 1 or more) and each copy mapped to its position
+    in ``idx``. Positions grow with the row id, and the copies of a row
+    sit side by side, so the block equals a stable argsort of
+    ``X[idx].T`` without sorting again.
+    """
+    n_features, n_rows = root.shape
+    ids = root.dtype  # every position fits: idx is no longer than the fit's rows
+    counts = np.bincount(idx, minlength=n_rows).astype(ids)
+    first = np.cumsum(counts, dtype=ids) - counts  # position of each row's first copy in idx
+    flat = root.ravel()
+    reps = counts.take(flat)
+    if counts.max() <= 1:
+        return first.take(flat.compress(reps.astype(bool))).reshape(n_features, idx.size)
+    # copy c of entry e lands at flat slot start[e] + c and holds position first[row] + c
+    shift = np.cumsum(reps, dtype=ids) - reps - first.take(flat)
+    block = np.arange(n_features * idx.size, dtype=ids) - np.repeat(shift, reps)
+    return block.reshape(n_features, idx.size)
+
+
 def build_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -128,13 +197,18 @@ def build_tree(
     min_samples_leaf: int = 1,
     feature_subsample: float = 1.0,
     rng: np.random.Generator | None = None,
+    presorted: np.ndarray | None = None,
 ) -> Tree:
-    """Grow a CART regression tree.
+    """Grow a CART regression tree, depth first, numbering nodes in preorder.
 
     ``feature_subsample`` < 1 draws a fresh feature subset at every
     split (the random-forest decorrelation device) and requires ``rng``;
     at exactly 1.0 no randomness is consumed and the tree is the plain
     deterministic CART fit.
+
+    ``presorted`` is ``_presort(X.T)`` when the caller has it, as the
+    ensembles do through ``_rows_block``; the tree then runs no argsort
+    of its own. The block is only read.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -145,6 +219,7 @@ def build_tree(
     n_sub = max(1, int(round(feature_subsample * n_features)))
     Xt = np.ascontiguousarray(X.T)
     go_left = np.empty(n_rows, dtype=bool)
+    lefts, rights = _divisors(n_rows)
 
     feature, threshold, left, right, value = [], [], [], [], []
 
@@ -161,31 +236,36 @@ def build_tree(
 
     def sorted_rows(order, mask, n_kept):
         # Stable partition: each feature's sorted row list keeps its order.
-        return np.compress(mask.ravel(), order).reshape(n_features, n_kept)
+        return order.compress(mask.ravel()).reshape(n_features, n_kept)
 
     def grow(idx, order, depth):
         # idx: the node's rows in ascending id order; order: (n_features, n)
         # per-feature sorted rows, or None when the node cannot split.
         node = new_node()
-        y_node = y[idx]
-        mean = y_node.mean()
+        n = idx.size
+        y_node = y.take(idx)
+        # np.add.reduce is the pairwise sum behind ndarray.mean and np.sum
+        mean = np.add.reduce(y_node) / n
         value[node] = float(mean)
         if order is None:
             return node
-        parent_sse = float(np.sum((y_node - mean) ** 2))
+        y_node -= mean
+        parent_sse = float(np.add.reduce(np.square(y_node, out=y_node)))
         if parent_sse == 0.0:
             return node
         if feature_subsample < 1.0:
             candidates = np.sort(rng.choice(n_features, size=n_sub, replace=False))
         else:
             candidates = all_features
-        best = _best_split(Xt, y, order, candidates, min_samples_leaf)
+        best = _best_split(
+            Xt, y, order, candidates, min_samples_leaf, lefts[: n - 1], rights[n_rows - n :]
+        )
         if best is None:
             return node
         sse, feat, thr = best
         if parent_sse - sse <= _MIN_REDUCTION * max(parent_sse, 1.0):
             return node
-        mask = Xt[feat, idx] <= thr
+        mask = Xt[feat].take(idx) <= thr
         feature[node] = feat
         threshold[node] = thr
         left_idx, right_idx = idx[mask], idx[~mask]
@@ -201,7 +281,13 @@ def build_tree(
         right[node] = grow(right_idx, right_order, depth + 1)
         return node
 
-    grow(np.arange(n_rows), _presort(Xt) if may_split(n_rows, 0) else None, 0)
+    root = None
+    if may_split(n_rows, 0):
+        root = _presort(Xt) if presorted is None else presorted
+    grow(np.arange(n_rows), root, 0)
+    # grow refers to itself; unbinding it breaks that cycle, so Xt and the
+    # other work arrays are freed on return rather than at the next gc pass
+    del grow
     return Tree(feature, threshold, left, right, value)
 
 
@@ -331,11 +417,15 @@ def fit_random_forest(spec: ModelSpec, X, y, feature_names) -> ForestPredictor:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    root = np.random.SeedSequence(spec.seed)
+    order = _presort(np.ascontiguousarray(X.T))
     trees = []
-    for child in root.spawn(hp["n_estimators"]):
+    for child in np.random.SeedSequence(spec.seed).spawn(hp["n_estimators"]):
         rng = np.random.default_rng(child)
-        idx = np.sort(rng.integers(0, n, size=n)) if hp["bootstrap"] else np.arange(n)
+        if hp["bootstrap"]:
+            idx = np.sort(rng.integers(0, n, size=n))
+            block = _rows_block(order, idx)
+        else:
+            idx, block = np.arange(n), order
         trees.append(
             build_tree(
                 X[idx],
@@ -345,6 +435,7 @@ def fit_random_forest(spec: ModelSpec, X, y, feature_names) -> ForestPredictor:
                 min_samples_leaf=hp["min_samples_leaf"],
                 feature_subsample=hp["feature_subsample"],
                 rng=rng,
+                presorted=block,
             )
         )
     return ForestPredictor(spec, tuple(feature_names), tuple(trees))
@@ -358,17 +449,18 @@ def fit_gradient_boosting(spec: ModelSpec, X, y, feature_names) -> BoostingPredi
     lr = float(hp["learning_rate"])
     init = float(y.mean())
     current = np.full(n, init)
-    root = np.random.SeedSequence(spec.seed)
+    order = _presort(np.ascontiguousarray(X.T))
     trees = []
-    for child in root.spawn(hp["n_estimators"]):
+    for child in np.random.SeedSequence(spec.seed).spawn(hp["n_estimators"]):
         rng = np.random.default_rng(child)
         residual = y - current
         if hp["subsample"] < 1.0:
             m = max(1, int(round(hp["subsample"] * n)))
             idx = np.sort(rng.permutation(n)[:m])
+            block = _rows_block(order, idx)
         else:
-            idx = np.arange(n)
-        tree = build_tree(X[idx], residual[idx], max_depth=hp["max_depth"])
+            idx, block = np.arange(n), order
+        tree = build_tree(X[idx], residual[idx], max_depth=hp["max_depth"], presorted=block)
         current += lr * tree.predict(X)
         trees.append(tree)
     return BoostingPredictor(spec, tuple(feature_names), init, lr, tuple(trees))

@@ -239,6 +239,38 @@ class TestTrain:
         assert len(rows) == 2
         assert rows[1][0] == "Ridge Regression (Ridge)"
 
+    def test_cv_results_lists_every_candidate(self, tmp_path):
+        records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        grids = {
+            "ridge": {"alpha": [0.01, 1.0]},
+            "decision_tree": {"max_depth": [2, 4], "min_samples_leaf": [1]},
+            "random_forest": {"n_estimators": [2, 3], "max_depth": [3]},
+        }
+        cfg = write_config(
+            tmp_path, records_csv=records, out_dir=str(tmp_path / "o"), grids=grids, cv_folds=3
+        )
+        kinds = "linear,ridge,decision_tree,random_forest"
+        assert main(["--config", cfg, "--quiet", "train", "--kinds", kinds]) == EXIT_OK
+        with open(tmp_path / "o" / "cv_results.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "kind", "candidate", "hyperparameters",
+            "fold_1_mse", "fold_2_mse", "fold_3_mse", "mean_mse", "scored_as",
+        ]
+        # linear has no grid, so no candidates
+        assert [(r[0], r[1], r[-1]) for r in rows[1:]] == [
+            ("ridge", "0", "own fit"),
+            ("ridge", "1", "own fit"),
+            ("decision_tree", "0", "depth truncation of #1"),
+            ("decision_tree", "1", "own fit"),
+            ("random_forest", "0", "n_estimators prefix of #1"),
+            ("random_forest", "1", "own fit"),
+        ]
+        assert json.loads(rows[3][2]) == {"max_depth": 2, "min_samples_leaf": 1, "min_samples_split": 2}
+        for row in rows[1:]:
+            folds = [float(v) for v in row[3:6]]
+            assert float(row[6]) == pytest.approx(sum(folds) / 3, rel=1e-12)
+
     def test_linear_family_beats_trees_on_linear_truth(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=80, noise_std=0.5, seed=14)
         cfg = write_config(
@@ -468,6 +500,36 @@ class TestExplain:
                            explain={"model_path": str(out / "model_linear.json")})
         assert main(["--config", cfg, "--quiet", "explain", "--explainers", flag]) == EXIT_SCHEMA
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "selector",
+        ["key:a,b", "key:FM1,1,x", "key:a,b,2015,x", "sample:x", "sample:0", "sample:", "some:3", "first"],
+    )
+    def test_malformed_instance_selector_is_schema_error(self, trained, tmp_path, capsys, selector):
+        _, records, out = trained
+        cfg = write_config(tmp_path, records_csv=records, out_dir=str(tmp_path / "o"),
+                           explain={"model_path": str(out / "model_linear.json")})
+        assert main(["--config", cfg, "--quiet", "explain", "--instances", selector]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert repr(selector) in err
+        assert "all | sample:N | key:ROUTE,SECTION,YEAR" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_instance_selector_forms(self, trained, tmp_path):
+        _, records, out = trained
+        from floodpave.dataset import FEATURE_COLUMNS, load_csv
+
+        table = load_csv(records, schema=FEATURE_COLUMNS)
+        assert cli._select_instances(table, "all", 0).tolist() == list(range(table.n_rows))
+        picked = cli._select_instances(table, "sample:3", 0)
+        assert picked.tolist() == sorted(set(picked.tolist())) and len(picked) == 3
+        assert len(cli._select_instances(table, f"sample:{table.n_rows + 5}", 0)) == table.n_rows
+        route, section, year = table.row_keys[7]
+        assert cli._select_instances(table, f"key:{route},{section},{year}", 0).tolist() == [7]
+        cfg = write_config(tmp_path, records_csv=records, out_dir=str(tmp_path / "o"),
+                           explain={"model_path": str(out / "model_linear.json")})
+        selector = f"key:{route},{section},1900"
+        assert main(["--config", cfg, "--quiet", "explain", "--instances", selector]) == EXIT_EMPTY
 
     def test_missing_model_path_is_schema_error(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=20)

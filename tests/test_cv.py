@@ -97,22 +97,43 @@ class TestGridSearch:
         assert combos == [(1, 1), (1, 3), (2, 1), (2, 3)]
 
     @pytest.mark.parametrize(
-        "kind, grid",
+        "kind, grid, fitted_per_fold",
         [
             (
                 "random_forest",
                 {"max_depth": [2, 4], "n_estimators": [4, 1, 4, 2], "feature_subsample": [0.5]},
+                [(2, 4, 0.5), (4, 4, 0.5)],
             ),
             (
                 "gradient_boosting",
                 {"subsample": [0.75, 1.0], "n_estimators": [3, 0, 6, 3], "max_depth": [2]},
+                [(0.75, 6, 2), (1.0, 6, 2)],
+            ),
+            (
+                "random_forest",
+                {"max_depth": [2, 5, 3], "n_estimators": [2, 3], "min_samples_leaf": [1, 4]},
+                [(5, 3, 1), (5, 3, 4)],
+            ),
+            (
+                "random_forest",
+                {"feature_subsample": [0.5, 1.0], "max_depth": [2, 4], "n_estimators": [1, 3]},
+                [(0.5, 2, 3), (0.5, 4, 3), (1.0, 4, 3)],
+            ),
+            (
+                "decision_tree",
+                {"max_depth": [1, 4, 2], "min_samples_split": [2, 9], "min_samples_leaf": [1, 3]},
+                [(4, 2, 1), (4, 2, 3), (4, 9, 1), (4, 9, 3)],
             ),
         ],
-        ids=["random_forest", "gradient_boosting"],
+        ids=["random_forest", "gradient_boosting", "forest-depths", "forest-mixed", "decision_tree"],
     )
-    def test_prefix_reuse_equals_independent_fits(self, monkeypatch, kind, grid):
-        # Candidates differing only in n_estimators share one fit per fold;
-        # every score must equal that of fitting the candidate on its own.
+    def test_prefix_reuse_equals_independent_fits(self, monkeypatch, kind, grid, fitted_per_fold):
+        # Candidates that one fit can serve share it per fold: a prefix of its
+        # trees, cut at their own depth where the trees draw no randomness as
+        # they grow. Every score must equal that of fitting the candidate on its
+        # own, and each group is fitted once per fold, at its deepest depth and
+        # largest n_estimators. Forests with feature_subsample < 1 are never
+        # nested by depth.
         rng = np.random.default_rng(3)
         x = rng.integers(0, 4, size=(45, 3)).astype(float)
         y = x[:, 0] - x[:, 2] + rng.normal(scale=0.3, size=45)
@@ -125,22 +146,44 @@ class TestGridSearch:
                 train = np.setdiff1d(np.arange(len(y)), fold)
                 p = models.fit(spec, x[train], y[train])
                 mses.append(float(np.mean((y[fold] - p.predict(x[fold])) ** 2)))
-            expected.append(float(np.mean(mses)))
+            expected.append(mses)
 
         fitted = []
         real_fit = models.fit
 
         def counting_fit(spec, *args, **kwargs):
-            fitted.append(spec.hyperparameters["n_estimators"])
+            fitted.append(tuple(spec.hyperparameters[key] for key in grid))
             return real_fit(spec, *args, **kwargs)
 
         monkeypatch.setattr(models, "fit", counting_fit)
         res = grid_search_cv(kind, grid, x, y, k=k, seed=seed)
-        assert [m for _, m in res.per_candidate] == expected
+        means = [float(np.mean(mses)) for mses in expected]
+        assert [m for _, m in res.per_candidate] == means
+        assert [list(f) for f in res.fold_mses] == expected
         assert [s for s, _ in res.per_candidate] == models.expand_grid(kind, grid, seed)
-        assert res.best_spec is res.per_candidate[int(np.argmin(expected))][0]
-        assert len(fitted) == 2 * k  # two groups: the two values of the other varied key
-        assert set(fitted) == {max(grid["n_estimators"])}
+        assert res.best_spec is res.per_candidate[int(np.argmin(means))][0]
+        assert sorted(fitted) == sorted(fitted_per_fold * k)
+
+    def test_sources_name_the_fitted_candidate(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(30, 2))
+        y = x[:, 0] + rng.normal(scale=0.3, size=30)
+        grid = {"n_estimators": [1, 2], "max_depth": [1, 3], "feature_subsample": [1.0, 0.5]}
+        res = grid_search_cv("random_forest", grid, x, y, k=3, seed=1)
+        # candidates in key order: (n_estimators, max_depth, feature_subsample)
+        assert res.sources == (
+            "depth truncation of #6",
+            "n_estimators prefix of #5",
+            "n_estimators prefix of #6",
+            "n_estimators prefix of #7",
+            "depth truncation of #6",
+            "own fit",
+            "own fit",
+            "own fit",
+        )
+        res = grid_search_cv("ridge", {"alpha": [0.1, 1.0]}, x, y, k=3, seed=1)
+        assert res.sources == ("own fit", "own fit")
+        assert [len(f) for f in res.fold_mses] == [3, 3]
 
     def test_default_grids_construct_valid_specs(self):
         for kind in models.MODEL_KINDS:

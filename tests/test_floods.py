@@ -76,6 +76,47 @@ class TestTagFlooded:
             tag_flooded(t, [])
 
 
+# Section ids: unpadded and padded digits (which compare as integers
+# only against each other's digit strings) and ids that compare as strings.
+SECTION_IDS = st.sampled_from(["1", "9", "10", "11", "009", "010", "0100", "A1", "B", "9a", "ü"])
+MARKERS = st.one_of(st.none(), SECTION_IDS)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(["FM1", "SH2", "IH3"]), SECTION_IDS, st.integers(2010, 2013)),
+        min_size=1,
+        max_size=40,
+    ),
+    events=st.lists(
+        st.builds(
+            FloodEvent,
+            st.sampled_from(["FM1", "SH2", "ZZ9"]),  # IH3 has no events, ZZ9 no rows
+            st.integers(2010, 2013),
+            MARKERS,
+            MARKERS,
+        ),
+        max_size=12,
+    ),
+    repeats=st.lists(st.integers(0, 11), max_size=4),
+)
+def test_tag_flooded_matches_nested_loop(rows, events, repeats):
+    # The indexed tagging against testing every row against every event.
+    events = events + [events[i % len(events)] for i in repeats if events]
+    table = panel_table([(r, s, y, 1.0) for r, s, y in rows])
+    tagged, warnings = tag_flooded(table, events)
+    expected = [
+        float(any(r == ev.route_name and y == ev.flood_year and ev.covers_section(s) for ev in events))
+        for r, s, y in rows
+    ]
+    assert tagged.col("Flood").tolist() == expected
+    assert warnings == [
+        f"flood event ({ev.route_name}, {ev.flood_year}) matches no route in the table"
+        for ev in events
+        if ev.route_name not in {r for r, _, _ in rows}
+    ]
+
+
 class TestExtractWindows:
     def test_pre_post_pair(self):
         t = panel_table([("A", "1", 2013, 100.0), ("A", "1", 2015, 110.0)])

@@ -2,7 +2,9 @@
 
 ``reference_build_tree`` sorts every candidate feature at every node, one
 feature at a time, exactly as the builder did before it presorted once at
-the root. Every tree array must match it bit for bit.
+the root. Every tree array must match it bit for bit. It accepts the
+``presorted`` block that the ensembles pass and ignores it, so it always
+sorts on its own.
 """
 
 import numpy as np
@@ -45,7 +47,14 @@ def reference_best_split(X, y, idx, features, min_leaf):
 
 
 def reference_build_tree(
-    X, y, max_depth, min_samples_split=2, min_samples_leaf=1, feature_subsample=1.0, rng=None
+    X,
+    y,
+    max_depth,
+    min_samples_split=2,
+    min_samples_leaf=1,
+    feature_subsample=1.0,
+    rng=None,
+    presorted=None,
 ):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -139,7 +148,8 @@ def test_best_split_is_bit_exact(min_leaf):
         idx = np.sort(rng.choice(400, size=int(rng.integers(2, 400)), replace=False))
         features = np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False))
         order = idx[np.argsort(X[idx].T, axis=1, kind="stable")].astype(np.int32)
-        got = tree_module._best_split(Xt, y, order, features, min_leaf)
+        divisors = tree_module._divisors(idx.size)
+        got = tree_module._best_split(Xt, y, order, features, min_leaf, *divisors)
         assert got == reference_best_split(X, y, idx, features, min_leaf)
 
 
@@ -205,3 +215,75 @@ def test_property_matches_reference(n, m, depth, min_leaf, levels, subsample, se
     assert_matches_reference(
         X, y, seed=seed, max_depth=depth, min_samples_leaf=min_leaf, feature_subsample=subsample
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 50),
+    m=st.integers(1, 4),
+    levels=st.integers(1, 5),
+    bootstrap=st.booleans(),
+    fraction=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_rows_block_equals_fresh_argsort(n, m, levels, bootstrap, fraction, seed):
+    # Tied values, and duplicated rows, both from a few levels per feature.
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, m)).astype(float)
+    if bootstrap:
+        idx = np.sort(rng.integers(0, n, size=n))
+    else:
+        idx = np.sort(rng.permutation(n)[: max(1, int(round(fraction * n)))])
+    root = tree_module._presort(np.ascontiguousarray(X.T))
+    block = tree_module._rows_block(root, idx)
+    fresh = tree_module._presort(np.ascontiguousarray(X[idx].T))
+    assert block.dtype == fresh.dtype
+    assert np.array_equal(block, fresh)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+def test_truncation_equals_direct_fit(kind, tied):
+    X, y = random_data(14, 260, 4, tied=tied)
+    for split in (2, 10):
+        for leaf in (1, 5):
+            hp = {"min_samples_split": split, "min_samples_leaf": leaf}
+            if kind == "random_forest":
+                hp.update(n_estimators=3, feature_subsample=1.0)
+            deep = models.fit(models.ModelSpec(kind, dict(hp, max_depth=12), 2), X, y)
+            for depth in range(1, 13):
+                direct = models.fit(models.ModelSpec(kind, dict(hp, max_depth=depth), 2), X, y)
+                if kind == "decision_tree":
+                    pairs = [(deep.tree, direct.tree)]
+                else:
+                    pairs = zip(deep.trees, direct.trees)
+                for a, b in pairs:
+                    assert_same_tree(a.truncate(depth), b)
+    stump = build_tree(X, y, max_depth=5).truncate(0)
+    assert_same_tree(stump, Tree([LEAF], [0.0], [LEAF], [LEAF], [build_tree(X, y, max_depth=0).value[0]]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        models.ModelSpec("random_forest", {"n_estimators": 4, "max_depth": 4}, 1),
+        models.ModelSpec(
+            "random_forest", {"n_estimators": 3, "bootstrap": False, "feature_subsample": 0.5}, 1
+        ),
+        models.ModelSpec("gradient_boosting", {"n_estimators": 5, "subsample": 0.6}, 1),
+        models.ModelSpec("gradient_boosting", {"n_estimators": 5}, 1),
+    ],
+    ids=["forest-bootstrap", "forest-no-bootstrap", "boosting-subsample", "boosting-all-rows"],
+)
+def test_one_presort_per_ensemble_fit(monkeypatch, spec):
+    X, y = random_data(15, 120, 3, tied=True)
+    calls = []
+    real = tree_module._presort
+
+    def counting(Xt):
+        calls.append(Xt.shape)
+        return real(Xt)
+
+    monkeypatch.setattr(tree_module, "_presort", counting)
+    models.fit(spec, X, y)
+    assert calls == [(3, 120)]
