@@ -8,8 +8,10 @@ Exit codes:
   0 success
   2 usage error (argparse)
   3 schema error (missing/unknown columns, model/data mismatch, a YEAR or
-    FLOOD_YEAR cell that is not a finite number, an unknown config key or
-    explainer name, a malformed `--instances` selector)
+    FLOOD_YEAR cell that is not a finite number, a records or events file
+    that is not UTF-8 text, an unknown config key or explainer name, a
+    malformed `--instances` selector). A UTF-8 byte-order mark at the start
+    of a records or events file is ignored.
   4 I/O error
   5 empty result or insufficient data (including `explain` on a model with
     no features, refused before any file is written)

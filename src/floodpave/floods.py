@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
-from .dataset import DataTable, ROUTE_COLUMN, SECTION_COLUMN, YEAR_COLUMN
+from .dataset import DataTable, ROUTE_COLUMN, SECTION_COLUMN, YEAR_COLUMN, not_utf8
 from .errors import SchemaError
 
 IRI_COLUMN = "TX_IRI_AVERAGE_SCORE"
@@ -38,14 +40,21 @@ class FloodEvent:
         return True
 
 
+# A plain decimal milepost: ASCII digits, optionally a point and more digits.
+_DECIMAL_ID = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
 def _section_order(a: str, b: str) -> int:
     """-1, 0 or 1 as section id ``a`` sorts before, with or after ``b``.
 
-    Two ids made of ASCII digits compare as integers, so "9" < "10";
-    any other pair compares as strings.
+    Two ids made of ASCII digits compare as integers, so "9" < "10".
+    Two plain decimals compare exactly as numbers, so "9.5" < "10" and
+    "09.50" == "9.5". Any other pair compares as strings.
     """
     if a.isascii() and b.isascii() and a.isdigit() and b.isdigit():
         a, b = int(a), int(b)
+    elif _DECIMAL_ID.fullmatch(a) and _DECIMAL_ID.fullmatch(b):
+        a, b = Decimal(a), Decimal(b)
     return (a > b) - (a < b)
 
 
@@ -79,9 +88,11 @@ def load_events_csv(path) -> list[FloodEvent]:
 
     Marker columns are optional; empty cells mean no bound on that side.
     Cells beyond the header (which DictReader files under None) are ignored.
+    A leading byte-order mark is ignored; a file that is not UTF-8 is a
+    SchemaError naming it.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise SchemaError(f"{path}: empty file, no header row")
@@ -109,6 +120,8 @@ def load_events_csv(path) -> list[FloodEvent]:
                     )
                 )
             return events
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
 

@@ -183,6 +183,39 @@ class TestFloodAnalysis:
         assert "FM0481" in deltas
 
 
+class TestInputEncoding:
+    @pytest.mark.parametrize("command", ["describe", "flood-analysis"])
+    def test_byte_order_mark_gives_identical_outputs(self, tmp_path, command):
+        records, events = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        cfg = write_config(
+            tmp_path, records_csv=records, events_csv=events, out_dir=str(tmp_path / "plain")
+        )
+        assert main(["--config", cfg, "--quiet", command]) == EXIT_OK
+        for path in (records, events):
+            text = open(path, encoding="utf-8", newline="").read()
+            open(path, "w", encoding="utf-8-sig", newline="").write(text)
+        cfg = write_config(
+            tmp_path, records_csv=records, events_csv=events, out_dir=str(tmp_path / "bom")
+        )
+        assert main(["--config", cfg, "--quiet", command]) == EXIT_OK
+        assert hash_tree(tmp_path / "bom") == hash_tree(tmp_path / "plain")
+
+    @pytest.mark.parametrize(
+        "command, damaged",
+        [("describe", "records"), ("flood-analysis", "records"), ("flood-analysis", "events")],
+    )
+    def test_non_utf8_input_is_schema_error(self, tmp_path, capsys, command, damaged):
+        records, events = make_dataset(tmp_path, n_sections=20, noise_std=1.0)
+        path = records if damaged == "records" else events
+        data = open(path, "rb").read()
+        open(path, "wb").write(data.replace(b"FM0101", "FM\u00e901".encode("latin-1"), 1))
+        cfg = write_config(
+            tmp_path, records_csv=records, events_csv=events, out_dir=str(tmp_path / "o")
+        )
+        assert main(["--config", cfg, command]) == EXIT_SCHEMA
+        assert f"error: {path}: not UTF-8 text (byte 0xe9 cannot be decoded)" in capsys.readouterr().err
+
+
 class TestKeyYears:
     @pytest.mark.parametrize("command", ["describe", "flood-analysis", "train"])
     def test_infinite_year_is_schema_error(self, tmp_path, capsys, command):

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +73,47 @@ class TestLoadCsv:
     def test_unreadable_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv", schema=FEATURE_COLUMNS)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        rows = ["FM1,0001,2014,90,95,100,12,800,9,east,1,0"]
+        plain = load_csv(write_records(tmp_path, rows), schema=FEATURE_COLUMNS)
+        path = tmp_path / "bom.csv"
+        path.write_text(HEADER + "\n" + rows[0] + "\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_csv(path, schema=FEATURE_COLUMNS).equals(plain)
+
+    def test_non_utf8_file_is_schema_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        rows = ["FM1,0001,2014,90,95,100,12,800,9,east,1,0", "FM1,0002,2014,90,95,100,12,800,9,caf\u00e9,1,0"]
+        path.write_bytes((HEADER + "\n" + "\n".join(rows) + "\n").encode("latin-1"))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text (byte 0xe9")):
+            load_csv(path, schema=FEATURE_COLUMNS)
+
+    def test_peak_memory_is_bounded_by_file_size(self, tmp_path):
+        # 20.7k rows of 17-digit floats, as `synth-gen` writes them: the
+        # loader holds one block of strings, not the whole file's.
+        rng = np.random.default_rng(3)
+        values = rng.uniform(0, 1000, size=(20_700, 8))
+        zones = ("east", "west", "north", "south")
+        rows = [
+            f"FM{i // 90 % 230:04d},{i // 9 % 10:04d},{2010 + i % 9},"
+            + ",".join(map(repr, v[:6])) + f",{zones[i % 4]}," + ",".join(map(repr, v[6:]))
+            for i, v in enumerate(values.tolist())
+        ]
+        path = write_records(tmp_path, rows)
+        size = path.stat().st_size
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            table = load_csv(path, schema=FEATURE_COLUMNS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert table.n_rows == 20_700 and table.encodings["CLIMATE_ZONES"] == list(zones)
+        assert peak - before < 3 * size, f"peak {peak - before} B for a {size} B file"
 
 
 class TestFilterComplete:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -63,6 +65,13 @@ class TestTagFlooded:
         tagged, _ = tag_flooded(t, [ev])
         assert tagged.col("Flood").tolist() == [0.0, 1.0, 1.0, 1.0, 0.0]
 
+    def test_decimal_mileposts_compare_as_numbers(self):
+        sections = ("9", "9.25", "9.5", "10", "10.25", "10.50", "11")
+        t = panel_table([("A", s, 2012, 80.0) for s in sections])
+        ev = FloodEvent("A", 2012, start_marker="09.50", end_marker="10.5")
+        tagged, _ = tag_flooded(t, [ev])
+        assert tagged.col("Flood").tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0]
+
     def test_idempotent(self):
         t = panel_table([("A", "1", y, 70.0) for y in range(2010, 2016)])
         events = [FloodEvent("A", 2012), FloodEvent("A", 2014)]
@@ -76,9 +85,13 @@ class TestTagFlooded:
             tag_flooded(t, [])
 
 
-# Section ids: unpadded and padded digits (which compare as integers
-# only against each other's digit strings) and ids that compare as strings.
-SECTION_IDS = st.sampled_from(["1", "9", "10", "11", "009", "010", "0100", "A1", "B", "9a", "ü"])
+# Section ids: unpadded and padded digits, which compare as integers;
+# plain decimals, zero-padded or with trailing zeros, which compare as
+# numbers with each other and with digit ids; and ids that compare as strings.
+SECTION_IDS = st.sampled_from(
+    ["1", "9", "10", "11", "009", "010", "0100", "9.5", "09.50", "10.0", "10.00", "0.5",
+     "9.", ".5", "A1", "B", "9a", "ü"]
+)
 MARKERS = st.one_of(st.none(), SECTION_IDS)
 
 
@@ -227,12 +240,36 @@ class TestEventsCsv:
         path.write_text("ROUTE_NAME,FLOOD_YEAR\nFM1,2014,extra\nFM2,2015\n", encoding="utf-8")
         assert load_events_csv(path) == [FloodEvent("FM1", 2014, None, None), FloodEvent("FM2", 2015, None, None)]
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("ROUTE_NAME,FLOOD_YEAR\nFM1,2014\n", encoding="utf-8-sig")
+        assert load_events_csv(path) == [FloodEvent("FM1", 2014, None, None)]
+
+    def test_non_utf8_file_is_schema_error(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes("ROUTE_NAME,FLOOD_YEAR\nFM1,2014\nCaf\u00e9,2015\n".encode("latin-1"))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text (byte 0xe9")):
+            load_events_csv(path)
+
     @pytest.mark.parametrize("year", ["inf", "-inf", "nan", "x"])
     def test_non_finite_year_is_schema_error(self, tmp_path, year):
         path = tmp_path / "events.csv"
         path.write_text(f"ROUTE_NAME,FLOOD_YEAR\nFM1,2014\nFM2,{year}\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=f"unparseable FLOOD_YEAR {year!r}"):
             load_events_csv(path)
+
+
+@st.composite
+def decimal_ids(draw):
+    """(value in hundredths, id): digit ids and decimals, zero-padded or with trailing zeros."""
+    whole, hundredths = draw(st.integers(0, 120)), draw(st.integers(0, 99))
+    pad = "0" * draw(st.integers(0, 2))
+    if hundredths == 0 and draw(st.booleans()):
+        return whole * 100, f"{pad}{whole}"
+    digits = f"{hundredths:02d}"
+    if hundredths % 10 == 0 and draw(st.booleans()):
+        digits = digits[0]
+    return whole * 100 + hundredths, f"{pad}{whole}.{digits}" + "0" * draw(st.integers(0, 2))
 
 
 class TestCoversSection:
@@ -254,11 +291,18 @@ class TestCoversSection:
         sid, start, end = (f"{v:04d}" for v in (a, lo, hi))
         assert FloodEvent("A", 2012, start, end).covers_section(sid) == (start <= sid <= end)
 
+    @given(a=decimal_ids(), lo=decimal_ids(), hi=decimal_ids())
+    def test_decimal_ids_compare_numerically(self, a, lo, hi):
+        (a, sid), (lo, start), (hi, end) = a, lo, hi
+        assert FloodEvent("A", 2012, start, end).covers_section(sid) == (lo <= a <= hi)
+        assert FloodEvent("A", 2012, None, end).covers_section(sid) == (a <= hi)
+        assert FloodEvent("A", 2012, start, None).covers_section(sid) == (lo <= a)
+
     @given(
         sid=st.text(min_size=1, max_size=6),
         start=st.text(min_size=1, max_size=6),
         end=st.text(min_size=1, max_size=6),
     )
     def test_non_integer_ids_compare_as_strings(self, sid, start, end):
-        assume(not (sid.isascii() and sid.isdigit()))
+        assume(not re.fullmatch(r"[0-9]+(\.[0-9]+)?", sid))
         assert FloodEvent("A", 2012, start, end).covers_section(sid) == (start <= sid <= end)

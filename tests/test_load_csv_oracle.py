@@ -3,19 +3,24 @@
 `reference_load_csv` is the earlier implementation: it reads every cell
 through a per-row helper and parses one cell at a time. The only change
 is that a YEAR cell of ±inf raises SchemaError rather than OverflowError,
-which is the current contract. The column-wise loader must give the same
-table, bit for bit, or the same exception with the same message.
+which is the current contract. The block-wise loader must give the same
+table, bit for bit, or the same exception with the same message, at its
+default block size and at block sizes of 1, 2 and 3 rows, so that blank
+rows, first numbers, "nan" words, new labels and bad YEARs fall on every
+side of a block boundary.
 """
 
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floodpave import dataset
 from floodpave.dataset import (
     KEY_COLUMNS,
     ROUTE_COLUMN,
@@ -91,11 +96,19 @@ def reference_load_csv(path, schema, categorical=None):
     return DataTable(tuple(data_columns), values, encodings, tuple(row_keys))
 
 
+BLOCK_ROWS = [dataset._BLOCK_ROWS, 1, 2, 3]
+
+
 def outcome(loader, path, schema, categorical):
     try:
         return loader(path, schema, categorical)
     except SchemaError as exc:
         return (type(exc), str(exc))
+
+
+def blocked_outcome(block_rows, path, schema, categorical):
+    with mock.patch.object(dataset, "_BLOCK_ROWS", block_rows):
+        return outcome(load_csv, path, schema, categorical)
 
 
 def assert_same(got, want):
@@ -197,8 +210,8 @@ def test_matches_row_wise_reference(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("csv") / "records.csv"
     path.write_text(text, encoding="utf-8", newline="")
     want = outcome(reference_load_csv, path, schema, categorical)
-    got = outcome(load_csv, path, schema, categorical)
-    assert_same(got, want)
+    for block_rows in BLOCK_ROWS:
+        assert_same(blocked_outcome(block_rows, path, schema, categorical), want)
 
 
 def write(tmp_path, text):
@@ -207,23 +220,54 @@ def write(tmp_path, text):
     return path
 
 
-@pytest.mark.parametrize(
+HEAD = "ROUTE_NAME,SECTION_ID,YEAR,a,b\n"
+
+
+HAND_WRITTEN = pytest.mark.parametrize(
     "text, categorical",
     [
-        ("ROUTE_NAME,SECTION_ID,YEAR,a,b\n", None),
-        ("ROUTE_NAME,SECTION_ID,YEAR,a,b\n\n , \n", None),
+        (HEAD, None),
+        (HEAD + "\n , \n", None),
         ("YEAR, ROUTE_NAME ,SECTION_ID,a,b,c\nR,1,2014, 1.5 ,east,nan\n R , 2 ,2015,,west,NaN\n", None),
-        ("ROUTE_NAME,SECTION_ID,YEAR,a,b\nR,1,2014,oops,-nan\nR,2,2014,2,\nR,3\n", None),
-        ("ROUTE_NAME,SECTION_ID,YEAR,a,b\nR,1,2014,1,2,3,4\nR,2,2014,x,y\n", {"a", "z"}),
+        (HEAD + "R,1,2014,oops,-nan\nR,2,2014,2,\nR,3\n", None),
+        (HEAD + "R,1,2014,1,2,3,4\nR,2,2014,x,y\n", {"a", "z"}),
         ("ROUTE_NAME,SECTION_ID,YEAR,a,a\nR,1,2014,1,2\n", None),
+        (HEAD + "R,1,2014,1,x\n\n,,\n \n\t,\n\n\nR,2,2015,2,y\n", None),
+        (HEAD + "R,1,2014,,oops\nR,2,2014,x,\nR,3,2014,,\nR,4,2014,,\nR,5,2014,7,\n", None),
+        (HEAD + "R,1,2014,east,1\nR,2,2014,west,\nR,3,2014,,2\nR,4,2014,east,\nR,5,2014,nan,\n", None),
+        (HEAD + "R,1,2014,x,1\nR,2,2014,,2\nR,3,2014,x,3\nR,4,2014,y,4\nR,5,2014,z,5\nR,6,2014,x,6\n",
+         {"a"}),
+        (HEAD + "R,1,2014,1,1\nR,2,2014,2,2\nR,3,2014,3,3\nR,4,20x4,4,4\nR,5,2014,5,5\nR,6,y,6,6\n", None),
+        ("ROUTE_NAME,YEAR,a,SECTION_ID,b,a,YEAR\n" + "".join(
+            f"R{i % 2},{2014 + i % 3},{i},{i:04d},{'xy'[i % 2]},{-i},x\n" for i in range(7)
+        ), None),
+        ("ROUTE_NAME,YEAR,a,SECTION_ID,b,a,YEAR\n" + "".join(
+            f"R{i % 2},{2014 + i % 3},{'pq'[i % 2]},{i:04d},{'xy'[i % 2]},{-i},x\n" for i in range(7)
+        ), {"a", "b"}),
     ],
     ids=["header-only", "blank-rows-only", "padded-and-nan-words", "junk-and-short",
-         "explicit-categorical-and-long", "duplicate-column"],
+         "explicit-categorical-and-long", "duplicate-column", "blank-block-between-data",
+         "first-number-in-later-block", "nan-word-in-later-block", "later-explicit-labels",
+         "bad-year-in-second-block", "duplicate-names-across-blocks",
+         "duplicate-explicit-categorical"],
 )
+
+
+@HAND_WRITTEN
 def test_hand_written_cases(tmp_path, text, categorical):
     path = write(tmp_path, text)
     assert_same(
         outcome(load_csv, path, ["a"], categorical),
+        outcome(reference_load_csv, path, ["a"], categorical),
+    )
+
+
+@HAND_WRITTEN
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_hand_written_cases_in_small_blocks(tmp_path, text, categorical, block_rows):
+    path = write(tmp_path, text)
+    assert_same(
+        blocked_outcome(block_rows, path, ["a"], categorical),
         outcome(reference_load_csv, path, ["a"], categorical),
     )
 
