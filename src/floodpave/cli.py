@@ -8,10 +8,12 @@ Exit codes:
   0 success
   2 usage error (argparse)
   3 schema error (missing/unknown columns, model/data mismatch, a YEAR or
-    FLOOD_YEAR cell that is not a finite number, a records or events file
-    that is not UTF-8 text, an unknown config key or explainer name, a
-    malformed `--instances` selector). A UTF-8 byte-order mark at the start
-    of a records or events file is ignored.
+    FLOOD_YEAR cell that is not a finite number, a records, events or
+    config file that is not UTF-8 text, a records or events file the csv
+    module cannot parse, a config file that is not a JSON object, an
+    unknown config key or explainer name, a malformed `--instances`
+    selector). A UTF-8 byte-order mark at the start of a records, events
+    or config file is ignored.
   4 I/O error
   5 empty result or insufficient data (including `explain` on a model with
     no features, refused before any file is written)
@@ -52,6 +54,7 @@ from .dataset import (
     filter_complete,
     format_stats_table,
     load_csv,
+    not_utf8,
     pearson_corr,
     train_test_split,
 )
@@ -106,8 +109,15 @@ class RunConfig:
     def from_sources(cls, config_path: str | None, overrides: dict) -> "RunConfig":
         cfg = cls()
         if config_path:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            try:
+                with open(config_path, "r", encoding="utf-8-sig") as fh:
+                    doc = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise not_utf8(config_path, exc) from None
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{config_path}: not valid JSON ({exc})") from None
+            if not isinstance(doc, dict):
+                raise SchemaError(f"{config_path}: the config must be a JSON object")
             for key, value in doc.items():
                 if not hasattr(cfg, key):
                     raise SchemaError(f"unknown config key {key!r}")

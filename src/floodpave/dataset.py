@@ -183,9 +183,14 @@ def _label_codes(texts: list[str], index: dict[str, int]) -> list[float]:
 
 
 def not_utf8(path, exc: UnicodeDecodeError) -> SchemaError:
-    """The SchemaError for a CSV file that does not decode as UTF-8."""
+    """The SchemaError for an input file that does not decode as UTF-8."""
     byte = exc.object[exc.start]
     return SchemaError(f"{path}: not UTF-8 text (byte 0x{byte:02x} cannot be decoded)")
+
+
+def csv_error(path, line_num: int, exc: csv.Error) -> SchemaError:
+    """The SchemaError for a CSV file the csv module could not parse at ``line_num``."""
+    return SchemaError(f"{path}: line {line_num}: {exc}")
 
 
 # Rows parsed per block. A block's cell strings are the loader's only
@@ -203,8 +208,9 @@ def load_csv(path, schema, categorical: set[str] | None = None) -> DataTable:
     columns are loaded, so extra columns beyond the schema survive.
     Rows whose cells are all blank are skipped; a short row reads as
     empty cells past its end, and cells past the header are ignored.
-    A leading byte-order mark is ignored; a file that is not UTF-8 is a
-    SchemaError naming it.
+    A leading byte-order mark is ignored; a file that is not UTF-8, or
+    that the csv module cannot parse (such as a cell over
+    ``csv.field_size_limit()``), is a SchemaError naming it.
 
     Categorical columns are label-encoded in first-appearance order and
     the label list is recorded in ``encodings``. When ``categorical`` is
@@ -235,6 +241,8 @@ def load_csv(path, schema, categorical: set[str] | None = None) -> DataTable:
                 loader.add(block)
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise csv_error(path, reader.line_num, exc) from None
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
     return loader.table()

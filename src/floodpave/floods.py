@@ -17,7 +17,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .dataset import DataTable, ROUTE_COLUMN, SECTION_COLUMN, YEAR_COLUMN, not_utf8
+from .dataset import DataTable, ROUTE_COLUMN, SECTION_COLUMN, YEAR_COLUMN, csv_error, not_utf8
 from .errors import SchemaError
 
 IRI_COLUMN = "TX_IRI_AVERAGE_SCORE"
@@ -88,8 +88,8 @@ def load_events_csv(path) -> list[FloodEvent]:
 
     Marker columns are optional; empty cells mean no bound on that side.
     Cells beyond the header (which DictReader files under None) are ignored.
-    A leading byte-order mark is ignored; a file that is not UTF-8 is a
-    SchemaError naming it.
+    A leading byte-order mark is ignored; a file that is not UTF-8, or
+    that the csv module cannot parse, is a SchemaError naming it.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -122,6 +122,9 @@ def load_events_csv(path) -> list[FloodEvent]:
             return events
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
+    except csv.Error as exc:
+        # DictReader updates its own line_num only after a row parses.
+        raise csv_error(path, reader.reader.line_num, exc) from None
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
 

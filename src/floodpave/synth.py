@@ -7,10 +7,15 @@ bump in flood years, and Gaussian noise. The target column of a record
 is exactly the following year's roughness, so the ground-truth function
 doubles as an oracle for model fits and attribution engines.
 
-scipy is imported inside `_initial_iri_params` and `generate`, the only
-functions that use it, rather than at module level: the package imports
-this module, and loading scipy would otherwise add most of the start-up
-time of every other command.
+The initial IRI is a normal truncated below at 26 whose mean and SD
+match the paper's. Its moments are closed-form (`math.erfc`), a Newton
+solve finds the pre-truncation (loc, scale), and the draw is an inverse
+CDF through `statistics.NormalDist` (Wichura's AS241). It consumes the
+random stream exactly as `scipy.stats.truncnorm.rvs` does, one uniform
+per section, so every later draw matches what scipy would give; the
+scipy oracle tests check both. `statistics` is imported inside the
+function that draws, because the package imports this module and every
+other command would pay for it.
 """
 
 from __future__ import annotations
@@ -136,19 +141,88 @@ class SynthSpec:
             raise ValueError("flood_fraction must be in [0, 1]")
 
 
+_NEWTON_MAX_STEPS = 50
+_NEWTON_RTOL = 1e-12  # on (mean - floor) / SD, relative to its target
+
+
+def _upper_tail(a: float) -> float:
+    """Standard normal survival function, Phi(-a)."""
+    return 0.5 * math.erfc(a / math.sqrt(2.0))
+
+
+def _truncated_standard(a: float):
+    """Moments of the standard normal truncated below at ``a``.
+
+    Returns (excess, sd, d_ratio): the mean minus ``a``, the SD, and the
+    derivative by ``a`` of their ratio. With lam = phi(a) / Phi(-a), the
+    mean is lam and the variance 1 + a*lam - lam^2; N(loc, scale^2)
+    truncated at loc + a*scale has scale times these excess and SD.
+
+    Above a = 2 both differences cancel more and more (at a = 6 the
+    variance is off by 5e-12 relative), so there they come from 100 terms
+    of Laplace's continued fraction lam = a + 1/(a + 2/(a + 3/(a + ...))),
+    which is then accurate to a few ulps and needs no tail probability.
+    """
+    if a > 2.0:
+        t = 0.0
+        for k in range(100, 1, -1):
+            t = k / (a + t)
+        excess = 1.0 / (a + t)
+        var = excess * (t - excess)  # 1 - lam * excess, since a * excess = 1 - t * excess
+    else:
+        excess = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi) / _upper_tail(a) - a
+        var = 1.0 - (a + excess) * excess
+    # d excess / da = -var and d var / da = lam * (var - excess^2).
+    lam = a + excess
+    sd = math.sqrt(var)
+    d_ratio = -sd - excess * lam * (var - excess * excess) / (2.0 * var * sd)
+    return excess, sd, d_ratio
+
+
 def _initial_iri_params(target_mean: float, target_std: float):
-    """Pre-truncation (loc, scale) whose >=26 truncation hits the target moments."""
-    from scipy.optimize import fsolve
-    from scipy.stats import truncnorm
+    """Pre-truncation (loc, scale) whose >=26 truncation hits the target moments.
 
-    def moment_gap(p):
-        loc, scale = p[0], abs(p[1])
-        a = (_IRI_FLOOR - loc) / scale
-        m, v = truncnorm.stats(a, np.inf, loc=loc, scale=scale, moments="mv")
-        return [m - target_mean, math.sqrt(v) - target_std]
+    Both moments fix scale once the standardized floor a = (26 - loc) / scale
+    is known, and a is the root of (mean - 26) / SD, which falls from
+    +inf to 1 as a rises: a normal truncated below at a floor is never
+    wider than an exponential, so a target with (mean - 26) <= SD is
+    refused. The ratio is convex in a, so Newton's method started left of
+    the root, at fsolve's old start (loc, scale) = (mean, SD), climbs to
+    it without overshooting.
+    """
+    ratio = (target_mean - _IRI_FLOOR) / target_std if target_std > 0 else math.nan
+    if not ratio > 1.0:
+        raise ValueError(
+            f"initial IRI mean {target_mean:.6g} and SD {target_std:.6g} cannot be reached "
+            f"by a normal truncated at {_IRI_FLOOR:g}: that needs mean - {_IRI_FLOOR:g} > SD > 0"
+        )
+    a = -ratio
+    for _ in range(_NEWTON_MAX_STEPS):
+        excess, sd, d_ratio = _truncated_standard(a)
+        gap = excess / sd - ratio
+        if abs(gap) <= _NEWTON_RTOL * ratio:
+            scale = target_std / sd
+            return _IRI_FLOOR - a * scale, scale
+        a -= gap / d_ratio
+    raise ValueError(
+        f"initial IRI mean {target_mean:.6g} and SD {target_std:.6g}: the truncated-normal "
+        f"solve did not converge in {_NEWTON_MAX_STEPS} Newton steps, because "
+        f"(mean - {_IRI_FLOOR:g}) / SD = {ratio:.12g} is too close to 1"
+    )
 
-    loc, scale = fsolve(moment_gap, [target_mean, target_std])
-    return float(loc), abs(float(scale))
+
+def _truncated_normal_draws(rng: np.random.Generator, loc: float, scale: float, n: int) -> np.ndarray:
+    """``n`` draws of N(loc, scale^2) truncated below at the IRI floor.
+
+    One uniform per draw through the inverse CDF, in the upper-tail form
+    of scipy's truncnorm ppf, so ``rng`` advances exactly as under
+    ``truncnorm.rvs(..., random_state=rng)``.
+    """
+    from statistics import NormalDist
+
+    tail = _upper_tail((_IRI_FLOOR - loc) / scale)
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([loc - scale * inv_cdf((1.0 - u) * tail) for u in rng.uniform(size=n).tolist()])
 
 
 def generate(spec: SynthSpec):
@@ -158,8 +232,6 @@ def generate(spec: SynthSpec):
     round(flood_fraction * n_sections); flood years leave room for the
     three-years-before and one-year-after observations.
     """
-    from scipy.stats import truncnorm
-
     rng = stage_rng(spec.seed, "synth")
     gt = spec.ground_truth
     n = spec.n_sections
@@ -231,9 +303,14 @@ def generate(spec: SynthSpec):
     var_elapsed = (n_years**2 - 1) / 12.0
     init_mean = _IRI_TARGET_MEAN - gt.drift * mean_elapsed
     init_var = max(_IRI_TARGET_STD**2 - gt.drift**2 * var_elapsed, 100.0)
-    loc, scale = _initial_iri_params(init_mean, math.sqrt(init_var))
-    a = (_IRI_FLOOR - loc) / scale
-    iri = truncnorm.rvs(a, np.inf, loc=loc, scale=scale, size=n, random_state=rng)
+    try:
+        loc, scale = _initial_iri_params(init_mean, math.sqrt(init_var))
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}; it follows from the target IRI mean {_IRI_TARGET_MEAN} and SD "
+            f"{_IRI_TARGET_STD} with drift {gt.drift} over {spec.year_start}-{spec.year_end}"
+        ) from None
+    iri = _truncated_normal_draws(rng, loc, scale, n)
 
     static = {
         "TX_CONDITION_SCORE": condition,

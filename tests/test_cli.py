@@ -89,6 +89,15 @@ class TestSynthGen:
         for f in ("records.csv", "events.csv", "ground_truth.json"):
             assert (tmp_path / "o" / f).exists()
 
+    def test_unreachable_initial_iri_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, out_dir=str(tmp_path / "o"), synth={"n_sections": 30, "year_end": 2060}
+        )
+        assert main(["--config", cfg, "synth-gen"]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "cannot be reached" in err and "drift 2.0 over 2010-2060" in err
+        assert not (tmp_path / "o" / "records.csv").exists()
+
 
 class TestDescribe:
     def test_outputs_and_layout(self, tmp_path):
@@ -214,6 +223,23 @@ class TestInputEncoding:
         )
         assert main(["--config", cfg, command]) == EXIT_SCHEMA
         assert f"error: {path}: not UTF-8 text (byte 0xe9 cannot be decoded)" in capsys.readouterr().err
+
+
+class TestCsvErrors:
+    @pytest.mark.parametrize(
+        "command, damaged", [("describe", "records"), ("flood-analysis", "events")]
+    )
+    def test_oversized_cell_is_schema_error(self, tmp_path, capsys, command, damaged):
+        records, events = make_dataset(tmp_path, n_sections=20, noise_std=1.0)
+        path = records if damaged == "records" else events
+        lines = open(path).read().splitlines()
+        lines[2] = lines[2] + "," + "9" * (csv.field_size_limit() + 1)
+        open(path, "w").write("\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path, records_csv=records, events_csv=events, out_dir=str(tmp_path / "o")
+        )
+        assert main(["--config", cfg, command]) == EXIT_SCHEMA
+        assert f"error: {path}: line 3: field larger than field limit" in capsys.readouterr().err
 
 
 class TestKeyYears:
@@ -598,8 +624,8 @@ class TestDeterminism:
 
 
 class TestStartup:
-    def test_only_synth_gen_loads_scipy(self, tmp_path):
-        # scipy's import costs most of a command's start-up; only synth-gen needs it.
+    def test_no_command_loads_scipy(self, tmp_path):
+        # scipy's import would cost most of a command's start-up.
         records, _ = make_dataset(tmp_path, n_sections=20, noise_std=1.0)
         script = (
             "import sys\n"
@@ -610,21 +636,42 @@ class TestStartup:
             f"code = floodpave.cli.main(['--records', {records!r}, '--out', {str(tmp_path / 'o')!r},"
             " '--quiet', 'describe'])\n"
             "print(code, scipy_modules())\n"
-            f"floodpave.cli.main(['--out', {str(tmp_path / 's')!r}, '--quiet', 'synth-gen'])\n"
-            "print(bool(scipy_modules()))\n"
+            f"code = floodpave.cli.main(['--out', {str(tmp_path / 's')!r}, '--quiet', 'synth-gen'])\n"
+            "print(code, scipy_modules())\n"
         )
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         )
-        assert result.stdout.splitlines() == ["[]", "0 []", "True"]
+        assert result.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
 
 class TestConfigHandling:
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, bogus_key=1)
         assert main(["--config", cfg, "--quiet", "describe"]) == EXIT_SCHEMA
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        records, _ = make_dataset(tmp_path, n_sections=20, noise_std=1.0)
+        cfg = tmp_path / "bom.json"
+        cfg.write_text(json.dumps({"records_csv": records, "out_dir": str(tmp_path / "o")}), encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["--config", str(cfg), "--quiet", "describe"]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"seed": 1,}', "not valid JSON (Expecting property name"),
+            (b"[1, 2]", "the config must be a JSON object"),
+            ('{"out_dir": "caf\u00e9"}'.encode("latin-1"), "not UTF-8 text (byte 0xe9 cannot be decoded)"),
+        ],
+    )
+    def test_unreadable_config_is_schema_error(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(data)
+        assert main(["--config", str(cfg), "--quiet", "describe"]) == EXIT_SCHEMA
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
 
     def test_flag_overrides_config(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=25, noise_std=1.0)

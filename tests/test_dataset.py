@@ -89,6 +89,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text (byte 0xe9")):
             load_csv(path, schema=FEATURE_COLUMNS)
 
+    def test_csv_module_error_is_schema_error(self, tmp_path):
+        rows = ["FM1,0001,2014,90,95,100,12,800,9,east,1,0", "FM1,0002,2014,90,95,100,12,800,9,east,1," + "9" * 200_000]
+        path = write_records(tmp_path, rows)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: line 3: field larger than field limit")):
+            load_csv(path, schema=FEATURE_COLUMNS)
+
     def test_peak_memory_is_bounded_by_file_size(self, tmp_path):
         # 20.7k rows of 17-digit floats, as `synth-gen` writes them: the
         # loader holds one block of strings, not the whole file's.

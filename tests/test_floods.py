@@ -251,6 +251,12 @@ class TestEventsCsv:
         with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text (byte 0xe9")):
             load_events_csv(path)
 
+    def test_csv_module_error_is_schema_error(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("ROUTE_NAME,FLOOD_YEAR\nFM1,2014\nFM2," + "9" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: line 3: field larger than field limit")):
+            load_events_csv(path)
+
     @pytest.mark.parametrize("year", ["inf", "-inf", "nan", "x"])
     def test_non_finite_year_is_schema_error(self, tmp_path, year):
         path = tmp_path / "events.csv"

@@ -112,6 +112,35 @@ class TestGenerate:
         with pytest.raises(ValueError, match="span"):
             synth.generate(spec)
 
+    @pytest.mark.parametrize(
+        "spec_kwargs, drift, years, initial",
+        [
+            ({"ground_truth": synth.GroundTruth(drift=40.0)}, "40.0", "2010-2018", "mean -59.39 and SD 10 "),
+            ({"year_end": 2060}, "2.0", "2010-2060", "mean 50.61 and SD 45.4722 "),
+        ],
+    )
+    def test_unreachable_initial_iri_is_refused(self, spec_kwargs, drift, years, initial):
+        spec = synth.SynthSpec(n_sections=10, flood_fraction=0.0, **spec_kwargs)
+        with pytest.raises(ValueError, match="cannot be reached") as info:
+            synth.generate(spec)
+        message = str(info.value)
+        assert f"initial IRI {initial}" in message
+        assert "target IRI mean 100.61 and SD 54.17" in message
+        assert f"drift {drift} over {years}" in message
+
+    def test_solver_that_cannot_converge_says_so(self):
+        # (mean - 26) / SD = 1 + 1e-9: reachable, but the root lies where the
+        # ratio's last digits are rounding noise.
+        with pytest.raises(ValueError, match="did not converge in 50 Newton steps"):
+            synth._initial_iri_params(26.001, 0.001 / (1 + 1e-9))
+
+    def test_initial_params_hit_the_target_moments(self):
+        for target_mean, target_std in [(92.61, 53.92), (84.61, 53.18), (35.0, 8.0), (26.5, 0.45)]:
+            loc, scale = synth._initial_iri_params(target_mean, target_std)
+            excess, sd, _ = synth._truncated_standard((synth._IRI_FLOOR - loc) / scale)
+            assert synth._IRI_FLOOR + scale * excess == pytest.approx(target_mean, rel=1e-12)
+            assert scale * sd == pytest.approx(target_std, rel=1e-12)
+
     def test_ground_truth_attribution_oracle(self):
         gt = synth.GroundTruth(weights={"TX_TRUCK_AADT_PCT": 0.2}, flood_bump=3.0, drift=1.0)
         coefs = gt.linear_coefficients(FEATS)
