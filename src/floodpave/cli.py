@@ -11,9 +11,11 @@ Exit codes:
     FLOOD_YEAR cell that is not a finite number, a records, events or
     config file that is not UTF-8 text, a records or events file the csv
     module cannot parse, a config file that is not a JSON object, an
-    unknown config key or explainer name, a malformed `--instances`
-    selector). A UTF-8 byte-order mark at the start of a records, events
-    or config file is ignored.
+    unknown config key, model kind or explainer name, a config value of
+    the wrong type, a grid that does not expand to valid model specs, a
+    malformed `--instances` selector). A command refuses its config
+    errors before it reads any input file. A UTF-8 byte-order mark at the
+    start of a records, events or config file is ignored.
   4 I/O error
   5 empty result or insufficient data (including `explain` on a model with
     no features, refused before any file is written)
@@ -199,23 +201,15 @@ def _varying_columns(table: DataTable, columns: list[str]) -> list[str]:
 
 def cmd_synth_gen(config: RunConfig) -> int:
     params = dict(config.synth)
-    gt_params = params.pop("ground_truth", {})
-    gt = synth.GroundTruth(
-        weights=dict(gt_params.get("weights", {})),
-        flood_bump=float(gt_params.get("flood_bump", 5.0)),
-        drift=float(gt_params.get("drift", 2.0)),
-        noise_std=float(gt_params.get("noise_std", 2.0)),
-        interactions=tuple(tuple(t) for t in gt_params.get("interactions", ())),
-    )
-    spec = synth.SynthSpec(
-        n_sections=int(params.get("n_sections", 1114)),
-        year_start=int(params.get("year_start", 2010)),
-        year_end=int(params.get("year_end", 2018)),
-        flood_fraction=float(params.get("flood_fraction", 0.05)),
-        sections_per_route=int(params.get("sections_per_route", 10)),
-        ground_truth=gt,
-        seed=config.seed,
-    )
+    truth = params.pop("ground_truth", {})
+    if not isinstance(truth, dict):
+        raise SchemaError("config key 'synth.ground_truth' must be a JSON object")
+    # The command's one default that differs from GroundTruth's: noisy data.
+    try:
+        gt = _section_config(synth.GroundTruth, "synth.ground_truth", {"noise_std": 2.0, **truth})
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"synth.ground_truth: {exc}") from None
+    spec = _section_config(synth.SynthSpec, "synth", params, ground_truth=gt, seed=config.seed)
     table, events, gt = synth.generate(spec)
     records = _out_path(config, "records.csv")
     events_path = _out_path(config, "events.csv")
@@ -366,24 +360,46 @@ def _flood_text_report(report: dict) -> str:
 # -------------------------------------------------------------------- train
 
 
-def _model_columns(table: DataTable) -> list[str]:
-    return _present_features(table)
+def _training_frame(table: DataTable):
+    """The rows that `train` splits, and the feature columns present.
 
-
-def _training_frame(config: RunConfig):
-    table = _load_records(config)
-    features = _model_columns(table)
-    if TARGET_COLUMN not in table.column_names:
-        raise SchemaError(f"training requires a {TARGET_COLUMN} column")
-    complete = filter_complete(table, features + [TARGET_COLUMN])
+    They are the rows complete in every feature column and the target, or,
+    in a file without a target column, in the feature columns alone. So
+    `explain` splits the same rows as `train` and draws the same training
+    part from the same seed and test fraction.
+    """
+    features = _present_features(table)
+    needed = features + [TARGET_COLUMN] if TARGET_COLUMN in table.column_names else features
+    complete = filter_complete(table, needed)
     if complete.n_rows < 2:
         raise InsufficientDataError("no complete training rows after filtering")
-    _refuse_non_finite(complete, features + [TARGET_COLUMN])
+    _refuse_non_finite(complete, needed)
     return complete, features
 
 
+def _check_train_config(config: RunConfig) -> None:
+    """Refuse unknown model kinds and malformed grids; a SchemaError names the culprit."""
+    kinds = config.model_kinds
+    if not isinstance(kinds, list) or not kinds:
+        raise SchemaError(f"model_kinds must be a non-empty list drawn from {list(models.MODEL_KINDS)}")
+    unknown = [k for k in kinds if k not in models.MODEL_KINDS]
+    if unknown:
+        raise SchemaError(f"unknown model kind(s) {unknown}; choose from {list(models.MODEL_KINDS)}")
+    for kind, grid in config.grids.items():
+        if kind not in models.MODEL_KINDS:
+            raise SchemaError(f"unknown model kind {kind!r} in grids; choose from {list(models.MODEL_KINDS)}")
+        try:
+            if grid:
+                models.expand_grid(kind, grid, config.seed)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"grids.{kind}: {exc}") from None
+
+
 def cmd_train(config: RunConfig) -> int:
-    complete, features = _training_frame(config)
+    _check_train_config(config)
+    complete, features = _training_frame(_load_records(config))
+    if TARGET_COLUMN not in complete.column_names:
+        raise SchemaError(f"training requires a {TARGET_COLUMN} column")
     train, test = train_test_split(complete, config.test_fraction, config.seed)
     varying = _varying_columns(train, features)
     dropped = [c for c in features if c not in varying]
@@ -515,8 +531,9 @@ EXPLAINERS = ("shap", "lime")
 def _section_config(cls, name: str, section: dict, **extra):
     """Build config dataclass `cls` from config section `name`, refusing unknown keys.
 
-    `seed` comes from the root config. Integer and boolean fields are
-    coerced, so 100.0 is a valid background_size.
+    `seed` comes from the root config. Integer, float and boolean fields
+    are coerced, so 100.0 is a valid background_size and a drift of 2 is
+    the float 2.0.
     """
     defaults = {f.name: f.default for f in fields(cls) if f.name != "seed"}
     unknown = sorted(set(section) - set(defaults))
@@ -526,9 +543,10 @@ def _section_config(cls, name: str, section: dict, **extra):
     for key, value in section.items():
         kind = type(defaults[key])
         try:
-            kwargs[key] = kind(value) if kind in (int, bool) else value
+            kwargs[key] = kind(value) if kind in (int, float, bool) else value
         except (TypeError, ValueError):
-            raise SchemaError(f"{name}.{key} must be an integer, got {value!r}") from None
+            expected = "a number" if kind is float else "an integer"
+            raise SchemaError(f"{name}.{key} must be {expected}, got {value!r}") from None
     return cls(**kwargs, **extra)
 
 
@@ -567,8 +585,8 @@ def cmd_explain(config: RunConfig) -> int:
         raise InsufficientDataError("no complete rows to explain")
     _refuse_non_finite(complete, features)
 
-    # Background comes from the same training split the models saw.
-    train, _ = train_test_split(complete, config.test_fraction, config.seed)
+    # Background and LIME statistics come from the training split `train` used.
+    train, _ = train_test_split(_training_frame(table)[0], config.test_fraction, config.seed)
 
     selector = config.explain.get("instances", "sample:5")
     idx = _select_instances(complete, selector, config.seed)
@@ -704,9 +722,6 @@ def main(argv=None) -> int:
         config = RunConfig.from_sources(args.config, overrides)
         if args.command == "train" and getattr(args, "kinds", None):
             config.model_kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-            unknown = set(config.model_kinds) - set(models.MODEL_KINDS)
-            if unknown:
-                raise SchemaError(f"unknown model kind(s) {sorted(unknown)}")
         if args.command == "explain":
             if getattr(args, "model_path", None):
                 config.explain["model_path"] = args.model_path

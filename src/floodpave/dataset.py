@@ -79,10 +79,6 @@ class DataTable:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
     def col_index(self, name: str) -> int:
         try:
             return self.column_names.index(name)
@@ -95,10 +91,6 @@ class DataTable:
     def matrix(self, columns: list[str] | tuple[str, ...]) -> np.ndarray:
         idx = [self.col_index(c) for c in columns]
         return np.array(self.values[:, idx])
-
-    def decode(self, name: str, value: float) -> str:
-        labels = self.encodings[name]
-        return labels[int(value)]
 
     def subset(self, row_indices) -> "DataTable":
         idx = np.asarray(row_indices, dtype=int)

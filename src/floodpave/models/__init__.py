@@ -36,7 +36,6 @@ __all__ = [
     "ModelSpec",
     "default_grid",
     "fit",
-    "predict",
     "evaluate",
     "EvalMetrics",
     "CVResult",
@@ -88,8 +87,3 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names=None):
     if feature_names is None:
         feature_names = tuple(f"x{j}" for j in range(X.shape[1]))
     return _FITTERS[spec.kind](spec, X, y, feature_names)
-
-
-def predict(predictor, X: np.ndarray) -> np.ndarray:
-    """Batch prediction; dimension mismatches raise ValueError."""
-    return predictor.predict(np.asarray(X, dtype=float))

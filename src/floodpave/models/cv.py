@@ -14,7 +14,6 @@ from .spec import ModelSpec
 class CVResult:
     per_candidate: tuple  # (ModelSpec, mean fold MSE) in enumeration order
     best_spec: ModelSpec
-    fold_assignments: np.ndarray
     fold_mses: tuple = ()  # per candidate, the MSE of each fold in fold order
     sources: tuple = ()  # per candidate, how it was scored (see grid_search_cv)
 
@@ -146,7 +145,7 @@ def grid_search_cv(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     candidates = expand_grid(kind, grid, seed)
-    folds, assignments = kfold_indices(len(y), k, seed)
+    folds, _ = kfold_indices(len(y), k, seed)
     all_idx = np.arange(len(y))
 
     fold_mses: list[list[float]] = [[] for _ in candidates]
@@ -173,7 +172,6 @@ def grid_search_cv(
     return CVResult(
         per_candidate=tuple(zip(candidates, scores)),
         best_spec=candidates[best_i],
-        fold_assignments=assignments,
         fold_mses=tuple(tuple(mses) for mses in fold_mses),
         sources=tuple(sources),
     )

@@ -15,9 +15,6 @@ class EvalMetrics:
     mae: float
     r2: float
 
-    def to_dict(self) -> dict:
-        return {"mse": self.mse, "mae": self.mae, "r2": self.r2}
-
 
 def evaluate(predictor, X: np.ndarray, y: np.ndarray) -> EvalMetrics:
     """Score a predictor on held-out rows, in raw target units.

@@ -7,6 +7,14 @@ bump in flood years, and Gaussian noise. The target column of a record
 is exactly the following year's roughness, so the ground-truth function
 doubles as an oracle for model fits and attribution engines.
 
+`generate` holds the panel as one float array of shape (sections, years,
+features + 1): its last axis is `FEATURE_COLUMNS` in order, then the
+target, so the feature order is written only there. Static columns are
+filled once for every year, the IRI column year by year from the
+ground truth applied to the year's feature slice, and the target is the
+next year's IRI (NaN in the last year). The table's rows are that array
+reshaped, section-major and year-minor.
+
 The initial IRI is a normal truncated below at 26 whose mean and SD
 match the paper's. Its moments are closed-form (`math.erfc`), a Newton
 solve finds the pre-truncation (loc, scale), and the draw is an inverse
@@ -56,8 +64,7 @@ NOMINAL_SCALES = {
     "Flood": (0.05, 0.21),
 }
 
-_IRI_TARGET_MEAN = 100.61
-_IRI_TARGET_STD = 54.17
+_IRI_TARGET_MEAN, _IRI_TARGET_STD = NOMINAL_SCALES[IRI]
 _IRI_FLOOR = 26.0
 
 
@@ -75,6 +82,16 @@ class GroundTruth:
     drift: float = 2.0
     noise_std: float = 0.0
     interactions: tuple = ()  # (feature_i, feature_j, coefficient)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", dict(self.weights))
+        object.__setattr__(self, "interactions", tuple(tuple(t) for t in self.interactions))
+        if any(len(t) != 3 for t in self.interactions):
+            raise ValueError("each interaction is (feature_i, feature_j, coefficient)")
+        named = list(self.weights) + [name for t in self.interactions for name in t[:2]]
+        unknown = sorted(set(named) - set(FEATURE_COLUMNS))
+        if unknown:
+            raise ValueError(f"unknown feature(s) {unknown}; choose from {list(FEATURE_COLUMNS)}")
 
     def step_matrix(self, X: np.ndarray, feature_names) -> np.ndarray:
         """Noise-free yearly IRI increment for each feature row."""
@@ -124,7 +141,7 @@ def _nominal_z(values: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    n_sections: int
+    n_sections: int = 1114  # the paper's panel
     year_start: int = 2010
     year_end: int = 2018
     flood_fraction: float = 0.05
@@ -143,6 +160,7 @@ class SynthSpec:
 
 _NEWTON_MAX_STEPS = 50
 _NEWTON_RTOL = 1e-12  # on (mean - floor) / SD, relative to its target
+_UNIFORM_STEP = 2.0**-53  # numpy's uniform draws on [0, 1) are multiples of this
 
 
 def _upper_tail(a: float) -> float:
@@ -188,7 +206,9 @@ def _initial_iri_params(target_mean: float, target_std: float):
     wider than an exponential, so a target with (mean - 26) <= SD is
     refused. The ratio is convex in a, so Newton's method started left of
     the root, at fsolve's old start (loc, scale) = (mean, SD), climbs to
-    it without overshooting.
+    it without overshooting. A root so far out that the tail probability
+    Phi(-a), times the smallest 1 - u a draw can use, underflows to 0 is
+    refused too, because the inverse CDF has nothing left to invert.
     """
     ratio = (target_mean - _IRI_FLOOR) / target_std if target_std > 0 else math.nan
     if not ratio > 1.0:
@@ -201,6 +221,11 @@ def _initial_iri_params(target_mean: float, target_std: float):
         excess, sd, d_ratio = _truncated_standard(a)
         gap = excess / sd - ratio
         if abs(gap) <= _NEWTON_RTOL * ratio:
+            if _upper_tail(a) * _UNIFORM_STEP == 0.0:
+                raise ValueError(
+                    f"initial IRI mean {target_mean:.6g} and SD {target_std:.6g} put the floor "
+                    f"{a:.4g} SDs above the untruncated mean, where the normal tail underflows"
+                )
             scale = target_std / sd
             return _IRI_FLOOR - a * scale, scale
         a -= gap / d_ratio
@@ -235,8 +260,8 @@ def generate(spec: SynthSpec):
     rng = stage_rng(spec.seed, "synth")
     gt = spec.ground_truth
     n = spec.n_sections
-    years = list(range(spec.year_start, spec.year_end + 1))
-    n_years = len(years)
+    per_route = spec.sections_per_route
+    years = range(spec.year_start, spec.year_end + 1)
 
     n_flooded = int(round(spec.flood_fraction * n))
     flood_year_lo, flood_year_hi = spec.year_start + 3, spec.year_end - 1
@@ -247,60 +272,63 @@ def generate(spec: SynthSpec):
 
     # Route layout: contiguous blocks of sections, zero-padded ids so the
     # marker order is lexicographic.
-    n_routes = (n + spec.sections_per_route - 1) // spec.sections_per_route
+    n_routes = (n + per_route - 1) // per_route
     route_names = [f"FM{101 + 7 * r:04d}" for r in range(n_routes)]
-    section_route = np.repeat(np.arange(n_routes), spec.sections_per_route)[:n]
-    section_ids = []
-    next_in_route = {}
-    for r in section_route:
-        k = next_in_route.get(r, 0)
-        next_in_route[r] = k + 1
-        section_ids.append(f"{k:04d}")
+    section_route = np.arange(n) // per_route
+    section_ids = [f"{s % per_route:04d}" for s in range(n)]
 
-    # Static per-section features.
+    columns = tuple(FEATURE_COLUMNS) + (TARGET_COLUMN,)
+    col = {name: j for j, name in enumerate(columns)}
+    panel = np.zeros((n, len(years), len(columns)))
+
+    def static(name, draw, lo, hi):
+        mean, sd = NOMINAL_SCALES[name]
+        panel[:, :, col[name]] = np.clip(mean + sd * draw, lo, hi)[:, None]
+
     distress_z = rng.standard_normal(n)
     cond_z = 0.87 * distress_z + math.sqrt(1 - 0.87**2) * rng.standard_normal(n)
-    distress = np.clip(95.70 + 11.35 * distress_z, 0, 100)
-    condition = np.clip(93.91 + 13.87 * cond_z, 0, 100)
-    truck = np.clip(17.60 + 8.52 * rng.standard_normal(n), 0, 56.9)
-    kip = np.clip(1096.57 + 978.45 * rng.standard_normal(n), 0, 8123)
-    pvmnt = rng.choice(
+    static("TX_DISTRESS_SCORE", distress_z, 0, 100)
+    static("TX_CONDITION_SCORE", cond_z, 0, 100)
+    static("TX_TRUCK_AADT_PCT", rng.standard_normal(n), 0, 56.9)
+    static("TX_CURRENT_18KIP_MEAS", rng.standard_normal(n), 0, 8123)
+    panel[:, :, col["TX_PVMNT_TYPE_DTL_RD_LIFE_CODE"]] = rng.choice(
         np.arange(1, 11),
         size=n,
         p=[0.01, 0.01, 0.02, 0.03, 0.05, 0.08, 0.05, 0.10, 0.25, 0.40],
-    ).astype(float)
-    rural = rng.choice([1.0, 2.0, 3.0, 4.0], size=n, p=[0.97, 0.015, 0.01, 0.005])
+    )[:, None]
+    panel[:, :, col["TX_RURAL_URBAN_CODE"]] = rng.choice(
+        [1.0, 2.0, 3.0, 4.0], size=n, p=[0.97, 0.015, 0.01, 0.005]
+    )[:, None]
     route_climate = rng.choice(np.arange(len(CLIMATE_LABELS)), size=n_routes)
-    climate_label = [CLIMATE_LABELS[int(route_climate[r])] for r in section_route]
+    # Label codes in first-appearance order over the rows, as a CSV reload gives them.
+    climate = [CLIMATE_LABELS[c] for c in route_climate[section_route].tolist()]
+    encodings = {CLIMATE: list(dict.fromkeys(climate))}
+    panel[:, :, col[CLIMATE]] = np.array([encodings[CLIMATE].index(c) for c in climate])[:, None]
 
     # Flood assignment: walk routes, flooding the first half of each
     # route's sections until the target count is reached.
-    flooded = np.zeros(n, dtype=bool)
-    flood_year_of_route = {}
     events = []
     remaining = n_flooded
     for r in range(n_routes):
         if remaining <= 0:
             break
-        members = np.nonzero(section_route == r)[0]
-        take = min(remaining, max(1, len(members) // 2))
-        chosen = members[:take]
-        flooded[chosen] = True
+        first = r * per_route
+        take = min(remaining, max(1, (min(n, first + per_route) - first) // 2))
         remaining -= take
         fy = int(rng.integers(flood_year_lo, flood_year_hi + 1))
-        flood_year_of_route[r] = fy
+        panel[first : first + take, fy - spec.year_start, col[FLOOD]] = 1.0
         events.append(
             FloodEvent(
                 route_name=route_names[r],
                 flood_year=fy,
-                start_marker=section_ids[chosen[0]],
-                end_marker=section_ids[chosen[-1]],
+                start_marker=section_ids[first],
+                end_marker=section_ids[first + take - 1],
             )
         )
 
     # Initial-year IRI, compensated for the drift accumulated over the panel.
-    mean_elapsed = (n_years - 1) / 2.0
-    var_elapsed = (n_years**2 - 1) / 12.0
+    mean_elapsed = (len(years) - 1) / 2.0
+    var_elapsed = (len(years) ** 2 - 1) / 12.0
     init_mean = _IRI_TARGET_MEAN - gt.drift * mean_elapsed
     init_var = max(_IRI_TARGET_STD**2 - gt.drift**2 * var_elapsed, 100.0)
     try:
@@ -310,103 +338,38 @@ def generate(spec: SynthSpec):
             f"{exc}; it follows from the target IRI mean {_IRI_TARGET_MEAN} and SD "
             f"{_IRI_TARGET_STD} with drift {gt.drift} over {spec.year_start}-{spec.year_end}"
         ) from None
-    iri = _truncated_normal_draws(rng, loc, scale, n)
+    iri = col[IRI]
+    panel[:, 0, iri] = _truncated_normal_draws(rng, loc, scale, n)
+    noise = gt.noise_std * rng.standard_normal((n, len(years)))
+    for t in range(len(years) - 1):
+        now = panel[:, t, :-1]
+        panel[:, t + 1, iri] = now[:, iri] + gt.step_matrix(now, FEATURE_COLUMNS) + noise[:, t]
+    panel[:, :-1, -1] = panel[:, 1:, iri]
+    panel[:, -1, -1] = math.nan
 
-    static = {
-        "TX_CONDITION_SCORE": condition,
-        "TX_DISTRESS_SCORE": distress,
-        "TX_TRUCK_AADT_PCT": truck,
-        "TX_CURRENT_18KIP_MEAS": kip,
-        "TX_PVMNT_TYPE_DTL_RD_LIFE_CODE": pvmnt,
-        "TX_RURAL_URBAN_CODE": rural,
-    }
-
-    # First-appearance climate encoding, matching what a CSV reload does.
-    climate_codes = np.empty(n)
-    encodings: dict[str, list[str]] = {CLIMATE: []}
-    label_index: dict[str, int] = {}
-    order = []  # row emission order is section-major, year-minor
-    for s in range(n):
-        for y in years:
-            order.append((s, y))
-    for s, _ in order:
-        lbl = climate_label[s]
-        if lbl not in label_index:
-            label_index[lbl] = len(encodings[CLIMATE])
-            encodings[CLIMATE].append(lbl)
-    for s in range(n):
-        climate_codes[s] = label_index[climate_label[s]]
-
-    columns = tuple(FEATURE_COLUMNS) + (TARGET_COLUMN,)
-    values = np.empty((n * n_years, len(columns)))
-    row_keys = []
-    noise = gt.noise_std * rng.standard_normal((n, n_years))
-
-    iri_panel = np.empty((n, n_years))
-    flood_panel = np.zeros((n, n_years))
-    for s in range(n):
-        r = section_route[s]
-        fy = flood_year_of_route.get(r)
-        if flooded[s] and fy is not None:
-            flood_panel[s, years.index(fy)] = 1.0
-    iri_panel[:, 0] = iri
-    feature_order = list(FEATURE_COLUMNS)
-    for t in range(n_years - 1):
-        X_t = np.column_stack(
-            [
-                static["TX_CONDITION_SCORE"],
-                static["TX_DISTRESS_SCORE"],
-                iri_panel[:, t],
-                static["TX_TRUCK_AADT_PCT"],
-                static["TX_CURRENT_18KIP_MEAS"],
-                static["TX_PVMNT_TYPE_DTL_RD_LIFE_CODE"],
-                climate_codes,
-                static["TX_RURAL_URBAN_CODE"],
-                flood_panel[:, t],
-            ]
-        )
-        iri_panel[:, t + 1] = iri_panel[:, t] + gt.step_matrix(X_t, feature_order) + noise[:, t]
-
-    for i, (s, y) in enumerate(order):
-        t = years.index(y)
-        row_keys.append((route_names[section_route[s]], section_ids[s], y))
-        values[i] = [
-            static["TX_CONDITION_SCORE"][s],
-            static["TX_DISTRESS_SCORE"][s],
-            iri_panel[s, t],
-            static["TX_TRUCK_AADT_PCT"][s],
-            static["TX_CURRENT_18KIP_MEAS"][s],
-            static["TX_PVMNT_TYPE_DTL_RD_LIFE_CODE"][s],
-            climate_codes[s],
-            static["TX_RURAL_URBAN_CODE"][s],
-            flood_panel[s, t],
-            iri_panel[s, t + 1] if t + 1 < n_years else math.nan,
-        ]
-
-    table = DataTable(columns, values, encodings, tuple(row_keys))
+    row_keys = tuple(
+        (route_names[r], section_ids[s], y) for s, r in enumerate(section_route.tolist()) for y in years
+    )
+    table = DataTable(columns, panel.reshape(-1, len(columns)), encodings, row_keys)
     return table, events, gt
 
 
-def _format_cell(v: float) -> str:
-    if math.isnan(v):
-        return ""
-    return repr(float(v))  # shortest round-trip decimal
-
-
 def records_csv_text(table: DataTable) -> str:
-    """Render a table in the records-CSV format the loader reads back losslessly."""
+    """Render a table in the records-CSV format the loader reads back losslessly.
+
+    Numbers are written as their shortest round-trip decimal, encoded
+    columns as their labels, and NaN as an empty cell.
+    """
+    columns = list(zip(*table.row_keys))
+    for name, values in zip(table.column_names, table.values.T.tolist()):
+        labels = table.encodings.get(name)
+        columns.append(
+            ["" if math.isnan(v) else repr(v) if labels is None else labels[int(v)] for v in values]
+        )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(KEY_COLUMNS) + list(table.column_names))
-    for i, (route, section, year) in enumerate(table.row_keys):
-        cells = [route, section, str(year)]
-        for j, name in enumerate(table.column_names):
-            v = table.values[i, j]
-            if name in table.encodings and not math.isnan(v):
-                cells.append(table.encodings[name][int(v)])
-            else:
-                cells.append(_format_cell(v))
-        writer.writerow(cells)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from floodpave import cli, shapley, synth
+from floodpave import cli, lime, shapley, synth
 from floodpave.cli import (
     EXIT_EMPTY,
     EXIT_FAILURE,
@@ -71,6 +71,14 @@ def set_cell(records, column, value, complete=True):
     open(records, "w").write("\n".join(lines) + "\n")
 
 
+def drop_column(records, column):
+    """Rewrite the records CSV without `column`."""
+    lines = open(records).read().splitlines()
+    drop = lines[0].split(",").index(column)
+    rewritten = [",".join(v for i, v in enumerate(line.split(",")) if i != drop) for line in lines]
+    open(records, "w").write("\n".join(rewritten) + "\n")
+
+
 def hash_tree(directory):
     out = {}
     for name in sorted(os.listdir(directory)):
@@ -97,6 +105,39 @@ class TestSynthGen:
         err = capsys.readouterr().err
         assert "cannot be reached" in err and "drift 2.0 over 2010-2060" in err
         assert not (tmp_path / "o" / "records.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section, offending",
+        [
+            ({"n_section": 60}, "n_section"),
+            ({"seed": 3}, "seed"),
+            ({"n_sections": "many"}, "synth.n_sections must be an integer"),
+            ({"ground_truth": {"noise_sd": 1.0}}, "noise_sd"),
+            ({"ground_truth": {"drift": "fast"}}, "synth.ground_truth.drift must be a number"),
+            ({"ground_truth": 5}, "'synth.ground_truth' must be a JSON object"),
+            ({"ground_truth": {"weights": {"TX_TRUCK": 0.1}}}, "unknown feature(s) ['TX_TRUCK']"),
+            ({"ground_truth": {"interactions": [["Flood", 2.0]]}}, "(feature_i, feature_j, coefficient)"),
+            ({"ground_truth": {"interactions": 3}}, "synth.ground_truth:"),
+        ],
+    )
+    def test_config_typo_is_schema_error(self, tmp_path, capsys, section, offending):
+        cfg = write_config(tmp_path, out_dir=str(tmp_path / "o"), synth=section)
+        assert main(["--config", cfg, "synth-gen"]) == EXIT_SCHEMA
+        assert offending in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integer_floats_are_coerced(self, tmp_path):
+        runs = {}
+        for name, truth in (("int", {"drift": 2, "flood_bump": 4}), ("float", {"drift": 2.0, "flood_bump": 4.0})):
+            cfg = write_config(
+                tmp_path, name=f"{name}.json", out_dir=str(tmp_path / name),
+                synth={"n_sections": 20.0, "flood_fraction": 0, "ground_truth": truth},
+            )
+            assert main(["--config", cfg, "--quiet", "synth-gen"]) == EXIT_OK
+            runs[name] = hash_tree(tmp_path / name)
+        assert runs["int"] == runs["float"]
+        truth = (tmp_path / "int" / "ground_truth.json").read_text()
+        assert '"drift": 2.0' in truth and '"noise_std": 2.0' in truth
 
 
 class TestDescribe:
@@ -344,12 +385,7 @@ class TestTrain:
 
     def test_missing_target_column_is_schema_error(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=20)
-        lines = open(records).read().splitlines()
-        header = lines[0].split(",")
-        drop = header.index("NEXT_YEAR_IRI")
-        rewritten = [",".join(v for i, v in enumerate(line.split(",")) if i != drop)
-                     for line in lines]
-        open(records, "w").write("\n".join(rewritten) + "\n")
+        drop_column(records, "NEXT_YEAR_IRI")
         cfg = write_config(tmp_path, records_csv=records, out_dir=str(tmp_path / "o"))
         assert main(["--config", cfg, "--quiet", "train"]) == EXIT_SCHEMA
 
@@ -379,6 +415,33 @@ class TestTrain:
         assert "TX_RURAL_URBAN_CODE" not in header
         assert "Flood" in header
 
+    @pytest.mark.parametrize(
+        "config, flags, offending",
+        [
+            ({"model_kinds": ["linaer"]}, [], "['linaer']"),
+            ({}, ["--kinds", "linear,ridg"], "['ridg']"),
+            ({}, ["--kinds", ","], "non-empty list"),
+            ({"model_kinds": "linear"}, [], "non-empty list"),
+            ({"grids": {"ridg": {"alpha": [1.0]}}}, [], "'ridg' in grids"),
+            ({"grids": {"ridge": {"alpah": [1.0]}}}, [], "grids.ridge: ridge: unknown hyperparameter(s) ['alpah']"),
+            ({"grids": {"decision_tree": {"max_depth": [0]}}}, [], "max_depth must be >= 1"),
+            ({"grids": {"ridge": {"alpha": 0.1}}}, [], "grids.ridge:"),
+            ({"grids": {"random_forest": {}}, "model_kinds": ["linear", "random_forest"]}, [], None),
+        ],
+    )
+    def test_config_typo_is_refused_before_reading(self, tmp_path, capsys, config, flags, offending):
+        # The records file does not exist, so reading it would exit 4.
+        cfg = write_config(
+            tmp_path, records_csv=str(tmp_path / "absent.csv"), out_dir=str(tmp_path / "o"), **config
+        )
+        code = main(["--config", cfg, "train"] + flags)
+        err = capsys.readouterr().err
+        if offending is None:  # an empty grid is valid: fit with default hyperparameters
+            assert code == EXIT_IO and "absent.csv" in err
+        else:
+            assert code == EXIT_SCHEMA and offending in err
+        assert not (tmp_path / "o").exists()
+
     def test_infinite_feature_cell_is_refused(self, tmp_path, capsys):
         records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
         set_cell(records, "TX_TRUCK_AADT_PCT", "inf")
@@ -403,6 +466,51 @@ def trained(tmp_path_factory):
 
 
 class TestExplain:
+    def test_draws_on_the_training_split_of_train(self, tmp_path, monkeypatch):
+        records, _ = make_dataset(tmp_path, n_sections=60, noise_std=1.0, seed=5)
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path, records_csv=records, out_dir=str(out), seed=5, grids=SMALL_GRIDS,
+            shap={"background_size": 20}, lime={"n_samples": 300},
+            explain={"model_path": str(out / "model_linear.json"), "instances": "sample:2"},
+        )
+        splits = []
+        split = cli.train_test_split
+
+        def spy_split(table, *args):
+            train, test = split(table, *args)
+            splits.append(train.row_keys)
+            return train, test
+
+        monkeypatch.setattr(cli, "train_test_split", spy_split)
+        assert main(["--config", cfg, "--quiet", "train", "--kinds", "linear"]) == EXIT_OK
+        [trained_on] = splits
+
+        drawn_from = {}
+        draw_background, training_stats = shapley.draw_background, lime.training_stats
+
+        def spy_background(table, *args):
+            drawn_from["shap"] = table.row_keys
+            return draw_background(table, *args)
+
+        def spy_stats(table, *args):
+            drawn_from["lime"] = table.row_keys
+            return training_stats(table, *args)
+
+        monkeypatch.setattr(shapley, "draw_background", spy_background)
+        monkeypatch.setattr(lime, "training_stats", spy_stats)
+        assert main(["--config", cfg, "--quiet", "explain"]) == EXIT_OK
+        # The last panel year has no target: a split of the rows complete in
+        # the features alone would permute other rows.
+        assert drawn_from == {"shap": trained_on, "lime": trained_on}
+
+        # Without a target column, explain splits the rows complete in the features.
+        drop_column(records, "NEXT_YEAR_IRI")
+        assert main(["--config", cfg, "--quiet", "explain"]) == EXIT_OK
+        features_only = splits[-1]
+        assert len(features_only) > len(trained_on)
+        assert drawn_from == {"shap": features_only, "lime": features_only}
+
     def test_three_output_kinds_for_one_instance(self, trained):
         tmp_path, records, out = trained
         table_keys = None

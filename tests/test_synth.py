@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -134,6 +135,28 @@ class TestGenerate:
         with pytest.raises(ValueError, match="did not converge in 50 Newton steps"):
             synth._initial_iri_params(26.001, 0.001 / (1 + 1e-9))
 
+    def test_floor_too_far_out_is_refused(self):
+        # a = 44.6: Phi(-a) underflows to 0, so there is no tail left to invert.
+        with pytest.raises(ValueError, match=r"mean 36.005 and SD 10 put the floor 44.6\d SDs above"):
+            synth._initial_iri_params(36.005, 10.0)
+
+    def test_every_accepted_floor_draws_at_both_uniform_extremes(self):
+        class ExtremeUniforms:
+            def uniform(self, size):
+                return np.array([0.0, 1.0 - 2.0**-53])
+
+        refused = 0
+        for mean in np.linspace(36.0065, 36.0075, 41).tolist():  # floors 36-40 SDs out
+            try:
+                loc, scale = synth._initial_iri_params(mean, 10.0)
+            except ValueError:
+                refused += 1
+                continue
+            lowest, highest = synth._truncated_normal_draws(ExtremeUniforms(), loc, scale, 2)
+            assert lowest == pytest.approx(synth._IRI_FLOOR, abs=1e-6)
+            assert synth._IRI_FLOOR < highest < np.inf
+        assert 0 < refused < 41
+
     def test_initial_params_hit_the_target_moments(self):
         for target_mean, target_std in [(92.61, 53.92), (84.61, 53.18), (35.0, 8.0), (26.5, 0.45)]:
             loc, scale = synth._initial_iri_params(target_mean, target_std)
@@ -147,3 +170,65 @@ class TestGenerate:
         assert coefs[FEATS.index("TX_IRI_AVERAGE_SCORE")] == 1.0
         assert coefs[FEATS.index("Flood")] == 3.0
         assert coefs[FEATS.index("TX_TRUCK_AADT_PCT")] == pytest.approx(0.2)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+PINNED_SPECS = {
+    # The benchmark's set-up: synth-gen at paper scale on data seed 103.
+    "paper_scale": synth.SynthSpec(n_sections=1114, ground_truth=synth.GroundTruth(noise_std=2.0), seed=103),
+    # A partial last route (87 = 8 x 10 + 7), weights, an interaction, many floods, no noise.
+    "partial_route": synth.SynthSpec(
+        n_sections=87,
+        flood_fraction=0.3,
+        seed=7,
+        ground_truth=synth.GroundTruth(
+            weights={"TX_TRUCK_AADT_PCT": 0.3, "TX_CONDITION_SCORE": -0.1},
+            flood_bump=4.0,
+            drift=1.5,
+            interactions=(("TX_IRI_AVERAGE_SCORE", "Flood", 1.25),),
+        ),
+    ),
+    # Two panel years and no floods.
+    "two_years": synth.SynthSpec(
+        n_sections=40, year_start=2017, year_end=2018, flood_fraction=0.0, seed=42,
+        ground_truth=synth.GroundTruth(noise_std=1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, records, events, truth",
+    [
+        (
+            "paper_scale",
+            "6585f878c64419d47160b2b14b3d2f1ef310440ea51ec5d6934d365dc76d0947",
+            "e445daabc5d0642b601178b18cde0884d1fa5bef0dd473be129c10aed1596bdc",
+            "5ae850997745a777b3e1c74f54ec78b2035df5fa01e41d4c1b8f864b79d38aff",
+        ),
+        (
+            "partial_route",
+            "55499550de4de278072a6c78b9c001d91a69d7c77b1f91d2ed596116f133cc29",
+            "d55723f057f832bbbb8432de0bd08641c2cd7f35a7a84fb70a7d08b1bfddc7a0",
+            "414ae2b50bb8911df28826ed4a65df64b8779a8970fe23b2a1555866af475d8b",
+        ),
+        (
+            "two_years",
+            "9a867cffa2e564e9c70e6bc4e60e6c22049fe4ee0273deb52c1ce9a529db1733",
+            "c861241cb7ac0443e8b00a7f7fb14eec870f5c479f9a5bdfb710e22d1a50938f",
+            "cca95282049687e4284b345d19cd0fab428f97119875bceda00351861548625d",
+        ),
+    ],
+)
+def test_output_bytes_are_pinned(name, records, events, truth):
+    """sha256 of the three synth-gen files: any change to a draw or a cell's text moves them.
+
+    Recorded with numpy 2.4 on x86-64 Linux; a numpy whose generator, or
+    a libm whose erfc, rounds differently may move the last digits.
+    """
+    table, flood_events, gt = synth.generate(PINNED_SPECS[name])
+    assert _sha256(synth.records_csv_text(table)) == records
+    assert _sha256(synth.events_csv_text(flood_events)) == events
+    assert _sha256(json.dumps(gt.to_dict(), indent=2, sort_keys=True) + "\n") == truth
