@@ -11,11 +11,13 @@ Exit codes:
     FLOOD_YEAR cell that is not a finite number, a records, events or
     config file that is not UTF-8 text, a records or events file the csv
     module cannot parse, a config file that is not a JSON object, an
-    unknown config key, model kind or explainer name, a config value of
-    the wrong type, a grid that does not expand to valid model specs, a
-    malformed `--instances` selector). A command refuses its config
-    errors before it reads any input file. A UTF-8 byte-order mark at the
-    start of a records, events or config file is ignored.
+    unknown config key, model kind or explainer name, a config value or
+    flag of the wrong type, out of its range or a non-finite number, a
+    grid that does not expand to valid model specs, a malformed
+    `--instances` selector). Every command checks the whole config, each
+    section included, and refuses its errors before it reads any input
+    file. A UTF-8 byte-order mark at the start of a records, events or
+    config file is ignored.
   4 I/O error
   5 empty result or insufficient data (including `explain` on a model with
     no features, refused before any file is written)
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import deterioration, lime, models, shapley, synth
-from ._util import stage_rng, stage_seed, write_text_atomic
+from ._util import _typed, stage_rng, stage_seed, write_text_atomic
 from .dataset import (
     DataTable,
     FEATURE_COLUMNS,
@@ -88,9 +90,74 @@ MODEL_DISPLAY_NAMES = {
 }
 
 
-@dataclass
+EXPLAINERS = ("shap", "lime")
+INSTANCE_FORMS = "all | sample:N | key:ROUTE,SECTION,YEAR"
+
+
+def _parse_instances(selector: str):
+    """("all", None), ("sample", N) or ("key", (ROUTE, SECTION, YEAR)); ValueError if malformed."""
+
+    def malformed(why: str) -> ValueError:
+        return ValueError(f"bad instance selector {selector!r}: {why}; expected {INSTANCE_FORMS}")
+
+    if selector == "all":
+        return "all", None
+    form, colon, arg = selector.partition(":")
+    if colon and form == "sample":
+        try:
+            n = int(arg)
+        except ValueError:
+            raise malformed("N is not an integer") from None
+        if n < 1:
+            raise malformed("N must be >= 1")
+        return form, n
+    if colon and form == "key":
+        parts = arg.split(",")
+        if len(parts) != 3:
+            raise malformed(f"a key has 3 comma-separated parts, got {len(parts)}")
+        route, section, year = parts
+        try:
+            return form, (route, section, int(year))
+        except ValueError:
+            raise malformed("YEAR is not an integer") from None
+    raise malformed("unknown form")
+
+
+@dataclass(frozen=True)
+class ExplainConfig:
+    """Config section `explain`; the `explain` flags of the same names override it.
+
+    Keys: model_path (the saved model; `explain` requires it), instances
+    (a selector, INSTANCE_FORMS), explainers (a non-empty list drawn from
+    EXPLAINERS).
+    """
+
+    model_path: str | None = None
+    instances: str = "sample:5"
+    explainers: list[str] = field(default_factory=lambda: list(EXPLAINERS))
+
+    def __post_init__(self):
+        _parse_instances(self.instances)
+        unknown = [e for e in self.explainers if e not in EXPLAINERS]
+        if unknown:
+            raise ValueError(f"unknown explainer(s) {unknown}; choose from {list(EXPLAINERS)}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Defaults for a full run; every field is overridable via JSON config or flags."""
+    """A run's whole config: the JSON config file with the flags merged over it.
+
+    Root keys: records_csv, events_csv, out_dir, seed (>= 0; the root of
+    every stage's seed), workers (>= 1), quiet, test_fraction (in (0, 1)),
+    cv_folds (>= 2), model_kinds (a non-empty list of MODEL_KINDS), grids
+    (kind -> {hyperparameter: [values]}, replacing that kind's default
+    grid). Sections: synth (`synth.SynthSpec`, its ground_truth a
+    `synth.GroundTruth`), lime (`lime.LimeConfig`), shap
+    (`shapley.ShapConfig`) and explain (`ExplainConfig`); a section has
+    no `seed`, which comes from the root. `from_sources` parses it all
+    with `_typed`, so every command refuses any bad value before it reads
+    a file.
+    """
 
     records_csv: str = "records.csv"
     events_csv: str = "events.csv"
@@ -100,16 +167,38 @@ class RunConfig:
     quiet: bool = False
     test_fraction: float = 0.2
     cv_folds: int = 5
-    model_kinds: list = field(default_factory=lambda: list(models.MODEL_KINDS))
-    grids: dict = field(default_factory=dict)  # kind -> grid override
-    synth: dict = field(default_factory=dict)
-    lime: dict = field(default_factory=dict)
-    shap: dict = field(default_factory=dict)
-    explain: dict = field(default_factory=dict)
+    model_kinds: list[str] = field(default_factory=lambda: list(models.MODEL_KINDS))
+    grids: dict[str, dict] = field(default_factory=dict)
+    synth: synth.SynthSpec = field(default_factory=synth.SynthSpec)
+    lime: lime.LimeConfig = field(default_factory=lime.LimeConfig)
+    shap: shapley.ShapConfig = field(default_factory=shapley.ShapConfig)
+    explain: ExplainConfig = field(default_factory=ExplainConfig)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        unknown = [k for k in self.model_kinds if k not in models.MODEL_KINDS]
+        if unknown:
+            raise ValueError(f"unknown model kind(s) {unknown}; choose from {list(models.MODEL_KINDS)}")
+        for kind, grid in self.grids.items():
+            if kind not in models.MODEL_KINDS:
+                raise ValueError(f"unknown model kind {kind!r} in grids; choose from {list(models.MODEL_KINDS)}")
+            try:
+                if grid:
+                    models.expand_grid(kind, grid, self.seed)
+            except (TypeError, ValueError, SchemaError) as exc:
+                raise ValueError(f"grids.{kind}: {exc}") from None
 
     @classmethod
     def from_sources(cls, config_path: str | None, overrides: dict) -> "RunConfig":
-        cfg = cls()
+        """Parse the config file with `overrides` (the flags given) merged over it."""
+        doc = {}
         if config_path:
             try:
                 with open(config_path, "r", encoding="utf-8-sig") as fh:
@@ -120,16 +209,22 @@ class RunConfig:
                 raise SchemaError(f"{config_path}: not valid JSON ({exc})") from None
             if not isinstance(doc, dict):
                 raise SchemaError(f"{config_path}: the config must be a JSON object")
-            for key, value in doc.items():
-                if not hasattr(cfg, key):
-                    raise SchemaError(f"unknown config key {key!r}")
-                if isinstance(getattr(cfg, key), dict) and not isinstance(value, dict):
-                    raise SchemaError(f"config key {key!r} must be a JSON object")
-                setattr(cfg, key, value)
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
-        return cfg
+        # The command's one default that differs from GroundTruth's: noisy data.
+        doc = _merged(_merged({"synth": {"ground_truth": {"noise_std": 2.0}}}, doc), overrides)
+        return _typed(cls, "", doc)
+
+
+def _merged(base, extra: dict):
+    """`base` with the keys of `extra` set, merged into where both hold JSON objects.
+
+    A `base` that is not an object is kept as it is, for `_typed` to refuse.
+    """
+    if not isinstance(base, dict):
+        return base
+    out = dict(base)
+    for key, value in extra.items():
+        out[key] = _merged(out.get(key, {}), value) if isinstance(value, dict) else value
+    return out
 
 
 def _say(config: RunConfig, message: str) -> None:
@@ -200,17 +295,7 @@ def _varying_columns(table: DataTable, columns: list[str]) -> list[str]:
 
 
 def cmd_synth_gen(config: RunConfig) -> int:
-    params = dict(config.synth)
-    truth = params.pop("ground_truth", {})
-    if not isinstance(truth, dict):
-        raise SchemaError("config key 'synth.ground_truth' must be a JSON object")
-    # The command's one default that differs from GroundTruth's: noisy data.
-    try:
-        gt = _section_config(synth.GroundTruth, "synth.ground_truth", {"noise_std": 2.0, **truth})
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"synth.ground_truth: {exc}") from None
-    spec = _section_config(synth.SynthSpec, "synth", params, ground_truth=gt, seed=config.seed)
-    table, events, gt = synth.generate(spec)
+    table, events, gt = synth.generate(replace(config.synth, seed=config.seed))
     records = _out_path(config, "records.csv")
     events_path = _out_path(config, "events.csv")
     truth = _out_path(config, "ground_truth.json")
@@ -377,26 +462,7 @@ def _training_frame(table: DataTable):
     return complete, features
 
 
-def _check_train_config(config: RunConfig) -> None:
-    """Refuse unknown model kinds and malformed grids; a SchemaError names the culprit."""
-    kinds = config.model_kinds
-    if not isinstance(kinds, list) or not kinds:
-        raise SchemaError(f"model_kinds must be a non-empty list drawn from {list(models.MODEL_KINDS)}")
-    unknown = [k for k in kinds if k not in models.MODEL_KINDS]
-    if unknown:
-        raise SchemaError(f"unknown model kind(s) {unknown}; choose from {list(models.MODEL_KINDS)}")
-    for kind, grid in config.grids.items():
-        if kind not in models.MODEL_KINDS:
-            raise SchemaError(f"unknown model kind {kind!r} in grids; choose from {list(models.MODEL_KINDS)}")
-        try:
-            if grid:
-                models.expand_grid(kind, grid, config.seed)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"grids.{kind}: {exc}") from None
-
-
 def cmd_train(config: RunConfig) -> int:
-    _check_train_config(config)
     complete, features = _training_frame(_load_records(config))
     if TARGET_COLUMN not in complete.column_names:
         raise SchemaError(f"training requires a {TARGET_COLUMN} column")
@@ -480,95 +546,27 @@ def cmd_train(config: RunConfig) -> int:
 # ------------------------------------------------------------------ explain
 
 
-INSTANCE_FORMS = "all | sample:N | key:ROUTE,SECTION,YEAR"
-
-
-def _select_instances(table: DataTable, selector, seed: int) -> np.ndarray:
-    """Row indices named by an ``--instances`` selector; a malformed one is a SchemaError."""
-
-    def malformed(why: str) -> SchemaError:
-        return SchemaError(f"bad instance selector {selector!r}: {why}; expected {INSTANCE_FORMS}")
-
-    if selector == "all":
+def _select_instances(table: DataTable, selector: str, seed: int) -> np.ndarray:
+    """Row indices named by an ``--instances`` selector; a key naming no row is exit 5."""
+    form, arg = _parse_instances(selector)
+    if form == "all":
         return np.arange(table.n_rows)
-    if not isinstance(selector, str):
-        raise malformed("not a string")
-    form, colon, arg = selector.partition(":")
-    if colon and form == "sample":
-        try:
-            n = int(arg)
-        except ValueError:
-            raise malformed("N is not an integer") from None
-        if n < 1:
-            raise malformed("N must be >= 1")
+    if form == "sample":
         rng = stage_rng(seed, "explain-sample")
-        n = min(n, table.n_rows)
-        return np.sort(rng.choice(table.n_rows, size=n, replace=False))
-    if colon and form == "key":
-        parts = arg.split(",")
-        if len(parts) != 3:
-            raise malformed(f"a key has 3 comma-separated parts, got {len(parts)}")
-        route, section, year = parts
-        try:
-            key = (route, section, int(year))
-        except ValueError:
-            raise malformed("YEAR is not an integer") from None
-        idx = [i for i, k in enumerate(table.row_keys) if k == key]
-        if not idx:
-            raise InsufficientDataError(f"no row with key {key}")
-        return np.array(idx)
-    raise malformed("unknown form")
+        return np.sort(rng.choice(table.n_rows, size=min(arg, table.n_rows), replace=False))
+    idx = [i for i, k in enumerate(table.row_keys) if k == arg]
+    if not idx:
+        raise InsufficientDataError(f"no row with key {arg}")
+    return np.array(idx)
 
 
 def _safe_name(key) -> str:
     return "_".join(str(part).replace("/", "-").replace(" ", "-") for part in key)
 
 
-EXPLAIN_KEYS = ("model_path", "instances", "explainers")
-EXPLAINERS = ("shap", "lime")
-
-
-def _section_config(cls, name: str, section: dict, **extra):
-    """Build config dataclass `cls` from config section `name`, refusing unknown keys.
-
-    `seed` comes from the root config. Integer, float and boolean fields
-    are coerced, so 100.0 is a valid background_size and a drift of 2 is
-    the float 2.0.
-    """
-    defaults = {f.name: f.default for f in fields(cls) if f.name != "seed"}
-    unknown = sorted(set(section) - set(defaults))
-    if unknown:
-        raise SchemaError(f"unknown {name} config key(s) {unknown}; allowed: {sorted(defaults)}")
-    kwargs = {}
-    for key, value in section.items():
-        kind = type(defaults[key])
-        try:
-            kwargs[key] = kind(value) if kind in (int, float, bool) else value
-        except (TypeError, ValueError):
-            expected = "a number" if kind is float else "an integer"
-            raise SchemaError(f"{name}.{key} must be {expected}, got {value!r}") from None
-    return cls(**kwargs, **extra)
-
-
-def _check_explain_section(section: dict) -> list[str]:
-    """The explainers that config section `explain` asks for; refuses unknown keys and names."""
-    unknown = sorted(set(section) - set(EXPLAIN_KEYS))
-    if unknown:
-        raise SchemaError(f"unknown explain config key(s) {unknown}; allowed: {sorted(EXPLAIN_KEYS)}")
-    explainers = section.get("explainers", list(EXPLAINERS))
-    if not isinstance(explainers, list) or not explainers:
-        raise SchemaError(f"explain.explainers must be a non-empty list drawn from {list(EXPLAINERS)}")
-    unknown = [e for e in explainers if e not in EXPLAINERS]
-    if unknown:
-        raise SchemaError(f"unknown explainer(s) {unknown}; choose from {list(EXPLAINERS)}")
-    return explainers
-
-
 def cmd_explain(config: RunConfig) -> int:
-    explainers = _check_explain_section(config.explain)
-    shap_cfg = _section_config(shapley.ShapConfig, "shap", config.shap, seed=config.seed)
-    lime_base = _section_config(lime.LimeConfig, "lime", config.lime)
-    model_path = config.explain.get("model_path")
+    shap_cfg = replace(config.shap, seed=config.seed)
+    model_path = config.explain.model_path
     if not model_path:
         raise SchemaError("explain requires explain.model_path (or --model-path)")
     predictor = models.load_model(model_path)
@@ -588,12 +586,11 @@ def cmd_explain(config: RunConfig) -> int:
     # Background and LIME statistics come from the training split `train` used.
     train, _ = train_test_split(_training_frame(table)[0], config.test_fraction, config.seed)
 
-    selector = config.explain.get("instances", "sample:5")
-    idx = _select_instances(complete, selector, config.seed)
+    idx = _select_instances(complete, config.explain.instances, config.seed)
     X = complete.matrix(features)[idx]
     keys = [complete.row_keys[i] for i in idx]
 
-    if "shap" in explainers:
+    if "shap" in config.explain.explainers:
         background = shapley.draw_background(
             train, features, shap_cfg.background_size, config.seed
         )
@@ -640,12 +637,12 @@ def cmd_explain(config: RunConfig) -> int:
         _dump_csv(rows, _out_path(config, "shap_beeswarm.csv"))
         _say(config, f"[explain] SHAP ({shap_cfg.mode}) over {len(keys)} instance(s)")
 
-    if "lime" in explainers:
-        stats = lime.training_stats(train, features, lime_base.n_bins)
+    if "lime" in config.explain.explainers:
+        stats = lime.training_stats(train, features, config.lime.n_bins)
 
         def explain_one(i: int):
             seed = int(stage_seed(config.seed, "lime", int(idx[i])).generate_state(1)[0])
-            cfg = replace(lime_base, seed=seed)
+            cfg = replace(config.lime, seed=seed)
             return lime.fit_local_surrogate(
                 predictor, X[i], train, cfg, instance_key=keys[i], stats=stats
             )
@@ -674,6 +671,10 @@ def cmd_explain(config: RunConfig) -> int:
 # --------------------------------------------------------------------- main
 
 
+def _names(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="floodpave",
@@ -694,11 +695,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("describe", help="descriptive statistics and correlation matrix")
     sub.add_parser("flood-analysis", help="pre/post flood deterioration statistics")
     train = sub.add_parser("train", help="grid-search CV, train, and evaluate the six models")
-    train.add_argument("--kinds", help="comma-separated subset of model kinds")
+    train.add_argument(
+        "--kinds", dest="model_kinds", metavar="KINDS", type=_names, help="comma-separated subset of model kinds"
+    )
     explain = sub.add_parser("explain", help="SHAP and LIME attributions for a saved model")
     explain.add_argument("--model-path", help="persisted model JSON")
     explain.add_argument("--instances", help=INSTANCE_FORMS)
-    explain.add_argument("--explainers", help="comma-separated subset of {shap,lime}")
+    explain.add_argument("--explainers", type=_names, help="comma-separated subset of {shap,lime}")
     return parser
 
 
@@ -712,26 +715,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("records_csv", "events_csv", "out_dir", "seed", "workers", "quiet")
-    }
+    args = build_parser().parse_args(argv)
+    flags = {k: v for k, v in vars(args).items() if v is not None and k not in ("config", "command")}
+    flags["explain"] = {f.name: flags.pop(f.name) for f in fields(ExplainConfig) if f.name in flags}
     try:
-        config = RunConfig.from_sources(args.config, overrides)
-        if args.command == "train" and getattr(args, "kinds", None):
-            config.model_kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-        if args.command == "explain":
-            if getattr(args, "model_path", None):
-                config.explain["model_path"] = args.model_path
-            if getattr(args, "instances", None):
-                config.explain["instances"] = args.instances
-            if getattr(args, "explainers", None) is not None:
-                config.explain["explainers"] = [
-                    e.strip() for e in args.explainers.split(",") if e.strip()
-                ]
-        return _HANDLERS[args.command](config)
+        return _HANDLERS[args.command](RunConfig.from_sources(args.config, flags))
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import _typed
+
 MODEL_KINDS = (
     "linear",
     "ridge",
@@ -69,7 +71,9 @@ class ModelSpec:
     """A model kind plus the hyperparameters that kind accepts.
 
     Unknown hyperparameter keys are rejected; omitted ones take the
-    kind's defaults. The seed drives any randomized fitting step
+    kind's defaults. Each given value is parsed as the type of its default
+    (so `max_depth` 2.5 or `bootstrap` "false" is a SchemaError, and
+    `max_depth` 3.0 is 3). The seed drives any randomized fitting step
     (bootstrap resampling, per-split feature subsampling, stage
     subsampling) so fits are reproducible.
     """
@@ -86,7 +90,8 @@ class ModelSpec:
         if unknown:
             raise ValueError(f"{self.kind}: unknown hyperparameter(s) {sorted(unknown)}")
         merged = dict(allowed)
-        merged.update(self.hyperparameters)
+        for key, value in self.hyperparameters.items():
+            merged[key] = _typed(type(allowed[key]), f"{self.kind}.{key}", value)
         _check_range(self.kind, merged)
         object.__setattr__(self, "hyperparameters", merged)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import stage_rng, write_text_atomic
+from ._util import _typed, stage_rng, write_text_atomic
 from .dataset import (
     DataTable,
     FEATURE_COLUMNS,
@@ -77,7 +77,7 @@ class GroundTruth:
                + flood_bump * flood + noise,  z = nominally standardized.
     """
 
-    weights: dict = field(default_factory=dict)
+    weights: dict[str, float] = field(default_factory=dict)
     flood_bump: float = 5.0
     drift: float = 2.0
     noise_std: float = 0.0
@@ -85,9 +85,12 @@ class GroundTruth:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", dict(self.weights))
-        object.__setattr__(self, "interactions", tuple(tuple(t) for t in self.interactions))
-        if any(len(t) != 3 for t in self.interactions):
+        triples = [tuple(t) for t in self.interactions]
+        if any(len(t) != 3 for t in triples):
             raise ValueError("each interaction is (feature_i, feature_j, coefficient)")
+        object.__setattr__(self, "interactions", tuple(
+            (fi, fj, _typed(float, f"interactions[{i}][2]", c)) for i, (fi, fj, c) in enumerate(triples)
+        ))
         named = list(self.weights) + [name for t in self.interactions for name in t[:2]]
         unknown = sorted(set(named) - set(FEATURE_COLUMNS))
         if unknown:
@@ -152,6 +155,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_sections < 1:
             raise ValueError("n_sections must be >= 1")
+        if self.sections_per_route < 1:
+            raise ValueError("sections_per_route must be >= 1")
         if self.year_end <= self.year_start:
             raise ValueError("need at least two panel years")
         if not (0.0 <= self.flood_fraction <= 1.0):

@@ -118,6 +118,15 @@ class TestSynthGen:
             ({"ground_truth": {"weights": {"TX_TRUCK": 0.1}}}, "unknown feature(s) ['TX_TRUCK']"),
             ({"ground_truth": {"interactions": [["Flood", 2.0]]}}, "(feature_i, feature_j, coefficient)"),
             ({"ground_truth": {"interactions": 3}}, "synth.ground_truth:"),
+            ({"n_sections": 60.7}, "synth.n_sections must be an integer, got 60.7"),
+            ({"year_start": "2010"}, "synth.year_start must be an integer, got '2010'"),
+            ({"sections_per_route": 0}, "synth: sections_per_route must be >= 1"),
+            ({"ground_truth": {"flood_bump": float("nan")}}, "synth.ground_truth.flood_bump must be a finite number"),
+            ({"ground_truth": {"weights": {"Flood": "x"}}}, "synth.ground_truth.weights.Flood must be a number"),
+            (
+                {"ground_truth": {"interactions": [["Flood", "CLIMATE_ZONES", "x"]]}},
+                "synth.ground_truth: interactions[0][2] must be a number",
+            ),
         ],
     )
     def test_config_typo_is_schema_error(self, tmp_path, capsys, section, offending):
@@ -427,6 +436,20 @@ class TestTrain:
             ({"grids": {"decision_tree": {"max_depth": [0]}}}, [], "max_depth must be >= 1"),
             ({"grids": {"ridge": {"alpha": 0.1}}}, [], "grids.ridge:"),
             ({"grids": {"random_forest": {}}, "model_kinds": ["linear", "random_forest"]}, [], None),
+            ({}, ["--kinds", ""], "model_kinds must be a non-empty list"),
+            ({"seed": "7"}, [], "seed must be an integer, got '7'"),
+            ({"seed": 1.5}, [], "seed must be an integer, got 1.5"),
+            ({"seed": -1}, [], "seed must be >= 0"),
+            ({"test_fraction": "0.2"}, [], "test_fraction must be a number"),
+            ({"test_fraction": 1.5}, [], "test_fraction must be in (0, 1)"),
+            ({"cv_folds": 1}, [], "cv_folds must be >= 2"),
+            ({"grids": {"ridge": [1]}}, [], "'grids.ridge' must be a JSON object"),
+            ({"grids": {"decision_tree": {"max_depth": [2.5]}}}, [], "decision_tree.max_depth must be an integer"),
+            ({"grids": {"decision_tree": {"max_depth": ["3"]}}}, [], "decision_tree.max_depth must be an integer"),
+            (
+                {"grids": {"random_forest": {"bootstrap": ["false"]}}}, [],
+                "grids.random_forest: random_forest.bootstrap must be a boolean",
+            ),
         ],
     )
     def test_config_typo_is_refused_before_reading(self, tmp_path, capsys, config, flags, offending):
@@ -441,6 +464,16 @@ class TestTrain:
         else:
             assert code == EXIT_SCHEMA and offending in err
         assert not (tmp_path / "o").exists()
+
+    def test_integral_float_cv_folds_trains(self, tmp_path):
+        records, _ = make_dataset(tmp_path, n_sections=30, noise_std=1.0)
+        runs = {}
+        for name, folds in (("int", 2), ("float", 2.0)):
+            cfg = write_config(tmp_path, name=f"{name}.json", records_csv=records,
+                               out_dir=str(tmp_path / name), cv_folds=folds, grids=SMALL_GRIDS)
+            assert main(["--config", cfg, "--quiet", "train", "--kinds", "ridge"]) == EXIT_OK
+            runs[name] = hash_tree(tmp_path / name)
+        assert runs["int"] == runs["float"]
 
     def test_infinite_feature_cell_is_refused(self, tmp_path, capsys):
         records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
@@ -648,6 +681,15 @@ class TestExplain:
             ({"shap": 5}, "'shap' must be a JSON object"),
             ({"lime": {"n_samples": None}}, "lime.n_samples must be an integer"),
             ({"explain": {"explainers": [["shap"]]}}, "[['shap']]"),
+            ({"workers": 0}, "workers must be >= 1"),
+            ({"explain": {"model_path": 5}}, "explain.model_path must be a string, got 5"),
+            ({"lime": {"discretize": "false"}}, "lime.discretize must be a boolean"),
+            ({"lime": {"kernel_width_sigma": "1"}}, "lime.kernel_width_sigma must be a number"),
+            ({"lime": {"kernel_width_sigma": float("inf")}}, "lime.kernel_width_sigma must be a finite number"),
+            ({"shap": {"mode": 3}}, "shap.mode must be a string"),
+            ({"shap": {"background_size": True}}, "shap.background_size must be an integer, got True"),
+            # A JSON 1e400 parses to inf, as Infinity does.
+            ({"shap": {"background_size": float("inf")}}, "shap.background_size must be an integer, got inf"),
         ],
     )
     def test_config_typo_is_schema_error(self, trained, tmp_path, capsys, section, offending):
@@ -780,6 +822,29 @@ class TestConfigHandling:
         cfg.write_bytes(data)
         assert main(["--config", str(cfg), "--quiet", "describe"]) == EXIT_SCHEMA
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, argv, offending",
+        [
+            ({"seed": "7"}, ["describe"], "seed must be an integer, got '7'"),
+            ({}, ["--seed", "-1", "describe"], "seed must be >= 0, got -1"),
+            ({"quiet": "false"}, ["describe"], "quiet must be a boolean"),
+            ({}, ["--workers", "-3", "explain"], "workers must be >= 1, got -3"),
+            ({"records_csv": 0}, ["describe"], "records_csv must be a string, got 0"),
+            ({"records_csv": 5}, ["describe"], "records_csv must be a string, got 5"),
+            ({"lime": {"bogus": 1}}, ["describe"], "unknown lime config key(s) ['bogus']"),
+            ({}, ["explain", "--instances", "sample:x"], "bad instance selector 'sample:x'"),
+            ({}, ["explain", "--instances", "key:a,b,x"], "bad instance selector 'key:a,b,x'"),
+        ],
+    )
+    def test_bad_value_is_refused_before_reading(self, tmp_path, capsys, config, argv, offending):
+        # Neither the records file nor the model exists, so reading either would exit 4.
+        doc = {"records_csv": str(tmp_path / "absent.csv"), "out_dir": str(tmp_path / "o"),
+               "explain": {"model_path": str(tmp_path / "absent.json")}, **config}
+        cfg = write_config(tmp_path, **doc)
+        assert main(["--config", cfg] + argv) == EXIT_SCHEMA
+        assert offending in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_flag_overrides_config(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=25, noise_std=1.0)

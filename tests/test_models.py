@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from floodpave import models
-from floodpave.errors import InsufficientDataError, SingularDesignError, ZeroVarianceError
+from floodpave.errors import InsufficientDataError, SchemaError, SingularDesignError, ZeroVarianceError
 from floodpave.models import ModelSpec, linear
 
 from conftest import manual_linear
@@ -35,6 +36,19 @@ class TestModelSpec:
             ModelSpec("gradient_boosting", {"subsample": 0.0}, 0)
         with pytest.raises(ValueError):
             ModelSpec("random_forest", {"n_estimators": 0}, 0)
+
+    def test_hyperparameters_take_the_type_of_their_default(self):
+        s = ModelSpec("random_forest", {"max_depth": 3.0, "feature_subsample": 1, "bootstrap": False}, 0)
+        assert [type(s.hyperparameters[k]) for k in ("max_depth", "feature_subsample", "bootstrap")] == [int, float, bool]
+        for hp, message in [
+            ({"max_depth": 2.5}, "random_forest.max_depth must be an integer, got 2.5"),
+            ({"max_depth": "3"}, "random_forest.max_depth must be an integer, got '3'"),
+            ({"bootstrap": "false"}, "random_forest.bootstrap must be a boolean"),
+            ({"n_estimators": True}, "random_forest.n_estimators must be an integer"),
+            ({"feature_subsample": float("nan")}, "random_forest.feature_subsample must be a finite number"),
+        ]:
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                ModelSpec("random_forest", hp, 0)
 
 
 class TestLinearFamily:
