@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import tempfile
@@ -47,6 +48,12 @@ def stage_rng(root_seed: int, label: str, index: int | None = None) -> np.random
     return np.random.default_rng(stage_seed(root_seed, label, index))
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """``typing.get_type_hints`` of a dataclass, resolved once per class."""
+    return typing.get_type_hints(cls)
+
+
 def _typed(kind, name: str, value):
     """Parse JSON value `value` as type annotation `kind`; a SchemaError names key `name`.
 
@@ -69,7 +76,7 @@ def _typed(kind, name: str, value):
         if not isinstance(value, dict):
             raise SchemaError(f"config key {name!r} must be a JSON object")
     if dataclasses.is_dataclass(kind):
-        hints = typing.get_type_hints(kind)
+        hints = _type_hints(kind)
         allowed = [f.name for f in dataclasses.fields(kind) if not (name and f.name == "seed")]
         unknown = sorted(set(value) - set(allowed))
         if unknown:

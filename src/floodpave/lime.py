@@ -5,6 +5,13 @@ exponential distance kernel, and a small weighted linear model is fitted
 to the black-box outputs on it. Continuous features are reported as
 quantile-bin conditions ("90.00 < TX_IRI_AVERAGE_SCORE <= 100.00");
 binary and label-encoded features as category conditions.
+
+At most ``max_features_K`` features are kept by greedy forward selection
+(Ribeiro et al., arXiv:1602.04938). Each round scores every remaining
+candidate at once from the weighted columns projected off the intercept
+and the columns already chosen, and refits only the best one by least
+squares; that refit decides whether it is kept and gives the reported
+weights, so the result is that of refitting every candidate.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ log = logging.getLogger(__name__)
 
 # Weighted-SSE reduction below this fraction of the total is noise, not signal.
 _SELECTION_EPS = 1e-12
+# A candidate column that keeps less than this share of its weighted squared
+# norm off the columns already selected is collinear with them: it scores 0.
+_COLLINEAR = 1e-20
 
 
 @dataclass(frozen=True)
@@ -213,6 +223,59 @@ def _weighted_lstsq(columns, target, sqrt_w):
     return beta, sse
 
 
+def _project_off(rows, q):
+    """Project each row of ``rows`` off the unit vector ``q``, in place, twice.
+
+    Row by row, so that no temporary as large as ``rows`` is allocated.
+    """
+    for _ in range(2):
+        for row, c in zip(rows, rows @ q):
+            row -= c * q
+
+
+def _squared_norms(rows):
+    return np.array([row @ row for row in rows])
+
+
+def _select(interp, outputs, sqrt_w, usable, k, beta, sse):
+    """Greedy forward selection of up to ``k`` of the ``usable`` columns.
+
+    ``beta`` and ``sse`` are the intercept-only fit's. Returns
+    ``(selected, beta, sse)`` of the last accepted fit. Each round scores
+    every remaining candidate at once: with the weighted columns and
+    target projected off the intercept and the selected columns
+    (classical Gram-Schmidt, twice), adding column u lowers the weighted
+    SSE by ``(u.r)^2 / u.u`` for the projected target r. The best
+    candidate, the first in ``usable`` order on a tie, is refitted by
+    ``_weighted_lstsq``, and that refit's SSE decides whether it is kept.
+    """
+    selected, ss_tot = [], sse
+    if not usable:
+        return selected, beta, sse
+    rows = np.empty((len(usable) + 1, len(outputs)))  # candidates, then the target
+    for row, j in zip(rows, usable):
+        np.multiply(interp[:, j], sqrt_w, out=row)
+    np.multiply(outputs, sqrt_w, out=rows[-1])
+    floor = _COLLINEAR * _squared_norms(rows[:-1])
+    _project_off(rows, sqrt_w / np.linalg.norm(sqrt_w))
+    taken = np.zeros(len(usable), dtype=bool)
+    while len(selected) < min(k, len(usable)):
+        norms, dots = _squared_norms(rows[:-1]), rows[:-1] @ rows[-1]
+        live = norms > floor
+        score = np.zeros(len(usable))
+        score[live] = np.square(dots[live]) / norms[live]
+        score[taken] = -1.0
+        i = int(score.argmax())
+        cand_beta, cand_sse = _weighted_lstsq([interp[:, selected + [usable[i]]]], outputs, sqrt_w)
+        if sse - cand_sse <= _SELECTION_EPS * max(ss_tot, 1.0):
+            break
+        selected.append(usable[i])
+        beta, sse = cand_beta, cand_sse
+        taken[i] = True
+        _project_off(rows, rows[i] / np.linalg.norm(rows[i]))
+    return selected, beta, sse
+
+
 def fit_local_surrogate(
     predictor,
     x,
@@ -251,27 +314,9 @@ def fit_local_surrogate(
     if not usable:
         log.warning("degenerate neighborhood: explanation is intercept-only")
 
-    selected: list[int] = []
-    beta = np.array([w_mean])
-    current_sse = ss_tot
-    while len(selected) < config.max_features_K:
-        best = None
-        for j in usable:
-            if j in selected:
-                continue
-            cand_beta, cand_sse = _weighted_lstsq(
-                [interp[:, selected + [j]]], outputs, sqrt_w
-            )
-            if best is None or cand_sse < best[0]:
-                best = (cand_sse, j, cand_beta)
-        if best is None:
-            break
-        cand_sse, j, cand_beta = best
-        if current_sse - cand_sse <= _SELECTION_EPS * max(ss_tot, 1.0):
-            break
-        selected.append(j)
-        beta = cand_beta
-        current_sse = cand_sse
+    selected, beta, current_sse = _select(
+        interp, outputs, sqrt_w, usable, config.max_features_K, np.array([w_mean]), ss_tot
+    )
 
     intercept = float(beta[0])
     # Constant black-box output: weighted variance is zero up to rounding.

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 
 from .._util import write_text_atomic
+from ..errors import SchemaError
 from .linear import LinearPredictor
 from .tree import BoostingPredictor, ForestPredictor, TreePredictor
 
@@ -31,15 +32,20 @@ def model_to_dict(predictor) -> dict:
 
 
 def model_from_dict(doc: dict):
+    """The predictor ``model_to_dict`` wrote; a missing entry is a SchemaError."""
+    if not isinstance(doc, dict):
+        raise SchemaError("a model file must hold a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    kind = doc["spec"]["kind"]
     try:
-        cls = _CLASSES[kind]
-    except KeyError:
-        raise ValueError(f"unknown model kind {kind!r}") from None
-    return cls.from_dict(doc)
+        kind = doc["spec"]["kind"]
+        if kind not in _CLASSES:
+            raise ValueError(f"unknown model kind {kind!r}")
+        return _CLASSES[kind].from_dict(doc)
+    except (KeyError, TypeError) as exc:
+        # TypeError: an entry of the wrong JSON type, such as a number where an object belongs
+        raise SchemaError(f"malformed model file: {type(exc).__name__} {exc}") from None
 
 
 def save_model(predictor, path) -> None:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._util import _typed
+from ..errors import SchemaError
 
 MODEL_KINDS = (
     "linear",
@@ -100,7 +101,11 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(kind=d["kind"], hyperparameters=dict(d["hyperparameters"]), seed=int(d["seed"]))
+        """The spec ``to_dict`` wrote; a missing key or a non-integral seed is a SchemaError."""
+        missing = [key for key in ("kind", "hyperparameters", "seed") if key not in d]
+        if missing:
+            raise SchemaError(f"model spec has no {missing} entry")
+        return cls(kind=d["kind"], hyperparameters=dict(d["hyperparameters"]), seed=_typed(int, "spec.seed", d["seed"]))
 
 
 def default_grid(kind: str) -> dict:

@@ -18,18 +18,39 @@ its training rows once (``_presort``), and each tree's block is derived
 from that shared root order by ``_rows_block`` (rows left out of a
 subsample dropped, bootstrap copies expanded), which equals a stable
 argsort of the tree's own rows (XGBoost's presorted column blocks,
-arXiv:1603.02754).
+arXiv:1603.02754). ``fit_gradient_boosting`` takes each stage's update
+of the fitted rows from the leaves the build put them in, and predicts
+only the rows a subsample left out.
+
+Prediction walks all of a predictor's trees at once (Hummingbird's tree
+traversal, Nakandala et al., OSDI 2020). ``_Stacked`` renumbers the
+trees breadth first into one set of flat arrays in which a split node's
+two children are adjacent and a leaf is its own child with threshold
+NaN, so every (tree, row) pair steps as ``node = first_child[node] + (x
+> threshold)``. The arrays are built once and cached on the predictor
+(a lone ``Tree`` caches its own). Rows go in blocks of at most
+``_BLOCK_PAIRS`` pairs; pairs at leaves are dropped once they are a
+quarter of those still walking; and each block's leaf values are summed
+down the trees in tree order, which gives the sums of adding one tree's
+predictions after another bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import _typed
+from ..errors import SchemaError
 from .spec import ModelSpec
 
 LEAF = -1
+# The arrays of a tree's ``to_dict`` form and the numpy kinds each may hold.
+_TREE_ARRAYS = {"feature": "iu", "threshold": "iuf", "left": "iu", "right": "iu", "value": "iuf"}
+# Most (tree, row) pairs that one traversal block holds.
+_BLOCK_PAIRS = 1 << 13
 # Relative SSE-reduction floor below which a split is considered noise.
 _MIN_REDUCTION = 1e-12
 
@@ -43,6 +64,7 @@ class Tree:
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=float)
+        self._stacked = None  # built on the first predict; the arrays above are not changed after
 
     @property
     def n_nodes(self) -> int:
@@ -75,14 +97,10 @@ class Tree:
         return Tree(feature, threshold, left, right, self.value[keep])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            rows = np.nonzero(self.feature[node] != LEAF)[0]
-            if rows.size == 0:
-                return self.value[node]
-            cur = node[rows]
-            go_left = X[rows, self.feature[cur]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
+        """Each row's leaf value: the one-tree case of ``_Stacked``, cached on the tree."""
+        if self._stacked is None:
+            self._stacked = _Stacked((self,))
+        return self._stacked.predict(X)
 
     def to_dict(self) -> dict:
         return {
@@ -94,8 +112,162 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+    def from_dict(cls, d: dict, n_features: int) -> "Tree":
+        """The tree ``to_dict`` wrote; a SchemaError unless it is a proper tree.
+
+        A proper tree has five arrays of one length, every node reached
+        exactly once from node 0, split features below ``n_features``,
+        leaves with feature and children ``LEAF``, and finite split
+        thresholds and leaf values. Traversal relies on all of it: a
+        cycle would never reach a leaf.
+        """
+        if not isinstance(d, dict):
+            raise SchemaError("a tree must be a JSON object")
+        arrays = {}
+        for key, kinds in _TREE_ARRAYS.items():
+            if key not in d:
+                raise SchemaError(f"tree has no {key!r} array")
+            try:
+                a = np.asarray(d[key]) if isinstance(d[key], list) else np.empty(0)
+            except ValueError:  # a ragged nested list
+                a = np.empty(0)
+            if a.ndim != 1 or a.size == 0 or a.dtype.kind not in kinds:
+                what = "integers" if kinds == "iu" else "numbers"
+                raise SchemaError(f"tree {key!r} must be a non-empty array of {what}")
+            arrays[key] = a
+        feature, threshold, left, right, value = arrays.values()
+        n = feature.size
+        if any(a.size != n for a in arrays.values()):
+            raise SchemaError(f"tree arrays differ in length: {[a.size for a in arrays.values()]}")
+        split = feature != LEAF
+        if ((feature < LEAF) | (feature >= n_features)).any():
+            raise SchemaError(f"tree split feature out of range for {n_features} features")
+        if (left[~split] != LEAF).any() or (right[~split] != LEAF).any():
+            raise SchemaError("tree leaf has children")
+        if not (np.isfinite(threshold[split]).all() and np.isfinite(value[~split]).all()):
+            raise SchemaError("tree split thresholds and leaf values must be finite")
+        for child in (left[split], right[split]):
+            if ((child < 0) | (child >= n)).any():
+                raise SchemaError(f"tree child index out of range for {n} nodes")
+        seen = np.zeros(n, dtype=bool)
+        level = np.zeros(1, dtype=np.int64)
+        n_seen = 0
+        while level.size:
+            seen[level] = True
+            if np.count_nonzero(seen) != n_seen + level.size:
+                raise SchemaError("tree node reached more than once from the root")
+            n_seen += level.size
+            level = level[split[level]]
+            level = np.concatenate([left[level], right[level]])
+        if n_seen < n:
+            raise SchemaError("tree node not reached from the root")
+        return cls(feature, threshold, left, right, value)
+
+
+def _tree_sum(values, initial):
+    """``initial`` plus each column of ``values`` summed down its rows, in row order.
+
+    ``np.add.reduce`` along axis 0 of a C-ordered (trees, rows) block
+    adds one row of leaf values after another, the order of ``out +=
+    tree.predict(X)`` tree by tree. A one-column block would fall to
+    numpy's pairwise sum, so it is summed as two equal columns.
+    """
+    if values.shape[1] == 1:
+        return np.add.reduce(np.repeat(values, 2, axis=1), axis=0, initial=initial)[:1]
+    return np.add.reduce(values, axis=0, initial=initial)
+
+
+class _Stacked:
+    """Trees renumbered breadth first into one set of flat arrays.
+
+    All trees' roots come first (node t is tree t's root), then each
+    level's nodes, so a split node's two children are adjacent and one
+    step of every (tree, row) pair is ``node = first_child[node] + (x >
+    threshold)``: a row goes left exactly when ``x <= threshold``. A
+    leaf is its own first child with threshold NaN, which no x exceeds,
+    so a pair that reached a leaf stays there. Leaf values are scaled by ``scale`` (the
+    boosting learning rate) once, here. X must hold no NaN.
+    """
+
+    def __init__(self, trees, scale: float = 1.0):
+        sizes = np.array([t.n_nodes for t in trees], dtype=np.intp)
+        offsets = np.cumsum(sizes) - sizes
+        shift = np.repeat(offsets, sizes)
+        feature = np.concatenate([t.feature for t in trees])
+        split = feature != LEAF
+        left = np.where(split, np.concatenate([t.left for t in trees]) + shift, 0)
+        right = np.where(split, np.concatenate([t.right for t in trees]) + shift, 0)
+        level, levels = offsets, [offsets]
+        while True:
+            level = level[split.take(level)]
+            if level.size == 0:
+                break
+            level = np.stack([left.take(level), right.take(level)], axis=1).ravel()
+            levels.append(level)
+        old = np.concatenate(levels)  # the old id of each new node
+        new = np.empty_like(old)
+        new[old] = np.arange(old.size)
+        leaf = ~split.take(old)
+        self.first_child = np.where(leaf, np.arange(old.size), new.take(left.take(old)))
+        self.feature = np.where(leaf, 0, feature.take(old))
+        self.threshold = np.where(leaf, np.nan, np.concatenate([t.threshold for t in trees]).take(old))
+        self.value = np.concatenate([t.value for t in trees]).take(old) * scale
+        self.n_trees = len(trees)
+        self.depth = len(levels) - 1
+
+    def predict(self, X, initial=None) -> np.ndarray:
+        """Per row, ``initial`` plus the trees' leaf values in tree order.
+
+        With ``initial`` None there must be one tree, whose leaf values are
+        returned as they are. Rows go in blocks of at most ``_BLOCK_PAIRS``
+        (tree, row) pairs, so no (trees, rows) array is ever held.
+        """
+        X = np.ascontiguousarray(X, dtype=float)
+        n, width = X.shape
+        flat = X.ravel()
+        out = np.empty(n)
+        rows = min(n, max(1, _BLOCK_PAIRS // self.n_trees))
+        pairs = self._pairs(rows, width)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            if hi - lo < rows:
+                pairs = self._pairs(hi - lo, width)
+            leaves = self._leaves(flat[lo * width : hi * width], *pairs)
+            values = self.value.take(leaves).reshape(self.n_trees, hi - lo)
+            out[lo:hi] = values[0] if initial is None else _tree_sum(values, initial)
+        return out
+
+    def _pairs(self, n_rows, width):
+        """Each (tree, row) pair's root and the flat offset of its row, tree-major."""
+        roots = np.repeat(np.arange(self.n_trees), n_rows)
+        return roots, np.tile(np.arange(n_rows) * width, self.n_trees)
+
+    def _leaves(self, flat, node, base):
+        """The leaf each (tree, row) pair reaches from ``node``; ``flat`` holds the rows."""
+        leaves = pos = None  # set once pairs start to drop out
+        for step in range(self.depth):
+            threshold = self.threshold.take(node)
+            if step:
+                done = np.isnan(threshold)
+                n_done = np.count_nonzero(done)
+                if 4 * n_done >= node.size:
+                    # a quarter of the pairs sit at leaves: drop them
+                    if pos is None:
+                        leaves, pos = np.empty_like(node), np.arange(node.size)
+                    leaves[pos[done]] = node[done]
+                    keep = ~done
+                    node, base, pos, threshold = node[keep], base[keep], pos[keep], threshold[keep]
+                    if node.size == 0:
+                        break
+            at = self.feature.take(node)
+            at += base
+            right = flat.take(at) > threshold
+            node = self.first_child.take(node)
+            node += right
+        if pos is None:
+            return node
+        leaves[pos] = node
+        return leaves
 
 
 def _best_split(Xt, y, order, features, min_leaf, left_n, right_n):
@@ -210,6 +382,26 @@ def build_tree(
     ensembles do through ``_rows_block``; the tree then runs no argsort
     of its own. The block is only read.
     """
+    return _grow_tree(
+        X, y, max_depth, min_samples_split, min_samples_leaf, feature_subsample, rng, presorted
+    )[0]
+
+
+def _grow_tree(
+    X,
+    y,
+    max_depth,
+    min_samples_split=2,
+    min_samples_leaf=1,
+    feature_subsample=1.0,
+    rng=None,
+    presorted=None,
+):
+    """``build_tree``'s tree and each fitted row's leaf value.
+
+    A row lands in the leaf that the split tests ``x <= threshold`` send
+    it to, so its value equals ``tree.predict`` of that row.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n_rows, n_features = X.shape
@@ -219,6 +411,7 @@ def build_tree(
     n_sub = max(1, int(round(feature_subsample * n_features)))
     Xt = np.ascontiguousarray(X.T)
     go_left = np.empty(n_rows, dtype=bool)
+    fitted = np.empty(n_rows)
     lefts, rights = _divisors(n_rows)
 
     feature, threshold, left, right, value = [], [], [], [], []
@@ -230,6 +423,10 @@ def build_tree(
         right.append(LEAF)
         value.append(0.0)
         return len(feature) - 1
+
+    def leaf(node, idx):
+        fitted[idx] = value[node]
+        return node
 
     def may_split(n, depth):
         return depth < max_depth and n >= min_samples_split and n >= 2 * min_samples_leaf
@@ -248,11 +445,11 @@ def build_tree(
         mean = np.add.reduce(y_node) / n
         value[node] = float(mean)
         if order is None:
-            return node
+            return leaf(node, idx)
         y_node -= mean
         parent_sse = float(np.add.reduce(np.square(y_node, out=y_node)))
         if parent_sse == 0.0:
-            return node
+            return leaf(node, idx)
         if feature_subsample < 1.0:
             candidates = np.sort(rng.choice(n_features, size=n_sub, replace=False))
         else:
@@ -261,10 +458,10 @@ def build_tree(
             Xt, y, order, candidates, min_samples_leaf, lefts[: n - 1], rights[n_rows - n :]
         )
         if best is None:
-            return node
+            return leaf(node, idx)
         sse, feat, thr = best
         if parent_sse - sse <= _MIN_REDUCTION * max(parent_sse, 1.0):
-            return node
+            return leaf(node, idx)
         mask = Xt[feat].take(idx) <= thr
         feature[node] = feat
         threshold[node] = thr
@@ -288,7 +485,7 @@ def build_tree(
     # grow refers to itself; unbinding it breaks that cycle, so Xt and the
     # other work arrays are freed on return rather than at the next gc pass
     del grow
-    return Tree(feature, threshold, left, right, value)
+    return Tree(feature, threshold, left, right, value), fitted
 
 
 def _check_dims(X, feature_names):
@@ -298,6 +495,19 @@ def _check_dims(X, feature_names):
     if np.isnan(X).any():
         raise ValueError("predict input contains missing values; filter rows first")
     return X
+
+
+def _feature_names(d: dict) -> tuple[str, ...]:
+    names = d["feature_names"]
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise SchemaError("model feature_names must be a list of strings")
+    return tuple(names)
+
+
+def _trees(d: dict, n_features: int) -> tuple[Tree, ...]:
+    if not isinstance(d["trees"], list):
+        raise SchemaError("model trees must be a list")
+    return tuple(Tree.from_dict(t, n_features) for t in d["trees"])
 
 
 @dataclass(frozen=True)
@@ -318,7 +528,8 @@ class TreePredictor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreePredictor":
-        return cls(ModelSpec.from_dict(d["spec"]), tuple(d["feature_names"]), Tree.from_dict(d["tree"]))
+        names = _feature_names(d)
+        return cls(ModelSpec.from_dict(d["spec"]), names, Tree.from_dict(d["tree"], len(names)))
 
 
 @dataclass(frozen=True)
@@ -329,12 +540,13 @@ class ForestPredictor:
     feature_names: tuple[str, ...]
     trees: tuple = field(default_factory=tuple)
 
+    @functools.cached_property
+    def _stacked(self) -> _Stacked:
+        return _Stacked(self.trees)
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _check_dims(X, self.feature_names)
-        total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += tree.predict(X)
-        return total / len(self.trees)
+        return self._stacked.predict(X, initial=0.0) / len(self.trees)
 
     def to_dict(self) -> dict:
         return {
@@ -345,11 +557,11 @@ class ForestPredictor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ForestPredictor":
-        return cls(
-            ModelSpec.from_dict(d["spec"]),
-            tuple(d["feature_names"]),
-            tuple(Tree.from_dict(t) for t in d["trees"]),
-        )
+        names = _feature_names(d)
+        trees = _trees(d, len(names))
+        if not trees:
+            raise SchemaError("a random forest needs at least one tree")
+        return cls(ModelSpec.from_dict(d["spec"]), names, trees)
 
 
 @dataclass(frozen=True)
@@ -362,12 +574,15 @@ class BoostingPredictor:
     learning_rate: float
     trees: tuple = field(default_factory=tuple)
 
+    @functools.cached_property
+    def _stacked(self) -> _Stacked:
+        return _Stacked(self.trees, scale=self.learning_rate)
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _check_dims(X, self.feature_names)
-        out = np.full(X.shape[0], self.init_value)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        if not self.trees:
+            return np.full(X.shape[0], self.init_value)
+        return self._stacked.predict(X, initial=self.init_value)
 
     def staged_train_mse(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Training MSE after 0..n_estimators stages; used to audit convergence."""
@@ -391,12 +606,13 @@ class BoostingPredictor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostingPredictor":
+        names = _feature_names(d)
         return cls(
             ModelSpec.from_dict(d["spec"]),
-            tuple(d["feature_names"]),
-            float(d["init_value"]),
-            float(d["learning_rate"]),
-            tuple(Tree.from_dict(t) for t in d["trees"]),
+            names,
+            _typed(float, "init_value", d["init_value"]),
+            _typed(float, "learning_rate", d["learning_rate"]),
+            _trees(d, len(names)),
         )
 
 
@@ -460,7 +676,16 @@ def fit_gradient_boosting(spec: ModelSpec, X, y, feature_names) -> BoostingPredi
             block = _rows_block(order, idx)
         else:
             idx, block = np.arange(n), order
-        tree = build_tree(X[idx], residual[idx], max_depth=hp["max_depth"], presorted=block)
-        current += lr * tree.predict(X)
+        # In-sample rows take their leaf value from the fit itself; only
+        # the rows the subsample left out go through the tree.
+        tree, fitted = _grow_tree(X[idx], residual[idx], max_depth=hp["max_depth"], presorted=block)
+        if idx.size < n:
+            rest = np.ones(n, dtype=bool)
+            rest[idx] = False
+            step = np.empty(n)
+            step[rest] = _Stacked((tree,)).predict(X[rest])
+            step[idx] = fitted
+            fitted = step
+        current += lr * fitted
         trees.append(tree)
     return BoostingPredictor(spec, tuple(feature_names), init, lr, tuple(trees))

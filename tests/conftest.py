@@ -58,6 +58,18 @@ class CountingPredictor:
         return self.inner.predict(X)
 
 
+def reference_tree_predict(tree, X):
+    """Each row's leaf value, walked down one tree level by level."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        rows = np.nonzero(tree.feature[node] != -1)[0]
+        if rows.size == 0:
+            return tree.value[node]
+        cur = node[rows]
+        go_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
+        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+
+
 def manual_linear(coefs, intercept=0.0, names=None):
     """A LinearPredictor with raw-space coefficients set by hand."""
     coefs = np.asarray(coefs, dtype=float)

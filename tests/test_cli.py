@@ -846,6 +846,16 @@ class TestConfigHandling:
         assert offending in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_type_hints_resolved_once_per_class(self, tmp_path):
+        from floodpave import _util
+
+        cfg = write_config(tmp_path, seed=4, shap={"mode": "exact"}, lime={"n_samples": 300},
+                           synth={"n_sections": 30, "ground_truth": {"flood_bump": 2.0}})
+        first = cli.RunConfig.from_sources(cfg, {"workers": 2})
+        misses = _util._type_hints.cache_info().misses
+        assert cli.RunConfig.from_sources(cfg, {"workers": 2}) == first
+        assert _util._type_hints.cache_info().misses == misses
+
     def test_flag_overrides_config(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=25, noise_std=1.0)
         cfg = write_config(tmp_path, records_csv="nonexistent.csv", out_dir=str(tmp_path / "o"))
@@ -861,3 +871,80 @@ class TestConfigHandling:
              "--out", str(tmp_path / "o"), "describe"]
         )
         assert code == EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def boosting_file(tmp_path_factory):
+    """Records plus the JSON document of a small boosting model over their features."""
+    from floodpave import models
+    from floodpave.dataset import FEATURE_COLUMNS
+
+    tmp_path = tmp_path_factory.mktemp("malformed")
+    records, _ = make_dataset(tmp_path, n_sections=30, noise_std=1.0)
+    X = np.random.default_rng(0).normal(size=(80, len(FEATURE_COLUMNS)))
+    spec = models.ModelSpec("gradient_boosting", {"n_estimators": 3, "max_depth": 2}, 0)
+    predictor = models.fit(spec, X, X[:, 0] + X[:, 1], feature_names=FEATURE_COLUMNS)
+    return tmp_path, records, models.model_to_dict(predictor)
+
+
+def _corrupt(doc, case):
+    tree = doc["trees"][0]
+    if case == "root-points-at-itself":
+        tree["left"][0] = 0
+    elif case == "child-out-of-range":
+        tree["right"][0] = 10**6
+    elif case == "feature-out-of-range":
+        tree["feature"][0] = 42
+    elif case == "non-integral-seed":
+        doc["spec"]["seed"] = 1.5
+    elif case == "missing-spec-key":
+        del doc["spec"]["hyperparameters"]
+    elif case == "arrays-differ-in-length":
+        tree["value"].pop()
+    elif case == "non-finite-threshold":
+        tree["threshold"][0] = float("inf")
+    return doc
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("root-points-at-itself", "tree node reached more than once from the root"),
+            ("child-out-of-range", "tree child index out of range"),
+            ("feature-out-of-range", "tree split feature out of range for 9 features"),
+            ("non-integral-seed", "spec.seed must be an integer, got 1.5"),
+            ("missing-spec-key", "model spec has no ['hyperparameters'] entry"),
+            ("arrays-differ-in-length", "tree arrays differ in length"),
+            ("non-finite-threshold", "tree split thresholds and leaf values must be finite"),
+        ],
+    )
+    def test_refused_with_exit_3(self, boosting_file, case, message):
+        # A separate process with a timeout: a cyclic tree must not hang explain.
+        tmp_path, records, doc = boosting_file
+        model = tmp_path / f"{case}.json"
+        model.write_text(json.dumps(_corrupt(json.loads(json.dumps(doc)), case)))
+        cfg = write_config(
+            tmp_path, name=f"{case}.cfg.json", records_csv=records, out_dir=str(tmp_path / case),
+            explain={"model_path": str(model), "instances": "sample:2"},
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "floodpave.cli", "--config", cfg, "--quiet", "explain"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == EXIT_SCHEMA, result.stderr
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_intact_file_explains(self, boosting_file):
+        tmp_path, records, doc = boosting_file
+        model = tmp_path / "intact.json"
+        model.write_text(json.dumps(doc))
+        cfg = write_config(
+            tmp_path, name="intact.cfg.json", records_csv=records, out_dir=str(tmp_path / "intact"),
+            shap={"background_size": 10}, lime={"n_samples": 100},
+            explain={"model_path": str(model), "instances": "sample:2"},
+        )
+        assert main(["--config", cfg, "--quiet", "explain"]) == EXIT_OK

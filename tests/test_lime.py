@@ -235,6 +235,116 @@ class TestSurrogate:
         )
 
 
+def reference_select(interp, outputs, sqrt_w, usable, k, beta, sse):
+    """Greedy forward selection by refitting every remaining candidate each round.
+
+    Also returns whether some round's two best candidate SSEs lay within
+    1e-9 relative, where rounding may order them either way.
+    """
+    ss_tot, selected, near_tie = sse, [], False
+    while len(selected) < k:
+        fits = [
+            (lime._weighted_lstsq([interp[:, selected + [j]]], outputs, sqrt_w), j)
+            for j in usable
+            if j not in selected
+        ]
+        if not fits:
+            break
+        best = None
+        for (cand_beta, cand_sse), j in fits:
+            if best is None or cand_sse < best[0]:
+                best = (cand_sse, j, cand_beta)
+        sses = sorted(cand_sse for (_, cand_sse), _ in fits)
+        if len(sses) > 1 and sses[1] - sses[0] <= 1e-9 * abs(sses[1]):
+            near_tie = True
+        cand_sse, j, cand_beta = best
+        if sse - cand_sse <= lime._SELECTION_EPS * max(ss_tot, 1.0):
+            break
+        selected.append(j)
+        beta, sse = cand_beta, cand_sse
+    return selected, beta, sse, near_tie
+
+
+def neighbourhood(seed, n, m, binary=True, noise=0.5):
+    rng = np.random.default_rng(seed)
+    if binary:
+        interp = (rng.random((n, m)) < rng.uniform(0.1, 0.9, size=m)).astype(float)
+    else:
+        interp = rng.normal(size=(n, m))
+    outputs = interp @ rng.normal(size=m) * rng.uniform(0.1, 10) + noise * rng.normal(size=n) + 50.0
+    weights = np.exp(-rng.uniform(0, 3, size=n) ** 2)
+    return interp, outputs, weights
+
+
+def both_selections(interp, outputs, weights, k):
+    sqrt_w = np.sqrt(weights)
+    w_mean = float(np.sum(weights * outputs) / np.sum(weights))
+    ss_tot = float(np.sum(weights * (outputs - w_mean) ** 2))
+    wsum = np.sum(weights)
+    usable = [
+        j for j in range(interp.shape[1])
+        if float(np.sum(weights * (interp[:, j] - np.sum(weights * interp[:, j]) / wsum) ** 2)) > 0.0
+    ]
+    args = (interp, outputs, sqrt_w, usable, k, np.array([w_mean]), ss_tot)
+    return lime._select(*args), reference_select(*args)
+
+
+def assert_same_selection(new, ref):
+    assert new[0] == ref[0]
+    assert np.array_equal(new[1], ref[1])
+    assert new[2] == ref[2]
+
+
+class TestSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(20, 400),
+        m=st.integers(1, 9),
+        k=st.integers(1, 6),
+        binary=st.booleans(),
+        noise=st.sampled_from([0.0, 0.01, 0.5, 5.0]),
+    )
+    def test_matches_brute_force(self, seed, n, m, k, binary, noise):
+        new, ref = both_selections(*neighbourhood(seed, n, m, binary, noise), k)
+        assume(not ref[3])
+        assert_same_selection(new, ref)
+
+    @pytest.mark.parametrize("kind", ["duplicate", "complement", "scaled"])
+    def test_collinear_pair(self, kind):
+        interp, outputs, weights = neighbourhood(9, 300, 5, binary=kind != "scaled")
+        interp[:, 3] = {"duplicate": interp[:, 0], "complement": 1.0 - interp[:, 0],
+                        "scaled": 2.0 * interp[:, 0]}[kind]
+        outputs = outputs + 20.0 * interp[:, 0]  # column 0 is picked first
+        new, ref = both_selections(interp, outputs, weights, 5)
+        # one twin is picked first and the other never; equal twins pick the first
+        assert new[0][0] in (0, 3) and len({0, 3} & set(new[0])) == 1
+        if kind == "duplicate":
+            assert_same_selection(new, ref)
+        else:  # the twins' SSEs differ by rounding alone, so either may come first
+            assert new[0][1:] == ref[0][1:]
+            assert new[2] == pytest.approx(ref[2], rel=1e-9)
+
+    def test_matches_brute_force_on_a_model(self, flood_bump_split, flood_bump_boosting, monkeypatch):
+        train = flood_bump_split["train"]
+        X = train.matrix(FEATS)
+        cfg = LimeConfig(n_samples=2000, seed=3)
+        stats = training_stats(train, FEATS, cfg.n_bins)
+        got = [fit_local_surrogate(flood_bump_boosting, X[i], train, cfg, stats=stats) for i in range(0, 400, 40)]
+        monkeypatch.setattr(lime, "_select", lambda *a: reference_select(*a)[:3])
+        want = [fit_local_surrogate(flood_bump_boosting, X[i], train, cfg, stats=stats) for i in range(0, 400, 40)]
+        assert [e.to_dict() for e in got] == [e.to_dict() for e in want]
+
+    def test_no_usable_column(self, caplog):
+        vals = np.column_stack([np.full(50, 3.0), np.ones(50)])
+        table = DataTable(("c", "flag"), vals, {}, tuple(("R", str(i), 2000) for i in range(50)))
+        exp = fit_local_surrogate(manual_linear([2.0, 1.0], 1.0, names=("c", "flag")), vals[0], table,
+                                  LimeConfig(n_samples=100, seed=1))
+        assert exp.contributions == ()
+        assert exp.intercept == pytest.approx(8.0)
+        assert "intercept-only" in caplog.text
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,8 @@ from floodpave import models
 from floodpave.models import tree as tree_module
 from floodpave.models.tree import LEAF, Tree, build_tree
 
+from conftest import reference_tree_predict
+
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
@@ -191,6 +193,12 @@ def test_ensemble_fits_match_reference(monkeypatch):
     ]
     fitted = [models.fit(s, X, y) for s in specs]
     monkeypatch.setattr(tree_module, "build_tree", reference_build_tree)
+
+    def reference_grow_tree(X, y, *args, **kwargs):
+        tree = reference_build_tree(X, y, *args, **kwargs)
+        return tree, reference_tree_predict(tree, X)
+
+    monkeypatch.setattr(tree_module, "_grow_tree", reference_grow_tree)
     for spec, predictor in zip(specs, fitted):
         expected = models.fit(spec, X, y)
         assert len(predictor.trees) == len(expected.trees)
