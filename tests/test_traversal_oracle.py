@@ -1,9 +1,8 @@
 """The stacked traversal of every tree predictor against a per-tree walk.
 
-``reference_tree_predict`` walks one tree level by level, as ``Tree.predict``
-did before all of a predictor's trees went through one traversal. Every
-prediction must equal it, and the ensembles' sums must equal adding the
-trees' values one tree after another, bit for bit.
+``reference_tree_predict`` walks one tree level by level. Every prediction
+must equal it, and the ensembles' sums must equal adding the trees' values
+one tree after another, bit for bit.
 """
 
 import numpy as np
