@@ -19,8 +19,9 @@ Exit codes:
     file. A UTF-8 byte-order mark at the start of a records, events or
     config file is ignored.
   4 I/O error
-  5 empty result or insufficient data (including `explain` on a model with
-    no features, refused before any file is written)
+  5 empty result or insufficient data (including a records file with no
+    data row, named in the message, and `explain` on a model with no
+    features, both refused before any file is written)
   6 numerical failure (singular design, zero variance)
 
 `describe`, `train` and `explain` refuse a records file holding ±inf in
@@ -33,6 +34,15 @@ target. `train` writes cv_results.csv: one row per grid-search candidate
 of each kind, with its hyperparameters, the MSE of every fold, their
 mean, and whether it was scored on its own fit or on an `n_estimators`
 prefix or a depth truncation of another candidate's fit.
+
+Each command imports only the modules it runs. Importing this module
+loads the config sections (`config`), the records loader (`dataset`) and
+the model kinds (`models.spec`), and nothing else of the package: the
+`floodpave` and `floodpave.models` packages resolve their names on
+first use, and `synth`, `floods`, `deterioration`, `shapley`, `lime`,
+the model fitting and IO code, and `concurrent.futures` (only with
+`workers` > 1) are imported inside the commands that use them. So
+`describe` loads no model, explainer, flood or generator code.
 """
 
 from __future__ import annotations
@@ -43,13 +53,13 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import deterioration, lime, models, shapley, synth
+from . import models
 from ._util import _typed, stage_rng, stage_seed, write_text_atomic
+from .config import LimeConfig, ShapConfig, SynthSpec
 from .dataset import (
     DataTable,
     FEATURE_COLUMNS,
@@ -68,7 +78,6 @@ from .errors import (
     SingularDesignError,
     ZeroVarianceError,
 )
-from .floods import apply_maintenance_exclusion, extract_windows, load_events_csv, tag_flooded
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -151,9 +160,9 @@ class RunConfig:
     every stage's seed), workers (>= 1), quiet, test_fraction (in (0, 1)),
     cv_folds (>= 2), model_kinds (a non-empty list of MODEL_KINDS), grids
     (kind -> {hyperparameter: [values]}, replacing that kind's default
-    grid). Sections: synth (`synth.SynthSpec`, its ground_truth a
-    `synth.GroundTruth`), lime (`lime.LimeConfig`), shap
-    (`shapley.ShapConfig`) and explain (`ExplainConfig`); a section has
+    grid). Sections: synth (`config.SynthSpec`, its ground_truth a
+    `config.GroundTruth`), lime (`config.LimeConfig`), shap
+    (`config.ShapConfig`) and explain (`ExplainConfig`); a section has
     no `seed`, which comes from the root. `from_sources` parses it all
     with `_typed`, so every command refuses any bad value before it reads
     a file.
@@ -169,9 +178,9 @@ class RunConfig:
     cv_folds: int = 5
     model_kinds: list[str] = field(default_factory=lambda: list(models.MODEL_KINDS))
     grids: dict[str, dict] = field(default_factory=dict)
-    synth: synth.SynthSpec = field(default_factory=synth.SynthSpec)
-    lime: lime.LimeConfig = field(default_factory=lime.LimeConfig)
-    shap: shapley.ShapConfig = field(default_factory=shapley.ShapConfig)
+    synth: SynthSpec = field(default_factory=SynthSpec)
+    lime: LimeConfig = field(default_factory=LimeConfig)
+    shap: ShapConfig = field(default_factory=ShapConfig)
     explain: ExplainConfig = field(default_factory=ExplainConfig)
 
     def __post_init__(self):
@@ -267,7 +276,11 @@ def _fmt(v) -> str:
 
 
 def _load_records(config: RunConfig) -> DataTable:
-    return load_csv(config.records_csv, schema=FEATURE_COLUMNS)
+    """The records file; one with no data row is InsufficientDataError (exit 5)."""
+    table = load_csv(config.records_csv, schema=FEATURE_COLUMNS)
+    if table.n_rows == 0:
+        raise InsufficientDataError(f"{config.records_csv}: no data rows")
+    return table
 
 
 def _present_features(table: DataTable) -> list[str]:
@@ -295,6 +308,8 @@ def _varying_columns(table: DataTable, columns: list[str]) -> list[str]:
 
 
 def cmd_synth_gen(config: RunConfig) -> int:
+    from . import synth
+
     table, events, gt = synth.generate(replace(config.synth, seed=config.seed))
     records = _out_path(config, "records.csv")
     events_path = _out_path(config, "events.csv")
@@ -355,6 +370,9 @@ def cmd_describe(config: RunConfig) -> int:
 
 
 def cmd_flood_analysis(config: RunConfig) -> int:
+    from . import deterioration
+    from .floods import apply_maintenance_exclusion, extract_windows, load_events_csv, tag_flooded
+
     table = _load_records(config)
     events = load_events_csv(config.events_csv)
     tagged, warnings = tag_flooded(table, events)
@@ -591,6 +609,8 @@ def cmd_explain(config: RunConfig) -> int:
     keys = [complete.row_keys[i] for i in idx]
 
     if "shap" in config.explain.explainers:
+        from . import shapley
+
         background = shapley.draw_background(
             train, features, shap_cfg.background_size, config.seed
         )
@@ -638,6 +658,8 @@ def cmd_explain(config: RunConfig) -> int:
         _say(config, f"[explain] SHAP ({shap_cfg.mode}) over {len(keys)} instance(s)")
 
     if "lime" in config.explain.explainers:
+        from . import lime
+
         stats = lime.training_stats(train, features, config.lime.n_bins)
 
         def explain_one(i: int):
@@ -649,6 +671,8 @@ def cmd_explain(config: RunConfig) -> int:
 
         indices = range(len(keys))
         if config.workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 explanations = list(pool.map(explain_one, indices))
         else:

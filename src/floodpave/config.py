@@ -1,0 +1,174 @@
+"""The typed sections of a run's config, apart from the model code that uses them.
+
+`cli.RunConfig` types its sections by these dataclasses, so parsing a
+config loads no model, explainer or generator code: synth (`SynthSpec`,
+whose ground_truth is a `GroundTruth`), lime (`LimeConfig`) and shap
+(`ShapConfig`). `synth`, `lime` and `shapley` use them under the same
+names.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from ._util import _typed
+from .dataset import FEATURE_COLUMNS
+
+IRI = "TX_IRI_AVERAGE_SCORE"
+FLOOD = "Flood"
+
+# Nominal feature scales used to standardize interaction terms; these are
+# part of the ground-truth record so attributions stay computable.
+NOMINAL_SCALES = {
+    "TX_CONDITION_SCORE": (93.91, 13.87),
+    "TX_DISTRESS_SCORE": (95.70, 11.35),
+    "TX_IRI_AVERAGE_SCORE": (100.61, 54.17),
+    "TX_TRUCK_AADT_PCT": (17.60, 8.52),
+    "TX_CURRENT_18KIP_MEAS": (1096.57, 978.45),
+    "TX_PVMNT_TYPE_DTL_RD_LIFE_CODE": (8.74, 1.98),
+    "CLIMATE_ZONES": (2.0, 1.41),
+    "TX_RURAL_URBAN_CODE": (1.03, 0.21),
+    "Flood": (0.05, 0.21),
+}
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """The data-generating next-year-IRI function.
+
+    next_iri = iri + drift + sum_j weights[j] * x_j
+               + sum (i, j, c) in interactions: c * z_i * z_j
+               + flood_bump * flood + noise,  z = nominally standardized.
+    """
+
+    weights: dict[str, float] = field(default_factory=dict)
+    flood_bump: float = 5.0
+    drift: float = 2.0
+    noise_std: float = 0.0
+    interactions: tuple = ()  # (feature_i, feature_j, coefficient)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", dict(self.weights))
+        triples = [tuple(t) for t in self.interactions]
+        if any(len(t) != 3 for t in triples):
+            raise ValueError("each interaction is (feature_i, feature_j, coefficient)")
+        object.__setattr__(self, "interactions", tuple(
+            (fi, fj, _typed(float, f"interactions[{i}][2]", c)) for i, (fi, fj, c) in enumerate(triples)
+        ))
+        named = list(self.weights) + [name for t in self.interactions for name in t[:2]]
+        unknown = sorted(set(named) - set(FEATURE_COLUMNS))
+        if unknown:
+            raise ValueError(f"unknown feature(s) {unknown}; choose from {list(FEATURE_COLUMNS)}")
+
+    def step_matrix(self, X: np.ndarray, feature_names) -> np.ndarray:
+        """Noise-free yearly IRI increment for each feature row."""
+        names = list(feature_names)
+        out = np.full(X.shape[0], float(self.drift))
+        for name, w in self.weights.items():
+            out += w * X[:, names.index(name)]
+        for fi, fj, c in self.interactions:
+            zi = _nominal_z(X[:, names.index(fi)], fi)
+            zj = _nominal_z(X[:, names.index(fj)], fj)
+            out += c * zi * zj
+        out += self.flood_bump * X[:, names.index(FLOOD)]
+        return out
+
+    def predict_next(self, X: np.ndarray, feature_names) -> np.ndarray:
+        """Noise-free ground-truth prediction of next year's IRI."""
+        names = list(feature_names)
+        return X[:, names.index(IRI)] + self.step_matrix(X, feature_names)
+
+    def linear_coefficients(self, feature_names) -> np.ndarray:
+        """Raw-space linear coefficients of predict_next (interactions excluded)."""
+        coefs = np.zeros(len(feature_names))
+        for j, name in enumerate(feature_names):
+            w = self.weights.get(name, 0.0)
+            if name == IRI:
+                w += 1.0
+            if name == FLOOD:
+                w += self.flood_bump
+            coefs[j] = w
+        return coefs
+
+    def to_dict(self) -> dict:
+        return {
+            "weights": dict(self.weights),
+            "flood_bump": self.flood_bump,
+            "drift": self.drift,
+            "noise_std": self.noise_std,
+            "interactions": [list(t) for t in self.interactions],
+            "nominal_scales": {k: list(v) for k, v in NOMINAL_SCALES.items()},
+        }
+
+
+def _nominal_z(values: np.ndarray, name: str) -> np.ndarray:
+    mean, std = NOMINAL_SCALES[name]
+    return (values - mean) / std
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    n_sections: int = 1114  # the paper's panel
+    year_start: int = 2010
+    year_end: int = 2018
+    flood_fraction: float = 0.05
+    sections_per_route: int = 10
+    ground_truth: GroundTruth = field(default_factory=GroundTruth)
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.n_sections < 1:
+            raise ValueError("n_sections must be >= 1")
+        if self.sections_per_route < 1:
+            raise ValueError("sections_per_route must be >= 1")
+        if self.year_end <= self.year_start:
+            raise ValueError("need at least two panel years")
+        if not (0.0 <= self.flood_fraction <= 1.0):
+            raise ValueError("flood_fraction must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class LimeConfig:
+    n_samples: int = 5000
+    kernel_width_sigma: float | None = None  # default 0.75 * sqrt(n_features)
+    max_features_K: int = 6
+    n_bins: int = 4
+    discretize: bool = True
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.n_samples < 10:
+            raise ValueError("n_samples must be >= 10")
+        if self.kernel_width_sigma is not None and self.kernel_width_sigma <= 0:
+            raise ValueError("kernel_width_sigma must be > 0")
+        if self.max_features_K < 1:
+            raise ValueError("max_features_K must be >= 1")
+        if self.n_bins < 2:
+            raise ValueError("n_bins must be >= 2")
+
+    def sigma_for(self, n_features: int) -> float:
+        if self.kernel_width_sigma is not None:
+            return self.kernel_width_sigma
+        return 0.75 * math.sqrt(n_features)
+
+
+@dataclass(frozen=True)
+class ShapConfig:
+    mode: str = "exact"  # "exact" | "sampled"
+    background_size: int = 100
+    n_permutations: int = 2000
+    seed: int = 0
+    baseline: str = "interventional"  # "interventional" | "mean_impute"
+
+    def __post_init__(self):
+        if self.mode not in ("exact", "sampled"):
+            raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        if self.baseline not in ("interventional", "mean_impute"):
+            raise ValueError(f"unknown baseline {self.baseline!r}")
+        if self.background_size < 1:
+            raise ValueError("background_size must be >= 1")
+        if self.n_permutations < 1:
+            raise ValueError("n_permutations must be >= 1")

@@ -152,12 +152,17 @@ def _parse_cell(text: str) -> float:
         return math.nan
 
 
-def _parse_column(texts: list[str]) -> list[float]:
-    """`_parse_cell` over stripped cells, in one pass unless a cell fails."""
+def _parse_column(texts) -> list[float]:
+    """`_parse_cell` over cells, in one pass unless a cell fails.
+
+    A column with a failing cell is parsed once per distinct text, so a
+    text column costs one failed parse per label, not one per cell.
+    """
     try:
         return [float(t) if t else math.nan for t in texts]
     except ValueError:
-        return [_parse_cell(t) for t in texts]
+        parsed = {t: _parse_cell(t) for t in set(texts)}
+        return [parsed[t] for t in texts]
 
 
 def _is_text_column(texts: list[str]) -> bool:
@@ -165,7 +170,7 @@ def _is_text_column(texts: list[str]) -> bool:
 
     It is text when it has a non-empty cell and no cell is a "nan" word.
     """
-    nonempty = [t for t in texts if t]
+    nonempty = set(texts) - {""}
     return bool(nonempty) and all(t.lower() != "nan" for t in nonempty)
 
 
@@ -212,10 +217,13 @@ def load_csv(path, schema, categorical: set[str] | None = None) -> DataTable:
 
     The file is read in blocks of ``_BLOCK_ROWS`` rows. Each block is
     transposed and parsed column by column into a float block, so the
-    cell strings of only one block are held at a time. A column being
-    auto-detected keeps its stripped texts only until a cell parses as a
-    number. Key values and kept texts are shared through one dict, so a
-    repeated route, section, year or label is one object.
+    cell strings of only one block are held at a time. numpy converts a
+    numeric column's raw cells as ``float()`` does, bit for bit and
+    whitespace included; only a column block with a blank or unparseable
+    cell is parsed cell by cell. A column being auto-detected keeps its
+    stripped texts only until a cell parses as a number. Key values and
+    kept texts are looked up by their raw cell text, so a repeated route,
+    section, year or label is stripped or parsed once and is one object.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -249,7 +257,10 @@ class _BlockLoader:
         self.key_index = [header.index(name) for name in KEY_COLUMNS]
         self.columns = [c for c in header if c not in KEY_COLUMNS]
         self.column_index = [header.index(name) for name in self.columns]
-        self.shared: dict = {}
+        # Raw cell text -> its stripped text, and YEAR cell text or year
+        # -> that year; each value is the one object for its text or year.
+        self.shared: dict[str, str] = {}
+        self.years: dict[str | int, int] = {}
         self.row_keys: list[RowKey] = []
         self.blocks: list[np.ndarray] = []
         # Column position -> first-appearance label index (explicit
@@ -263,48 +274,62 @@ class _BlockLoader:
             elif name in categorical:
                 self.labels[j] = {}
 
+    def _stripped(self, cells) -> list[str]:
+        """The stripped `cells`, one object per distinct text."""
+        shared = self.shared
+
+        def first(cell: str) -> str:
+            text = cell.strip()
+            text = shared[cell] = shared.setdefault(text, text)
+            return text
+
+        # A blank cell maps to "", so it takes `first` again; it is still one object.
+        return [shared.get(cell) or first(cell) for cell in cells]
+
+    def _year(self, cell: str) -> int:
+        """The year of a YEAR cell not seen before."""
+        try:
+            year = int(float(cell))
+        except (ValueError, OverflowError):
+            raise SchemaError(f"{self.path}: unparseable YEAR value {cell.strip()!r}") from None
+        year = self.years[cell] = self.years.setdefault(year, year)
+        return year
+
     def add(self, rows: list[list[str]]) -> None:
         width = self.width
         rows = [
             row if len(row) >= width else row + [""] * (width - len(row))
             for row in rows
-            if "".join(row).strip()
+            if row and (row[0].strip() or "".join(row).strip())
         ]
         if not rows:
             return
         by_index = list(zip(*rows))
 
-        def texts(i: int) -> list[str]:
-            return [t.strip() for t in by_index[i]]
-
-        share = self.shared.setdefault
         route_i, section_i, year_i = self.key_index
-        years = []
-        for text in texts(year_i):
-            try:
-                year = int(float(text))
-            except (ValueError, OverflowError):
-                raise SchemaError(f"{self.path}: unparseable YEAR value {text!r}") from None
-            years.append(share(year, year))
-        routes = [share(t, t) for t in texts(route_i)]
-        sections = [share(t, t) for t in texts(section_i)]
+        known = self.years.get
+        years = [known(cell) or self._year(cell) for cell in by_index[year_i]]
+        routes = self._stripped(by_index[route_i])
+        sections = self._stripped(by_index[section_i])
         self.row_keys.extend(zip(routes, sections, years))
 
         block = np.empty((len(years), len(self.columns)))
         for j, i in enumerate(self.column_index):
-            column = texts(i)
+            cells = by_index[i]
             index = self.labels.get(j)
             if index is not None:
-                block[:, j] = _label_codes(column, index)
+                block[:, j] = _label_codes(self._stripped(cells), index)
                 continue
-            parsed = _parse_column(column)
-            block[:, j] = parsed
+            try:
+                block[:, j] = cells
+            except ValueError:
+                block[:, j] = _parse_column(cells)
             kept = self.undecided.get(j)
             if kept is not None:
-                if any(not math.isnan(v) for v in parsed):
+                if not np.isnan(block[:, j]).all():
                     del self.undecided[j]
                 else:
-                    kept.extend(share(t, t) for t in column)
+                    kept.extend(self._stripped(cells))
         self.blocks.append(block)
 
     def table(self) -> DataTable:
@@ -332,9 +357,24 @@ def filter_complete(table: DataTable, required) -> DataTable:
     return table.subset(np.nonzero(mask)[0])
 
 
-def _q25(sorted_col: np.ndarray) -> float:
-    # Linear interpolation between closest ranks, i.e. numpy's default.
-    return float(np.quantile(sorted_col, 0.25, method="linear"))
+def _q25(col: np.ndarray) -> float:
+    """``np.quantile(col, 0.25)`` for a 1-d ``col`` of at least 2 values.
+
+    It is numpy's default "linear" method written out, and equals it bit
+    for bit where the result is not NaN. ``np.quantile`` itself imports
+    ``numpy.ma`` (through ``np.unique``), which costs `describe` more
+    than all of its statistics.
+    """
+    if np.isnan(col).any():
+        return math.nan
+    virtual = (len(col) - 1) * 0.25
+    lo = int(virtual)
+    gamma = virtual - lo
+    # Partition on the positions numpy's quantile does, so that 0.0 and
+    # -0.0, which compare equal, land where they land there.
+    below, above = np.partition(col, sorted({0, -1, lo, lo + 1}))[lo : lo + 2]
+    step = above - below
+    return float(above - step * (1 - gamma) if gamma >= 0.5 else below + step * gamma)
 
 
 def describe(table: DataTable, columns=None) -> DescriptiveStats:

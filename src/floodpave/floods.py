@@ -140,7 +140,7 @@ def tag_flooded(table: DataTable, events: list[FloodEvent]):
     from the table produce one warning string each rather than failing.
     Applying the same events twice yields an identical table.
     """
-    if not table.row_keys:
+    if table.n_rows and not table.row_keys:
         raise SchemaError("table has no (route, section, year) row keys")
     table.col_index(FLOOD_COLUMN)
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LimeConfig
 from .dataset import DataTable
 
 log = logging.getLogger(__name__)
@@ -31,31 +32,6 @@ _SELECTION_EPS = 1e-12
 # A candidate column that keeps less than this share of its weighted squared
 # norm off the columns already selected is collinear with them: it scores 0.
 _COLLINEAR = 1e-20
-
-
-@dataclass(frozen=True)
-class LimeConfig:
-    n_samples: int = 5000
-    kernel_width_sigma: float | None = None  # default 0.75 * sqrt(n_features)
-    max_features_K: int = 6
-    n_bins: int = 4
-    discretize: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_samples < 10:
-            raise ValueError("n_samples must be >= 10")
-        if self.kernel_width_sigma is not None and self.kernel_width_sigma <= 0:
-            raise ValueError("kernel_width_sigma must be > 0")
-        if self.max_features_K < 1:
-            raise ValueError("max_features_K must be >= 1")
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
-
-    def sigma_for(self, n_features: int) -> float:
-        if self.kernel_width_sigma is not None:
-            return self.kernel_width_sigma
-        return 0.75 * math.sqrt(n_features)
 
 
 @dataclass(frozen=True)

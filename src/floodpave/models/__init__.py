@@ -3,33 +3,18 @@
 Kinds: linear, ridge, lasso, decision_tree, random_forest,
 gradient_boosting. Linear-family models standardize features on the
 training set internally; tree-family models consume raw features.
+
+Importing the package loads only `spec`; every other name, and the
+fitter `fit` dispatches to, is imported from its submodule on first use.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
-from .cv import CVResult, expand_grid, grid_search_cv, kfold_indices
-from .io import load_model, model_from_dict, model_to_dict, save_model
-from .linear import (
-    LinearPredictor,
-    fit_linear_family,
-    lasso_coordinate_descent,
-    least_squares,
-    ridge_normal_equations,
-)
-from .metrics import EvalMetrics, evaluate
-from .spec import MODEL_KINDS, ModelSpec, default_grid
-from .tree import (
-    BoostingPredictor,
-    ForestPredictor,
-    Tree,
-    TreePredictor,
-    build_tree,
-    fit_decision_tree,
-    fit_gradient_boosting,
-    fit_random_forest,
-)
+from .spec import MODEL_KINDS, ModelSpec, default_grid, expand_grid
 
 __all__ = [
     "MODEL_KINDS",
@@ -57,13 +42,46 @@ __all__ = [
     "lasso_coordinate_descent",
 ]
 
+# The submodule of each name resolved on first use (PEP 562).
+_SOURCES = {
+    "CVResult": "cv",
+    "grid_search_cv": "cv",
+    "kfold_indices": "cv",
+    "load_model": "io",
+    "model_from_dict": "io",
+    "model_to_dict": "io",
+    "save_model": "io",
+    "LinearPredictor": "linear",
+    "fit_linear_family": "linear",
+    "lasso_coordinate_descent": "linear",
+    "least_squares": "linear",
+    "ridge_normal_equations": "linear",
+    "EvalMetrics": "metrics",
+    "evaluate": "metrics",
+    "BoostingPredictor": "tree",
+    "ForestPredictor": "tree",
+    "Tree": "tree",
+    "TreePredictor": "tree",
+    "build_tree": "tree",
+    "fit_decision_tree": "tree",
+    "fit_gradient_boosting": "tree",
+    "fit_random_forest": "tree",
+}
+
+
+def __getattr__(name: str):
+    if name in _SOURCES:
+        return getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 _FITTERS = {
-    "linear": fit_linear_family,
-    "ridge": fit_linear_family,
-    "lasso": fit_linear_family,
-    "decision_tree": fit_decision_tree,
-    "random_forest": fit_random_forest,
-    "gradient_boosting": fit_gradient_boosting,
+    "linear": "fit_linear_family",
+    "ridge": "fit_linear_family",
+    "lasso": "fit_linear_family",
+    "decision_tree": "fit_decision_tree",
+    "random_forest": "fit_random_forest",
+    "gradient_boosting": "fit_gradient_boosting",
 }
 
 
@@ -86,4 +104,4 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names=None):
         raise ValueError("fit input contains missing or non-finite values; filter rows first")
     if feature_names is None:
         feature_names = tuple(f"x{j}" for j in range(X.shape[1]))
-    return _FITTERS[spec.kind](spec, X, y, feature_names)
+    return __getattr__(_FITTERS[spec.kind])(spec, X, y, feature_names)

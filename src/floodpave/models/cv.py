@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spec import ModelSpec
+from .spec import ModelSpec, expand_grid
 
 
 @dataclass(frozen=True)
@@ -41,17 +40,6 @@ def kfold_indices(n: int, k: int, seed: int):
         folds.append(fold)
         start += size
     return folds, assignments
-
-
-def expand_grid(kind: str, grid: dict, seed: int) -> list[ModelSpec]:
-    """Cartesian product of a {hyperparameter: values} grid, in key order."""
-    if not grid:
-        if kind == "linear":
-            return [ModelSpec(kind, {}, seed)]
-        raise ValueError("empty hyperparameter grid")
-    keys = list(grid)
-    combos = itertools.product(*(grid[k] for k in keys))
-    return [ModelSpec(kind, dict(zip(keys, combo)), seed) for combo in combos]
 
 
 # Kinds whose fit with n_estimators=k is exactly the first k trees of a

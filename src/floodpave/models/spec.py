@@ -1,7 +1,8 @@
-"""Model identification: kinds, hyperparameters, and shipped default grids."""
+"""Model identification: kinds, hyperparameters, shipped default grids and grid expansion."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,3 +139,14 @@ def default_grid(kind: str) -> dict:
     if kind == "linear":
         return {}
     raise ValueError(f"unknown model kind {kind!r}")
+
+
+def expand_grid(kind: str, grid: dict, seed: int) -> list[ModelSpec]:
+    """Cartesian product of a {hyperparameter: values} grid, in key order."""
+    if not grid:
+        if kind == "linear":
+            return [ModelSpec(kind, {}, seed)]
+        raise ValueError("empty hyperparameter grid")
+    keys = list(grid)
+    combos = itertools.product(*(grid[k] for k in keys))
+    return [ModelSpec(kind, dict(zip(keys, combo)), seed) for combo in combos]

@@ -226,7 +226,7 @@ class _Stacked:
         n, width = X.shape
         flat = X.ravel()
         out = np.empty(n)
-        rows = min(n, max(1, _BLOCK_PAIRS // self.n_trees))
+        rows = max(1, min(n, _BLOCK_PAIRS // self.n_trees))
         pairs = self._pairs(rows, width)
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)

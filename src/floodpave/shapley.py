@@ -22,12 +22,12 @@ background rows must be finite: the leaf-box test cannot place -inf.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import stage_rng
+from .config import ShapConfig
 from .dataset import DataTable
 from .models import BoostingPredictor, ForestPredictor, TreePredictor
 from .models.tree import LEAF
@@ -38,25 +38,6 @@ MAX_EXACT_FEATURES = 20
 _CHUNK_ROWS = 200_000
 # Keep each Tree SHAP step below this many (background row, leaf) pairs.
 _CHUNK_PAIRS = 50_000
-
-
-@dataclass(frozen=True)
-class ShapConfig:
-    mode: str = "exact"  # "exact" | "sampled"
-    background_size: int = 100
-    n_permutations: int = 2000
-    seed: int = 0
-    baseline: str = "interventional"  # "interventional" | "mean_impute"
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.baseline not in ("interventional", "mean_impute"):
-            raise ValueError(f"unknown baseline {self.baseline!r}")
-        if self.background_size < 1:
-            raise ValueError("background_size must be >= 1")
-        if self.n_permutations < 1:
-            raise ValueError("n_permutations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -352,6 +333,8 @@ def shapley_values(
 
     indices = range(X.shape[0])
     if n_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(one, indices))
     else:

@@ -21,9 +21,10 @@ solve finds the pre-truncation (loc, scale), and the draw is an inverse
 CDF through `statistics.NormalDist` (Wichura's AS241). It consumes the
 random stream exactly as `scipy.stats.truncnorm.rvs` does, one uniform
 per section, so every later draw matches what scipy would give; the
-scipy oracle tests check both. `statistics` is imported inside the
-function that draws, because the package imports this module and every
-other command would pay for it.
+scipy oracle tests check both.
+
+`SynthSpec`, `GroundTruth` and the nominal feature scales live in
+`config`, because the config of every command holds them.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
-from ._util import _typed, stage_rng, write_text_atomic
+from ._util import stage_rng, write_text_atomic
+from .config import FLOOD, IRI, NOMINAL_SCALES, GroundTruth, SynthSpec
 from .dataset import (
     DataTable,
     FEATURE_COLUMNS,
@@ -45,123 +47,11 @@ from .dataset import (
 )
 from .floods import FloodEvent
 
-IRI = "TX_IRI_AVERAGE_SCORE"
-FLOOD = "Flood"
 CLIMATE = "CLIMATE_ZONES"
 CLIMATE_LABELS = ("west", "east", "north", "south", "central")
 
-# Nominal feature scales used to standardize interaction terms; these are
-# part of the ground-truth record so attributions stay computable.
-NOMINAL_SCALES = {
-    "TX_CONDITION_SCORE": (93.91, 13.87),
-    "TX_DISTRESS_SCORE": (95.70, 11.35),
-    "TX_IRI_AVERAGE_SCORE": (100.61, 54.17),
-    "TX_TRUCK_AADT_PCT": (17.60, 8.52),
-    "TX_CURRENT_18KIP_MEAS": (1096.57, 978.45),
-    "TX_PVMNT_TYPE_DTL_RD_LIFE_CODE": (8.74, 1.98),
-    "CLIMATE_ZONES": (2.0, 1.41),
-    "TX_RURAL_URBAN_CODE": (1.03, 0.21),
-    "Flood": (0.05, 0.21),
-}
-
 _IRI_TARGET_MEAN, _IRI_TARGET_STD = NOMINAL_SCALES[IRI]
 _IRI_FLOOR = 26.0
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """The data-generating next-year-IRI function.
-
-    next_iri = iri + drift + sum_j weights[j] * x_j
-               + sum (i, j, c) in interactions: c * z_i * z_j
-               + flood_bump * flood + noise,  z = nominally standardized.
-    """
-
-    weights: dict[str, float] = field(default_factory=dict)
-    flood_bump: float = 5.0
-    drift: float = 2.0
-    noise_std: float = 0.0
-    interactions: tuple = ()  # (feature_i, feature_j, coefficient)
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", dict(self.weights))
-        triples = [tuple(t) for t in self.interactions]
-        if any(len(t) != 3 for t in triples):
-            raise ValueError("each interaction is (feature_i, feature_j, coefficient)")
-        object.__setattr__(self, "interactions", tuple(
-            (fi, fj, _typed(float, f"interactions[{i}][2]", c)) for i, (fi, fj, c) in enumerate(triples)
-        ))
-        named = list(self.weights) + [name for t in self.interactions for name in t[:2]]
-        unknown = sorted(set(named) - set(FEATURE_COLUMNS))
-        if unknown:
-            raise ValueError(f"unknown feature(s) {unknown}; choose from {list(FEATURE_COLUMNS)}")
-
-    def step_matrix(self, X: np.ndarray, feature_names) -> np.ndarray:
-        """Noise-free yearly IRI increment for each feature row."""
-        names = list(feature_names)
-        out = np.full(X.shape[0], float(self.drift))
-        for name, w in self.weights.items():
-            out += w * X[:, names.index(name)]
-        for fi, fj, c in self.interactions:
-            zi = _nominal_z(X[:, names.index(fi)], fi)
-            zj = _nominal_z(X[:, names.index(fj)], fj)
-            out += c * zi * zj
-        out += self.flood_bump * X[:, names.index(FLOOD)]
-        return out
-
-    def predict_next(self, X: np.ndarray, feature_names) -> np.ndarray:
-        """Noise-free ground-truth prediction of next year's IRI."""
-        names = list(feature_names)
-        return X[:, names.index(IRI)] + self.step_matrix(X, feature_names)
-
-    def linear_coefficients(self, feature_names) -> np.ndarray:
-        """Raw-space linear coefficients of predict_next (interactions excluded)."""
-        coefs = np.zeros(len(feature_names))
-        for j, name in enumerate(feature_names):
-            w = self.weights.get(name, 0.0)
-            if name == IRI:
-                w += 1.0
-            if name == FLOOD:
-                w += self.flood_bump
-            coefs[j] = w
-        return coefs
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": dict(self.weights),
-            "flood_bump": self.flood_bump,
-            "drift": self.drift,
-            "noise_std": self.noise_std,
-            "interactions": [list(t) for t in self.interactions],
-            "nominal_scales": {k: list(v) for k, v in NOMINAL_SCALES.items()},
-        }
-
-
-def _nominal_z(values: np.ndarray, name: str) -> np.ndarray:
-    mean, std = NOMINAL_SCALES[name]
-    return (values - mean) / std
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    n_sections: int = 1114  # the paper's panel
-    year_start: int = 2010
-    year_end: int = 2018
-    flood_fraction: float = 0.05
-    sections_per_route: int = 10
-    ground_truth: GroundTruth = field(default_factory=GroundTruth)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_sections < 1:
-            raise ValueError("n_sections must be >= 1")
-        if self.sections_per_route < 1:
-            raise ValueError("sections_per_route must be >= 1")
-        if self.year_end <= self.year_start:
-            raise ValueError("need at least two panel years")
-        if not (0.0 <= self.flood_fraction <= 1.0):
-            raise ValueError("flood_fraction must be in [0, 1]")
-
 
 _NEWTON_MAX_STEPS = 50
 _NEWTON_RTOL = 1e-12  # on (mean - floor) / SD, relative to its target
@@ -248,8 +138,6 @@ def _truncated_normal_draws(rng: np.random.Generator, loc: float, scale: float, 
     of scipy's truncnorm ppf, so ``rng`` advances exactly as under
     ``truncnorm.rvs(..., random_state=rng)``.
     """
-    from statistics import NormalDist
-
     tail = _upper_tail((_IRI_FLOOR - loc) / scale)
     inv_cdf = NormalDist().inv_cdf
     return np.array([loc - scale * inv_cdf((1.0 - u) * tail) for u in rng.uniform(size=n).tolist()])

@@ -169,14 +169,21 @@ class TestDescribe:
         assert np.array_equal(mat, mat.T)
         assert "TX_IRI_AVERAGE_SCORE" in labels
 
-    def test_empty_but_headed_csv_is_insufficient(self, tmp_path):
+    def test_empty_but_headed_csv_is_insufficient(self, tmp_path, capsys):
         from floodpave.dataset import FEATURE_COLUMNS
 
         records = tmp_path / "empty.csv"
         header = "ROUTE_NAME,SECTION_ID,YEAR," + ",".join(FEATURE_COLUMNS)
         records.write_text(header + "\n", encoding="utf-8")
-        cfg = write_config(tmp_path, records_csv=str(records), out_dir=str(tmp_path / "o"))
-        assert main(["--config", cfg, "--quiet", "describe"]) == EXIT_EMPTY
+        events = tmp_path / "events.csv"
+        events.write_text("ROUTE_NAME,FLOOD_YEAR\nFM0101,2014\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path, records_csv=str(records), events_csv=str(events), out_dir=str(tmp_path / "o")
+        )
+        for command in ("describe", "flood-analysis", "train"):
+            assert main(["--config", cfg, "--quiet", command]) == EXIT_EMPTY
+            assert f"{records}: no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_path_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path, records_csv=str(tmp_path / "missing.csv"),
@@ -597,6 +604,19 @@ class TestExplain:
         assert doc["max_efficiency_residual"] == pytest.approx(1.0)
         assert "[explain] warning: SHAP efficiency residual" in capsys.readouterr().err
 
+    def test_worker_threads_write_identical_files(self, trained, tmp_path):
+        tmp, records, out = trained
+        written = {}
+        for workers in ("1", "2"):
+            dest = tmp_path / f"w{workers}"
+            argv = ["--records", records, "--out", str(dest), "--seed", "21", "--workers", workers, "--quiet"]
+            explain = ["explain", "--model-path", str(out / "model_gradient_boosting.json"),
+                       "--instances", "sample:4", "--explainers", "shap,lime"]
+            assert main(argv + explain) == EXIT_OK
+            written[workers] = hash_tree(dest)
+        assert len(written["1"]) == 4 + 4  # three SHAP files and the LIME JSON, one LIME CSV per instance
+        assert written["2"] == written["1"]
+
     def test_model_without_features_is_refused(self, tmp_path):
         from floodpave.dataset import FEATURE_COLUMNS
 
@@ -795,6 +815,50 @@ class TestStartup:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         )
         assert result.stdout.splitlines() == ["[]", "0 []", "0 []"]
+
+    # Modules that a command which does not use them must not load.
+    MODEL_CODE = {"floodpave.models.tree", "floodpave.models.linear", "floodpave.models.io"}
+    EXPLAINERS = {"floodpave.shapley", "floodpave.lime"}
+    THREADS = {"concurrent.futures"}
+
+    @staticmethod
+    def loaded_after(argv) -> set:
+        """The modules loaded after `cli.main(argv)` runs in a fresh interpreter."""
+        script = (
+            "import json, sys, floodpave.cli\n"
+            f"code = floodpave.cli.main({argv!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        code, modules = json.loads(result.stdout)
+        assert code == EXIT_OK
+        return set(modules)
+
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
+        records, events = make_dataset(tmp_path, n_sections=20, noise_std=1.0)
+        out = str(tmp_path / "o")
+        cfg = write_config(tmp_path, grids=SMALL_GRIDS, shap={"background_size": 10}, lime={"n_samples": 100})
+        argv = ["--config", cfg, "--records", records, "--events", events, "--out", out, "--quiet", "--workers", "1"]
+
+        unused = self.MODEL_CODE | self.EXPLAINERS | self.THREADS
+        unused |= {"floodpave.deterioration", "floodpave.floods", "floodpave.synth"}
+        assert self.loaded_after(argv + ["describe"]) & unused == set()
+        loaded = self.loaded_after(argv + ["flood-analysis"])
+        assert loaded & (self.MODEL_CODE | self.EXPLAINERS | self.THREADS) == set()
+        assert "floodpave.floods" in loaded
+
+        loaded = self.loaded_after(argv + ["train", "--kinds", "linear,decision_tree"])
+        assert loaded & (self.EXPLAINERS | self.THREADS) == set()
+        assert self.MODEL_CODE <= loaded
+
+        model = os.path.join(out, "model_decision_tree.json")
+        loaded = self.loaded_after(argv + ["explain", "--model-path", model, "--instances", "sample:2"])
+        assert loaded & self.THREADS == set()
+        assert self.EXPLAINERS <= loaded
 
 
 class TestConfigHandling:

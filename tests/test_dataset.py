@@ -163,6 +163,32 @@ class TestDescribe:
         # linear interpolation between closest ranks: 1 + 0.75 * (2 - 1)
         assert s.q25 == pytest.approx(1.75, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, width=64),
+                st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+    )
+    def test_quartile_is_numpy_quantile_bit_for_bit(self, values):
+        col = np.array(values)
+        t = small_table(np.stack([col, np.zeros(len(col))], axis=1))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = float(np.quantile(col, 0.25))
+            got = describe(t, ["a"])["a"].q25
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_quartile_of_a_column_with_nan_is_nan(self):
+        t = small_table(np.array([[1.0, 0], [math.nan, 0], [3, 0]]))
+        assert math.isnan(describe(t, ["a"])["a"].q25)
+
     def test_constant_column_zero_std(self):
         t = small_table(np.array([[5.0, 1], [5, 2], [5, 3]]))
         assert describe(t, ["a"])["a"].std_dev == 0.0

@@ -79,6 +79,16 @@ class TestTagFlooded:
         twice, _ = tag_flooded(once, events)
         assert once.equals(twice)
 
+    def test_zero_rows_tag_to_zero_rows(self):
+        t = DataTable(COLS, np.empty((0, 2)), {}, ())
+        tagged, warnings = tag_flooded(t, [FloodEvent("A", 2012)])
+        assert tagged.n_rows == 0 and warnings == ["flood event (A, 2012) matches no route in the table"]
+
+    def test_rows_without_keys_are_schema_error(self):
+        t = DataTable(COLS, np.ones((2, 2)), {}, ())
+        with pytest.raises(SchemaError, match="no \\(route, section, year\\) row keys"):
+            tag_flooded(t, [])
+
     def test_requires_flood_column(self):
         t = DataTable(("TX_IRI_AVERAGE_SCORE",), np.ones((1, 1)), {}, (("A", "1", 2010),))
         with pytest.raises(SchemaError):

@@ -15,6 +15,15 @@ def spec(kind, seed=0, **hp):
     return ModelSpec(kind, hp, seed)
 
 
+def test_every_public_name_resolves():
+    # The package imports its submodules on first use; each name still resolves.
+    for name in models.__all__:
+        assert getattr(models, name) is not None, name
+    assert models.fit_decision_tree is models.tree.fit_decision_tree
+    with pytest.raises(AttributeError, match="no_such_name"):
+        models.no_such_name
+
+
 class TestModelSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -263,6 +272,23 @@ class TestFitValidation:
         row = np.array([[0.5, np.nan]])
         with pytest.raises(ValueError, match="missing"):
             p.predict(row)
+
+    @pytest.mark.parametrize(
+        "kind, hp",
+        [
+            ("decision_tree", {"max_depth": 3}),
+            ("random_forest", {"n_estimators": 3, "max_depth": 3}),
+            ("gradient_boosting", {"n_estimators": 3, "max_depth": 2}),
+        ],
+    )
+    def test_tree_predict_on_zero_rows_is_empty(self, kind, hp):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(40, 2))
+        p = models.fit(spec(kind, **hp), x, x[:, 0] + rng.normal(size=40))
+        got = p.predict(np.empty((0, 2)))
+        assert got.shape == (0,) and got.dtype == np.float64
+        if kind == "decision_tree":
+            assert p.tree.predict(np.empty((0, 2))).shape == (0,)
 
 
 class TestEvaluate:
