@@ -357,24 +357,30 @@ def filter_complete(table: DataTable, required) -> DataTable:
     return table.subset(np.nonzero(mask)[0])
 
 
-def _q25(col: np.ndarray) -> float:
-    """``np.quantile(col, 0.25)`` for a 1-d ``col`` of at least 2 values.
+def quantiles(col: np.ndarray, qs) -> list[float]:
+    """``np.quantile(col, qs)`` for a 1-d ``col`` of at least one value, q in [0, 1].
 
     It is numpy's default "linear" method written out, and equals it bit
     for bit where the result is not NaN. ``np.quantile`` itself imports
     ``numpy.ma`` (through ``np.unique``), which costs `describe` more
-    than all of its statistics.
+    than all of its statistics, and LIME's set-up as much.
     """
     if np.isnan(col).any():
-        return math.nan
-    virtual = (len(col) - 1) * 0.25
-    lo = int(virtual)
-    gamma = virtual - lo
+        return [math.nan] * len(qs)
+    last = len(col) - 1
+    virtual = [last * q for q in qs]
+    # numpy takes the last value for an index at or past the end, as -1
+    lows = [int(v) if v < last else -1 for v in virtual]
+    highs = [lo + 1 if lo >= 0 else -1 for lo in lows]
     # Partition on the positions numpy's quantile does, so that 0.0 and
     # -0.0, which compare equal, land where they land there.
-    below, above = np.partition(col, sorted({0, -1, lo, lo + 1}))[lo : lo + 2]
-    step = above - below
-    return float(above - step * (1 - gamma) if gamma >= 0.5 else below + step * gamma)
+    part = np.partition(col, sorted({0, -1, *lows, *highs}))
+    out = []
+    for v, lo, hi in zip(virtual, lows, highs):
+        below, above, gamma = part[lo], part[hi], v - lo
+        step = above - below
+        out.append(float(above - step * (1 - gamma) if gamma >= 0.5 else below + step * gamma))
+    return out
 
 
 def describe(table: DataTable, columns=None) -> DescriptiveStats:
@@ -393,7 +399,7 @@ def describe(table: DataTable, columns=None) -> DescriptiveStats:
             mean=float(np.mean(col)),
             std_dev=float(np.std(col, ddof=1)),
             minimum=float(np.min(col)),
-            q25=_q25(col),
+            q25=quantiles(col, [0.25])[0],
             maximum=float(np.max(col)),
         )
     return DescriptiveStats(tuple(columns), by_column)

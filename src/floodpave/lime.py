@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LimeConfig
-from .dataset import DataTable
+from .dataset import DataTable, quantiles
 
 log = logging.getLogger(__name__)
 
@@ -56,9 +56,10 @@ def training_stats(table: DataTable, feature_columns, n_bins: int) -> list[Featu
     stats = []
     for name in feature_columns:
         col = table.col(name)
-        distinct = np.unique(col)
+        # return_counts keeps np.unique off the path that imports numpy.ma
+        distinct, counts = np.unique(col, return_counts=True)
         if name in table.encodings or set(distinct.tolist()) <= {0.0, 1.0}:
-            counts = np.array([(col == v).sum() for v in distinct], dtype=float)
+            counts = counts.astype(float)
             stats.append(
                 FeatureStats(
                     name=name,
@@ -69,7 +70,7 @@ def training_stats(table: DataTable, feature_columns, n_bins: int) -> list[Featu
                 )
             )
         else:
-            edges = np.quantile(col, [i / n_bins for i in range(1, n_bins)])
+            edges = quantiles(col, [i / n_bins for i in range(1, n_bins)])
             stats.append(
                 FeatureStats(
                     name=name,

@@ -1,9 +1,14 @@
 """CART regression trees and the two tree ensembles built on them.
 
-Splits minimize the summed child squared error (equivalently, maximize
-variance reduction) over midpoint thresholds between consecutive
-distinct sorted values. All tie-breaks are first-come in a fixed
-enumeration order, so a fit is a pure function of (data, spec, seed).
+Splits maximize the reduction of the summed child squared error over
+midpoint thresholds between consecutive distinct sorted values. A
+node's targets are centred on its mean, so a split after the first k
+of n sorted rows, whose centred targets sum to c, reduces the SSE by
+c² · n / (k · (n - k)): one prefix sum per feature scores every split.
+Candidates whose reductions lie within ``_TIE`` of the best, relative
+to it, tie, and ties go to the first in (feature, position) order, so
+a fit is a pure function of (data, spec, seed) and rounding cannot
+pick between two features that put the same rows on each side.
 
 ``build_tree`` carries a (features, rows) block of per-feature sorted
 row ids down the tree. A split partitions that block stably, so every
@@ -14,13 +19,15 @@ Splits, thresholds and ties are therefore those of sorting at every
 node.
 
 The block is sorted once per fit, not once per tree: an ensemble sorts
-its training rows once (``_presort``), and each tree's block is derived
-from that shared root order by ``_rows_block`` (rows left out of a
-subsample dropped, bootstrap copies expanded), which equals a stable
-argsort of the tree's own rows (XGBoost's presorted column blocks,
-arXiv:1603.02754). ``fit_gradient_boosting`` takes each stage's update
-of the fitted rows from the leaves the build put them in, and predicts
-only the rows a subsample left out.
+its training rows once (``_presort``) (XGBoost's presorted column
+blocks, arXiv:1603.02754). A forest tree's bootstrap block is derived
+from that root order by ``_rows_block``, which equals a stable argsort
+of the bootstrap rows. A boosting stage grows in the fit's own row ids
+(``_grow_tree``): its block is the root order with the rows its
+subsample left out dropped, so it gathers no rows, and its tree equals
+one grown on the gathered subsample bit for bit. The stage takes the
+update of its fitted rows from the leaves the build put them in, and
+predicts only the rows its subsample left out.
 
 Prediction walks all of a predictor's trees at once (Hummingbird's tree
 traversal, Nakandala et al., OSDI 2020). ``_Stacked`` renumbers the
@@ -53,6 +60,8 @@ _TREE_ARRAYS = {"feature": "iu", "threshold": "iuf", "left": "iu", "right": "iu"
 _BLOCK_PAIRS = 1 << 13
 # Relative SSE-reduction floor below which a split is considered noise.
 _MIN_REDUCTION = 1e-12
+# Candidate splits whose SSE reductions are this close, relative to the best, tie.
+_TIE = 1e-9
 
 
 class Tree:
@@ -270,52 +279,42 @@ class _Stacked:
         return leaves
 
 
-def _best_split(Xt, y, order, features, min_leaf, left_n, right_n):
-    """Best (sse, feature, threshold) over candidate features at a node, or None.
+def _best_split(Xt, centred, order, features, min_leaf, left_n, right_n):
+    """Best (SSE reduction, feature, threshold) over candidate features at a node, or None.
 
     ``order[j]`` holds the node's rows sorted by feature j (ties by row
-    id). Every candidate feature is scored in one pass over a
-    (features, rows) block, and the first feature holding the lowest SSE
-    wins. ``left_n`` and ``right_n`` are the child sizes, as floats, of a
-    split after each sorted position (see ``_divisors``). The SSE is
-    computed only where a split is valid, position by position with the
-    plain prefix-sum arithmetic, so it is the same number whichever
-    positions are left out.
+    id), and ``centred`` each row's target minus the node's mean. A split
+    after the first k of n sorted rows, whose centred targets sum to c,
+    leaves the other side summing to -c, so it reduces the node's SSE by
+    c² · n / (k · (n - k)): one prefix sum per feature scores every split
+    (the gain of XGBoost, arXiv:1603.02754, eq. 7, for squared error).
+    Every candidate feature is scored in one pass over the (features,
+    n - 1) block, with a per-node weight that is zero where a child would
+    hold fewer than ``min_leaf`` rows, and masked where the values on
+    either side are equal. The winner is the first candidate in
+    (feature, position) order whose score is within ``_TIE`` relative of
+    the best, so two features that put the same rows on each side tie
+    whatever the rounding of their sums. ``left_n`` and ``right_n`` are
+    the child sizes, as floats, of a split after each sorted position
+    (see ``_divisors``). None when no split reduces the SSE at all.
     """
     rows = order if features.size == order.shape[0] else order.take(features, axis=0)
     n = rows.shape[1]
     # flat positions into Xt: row id plus the feature's offset
     vs = Xt.take(rows + (features * Xt.shape[1]).astype(rows.dtype)[:, None])
-    # a split after sorted position k leaves k+1 rows on the left
-    valid = vs[:, 1:] > vs[:, :-1]
+    weight = n / (left_n * right_n)
     if min_leaf > 1:
-        valid[:, : min_leaf - 1] = False
-        valid[:, max(n - min_leaf, 0) :] = False
-    at = valid.ravel().nonzero()[0]  # in (feature, position) order
-    if at.size == 0:
+        weight[: min_leaf - 1] = 0.0
+        weight[max(n - min_leaf, 0) :] = 0.0
+    score = centred.take(rows[:, :-1]).cumsum(axis=1)  # no split after the last row
+    np.square(score, out=score)
+    score *= weight
+    score *= vs[:, 1:] > vs[:, :-1]
+    best = score.max(initial=0.0)  # a block of no features holds no split
+    if not best > 0.0:
         return None
-    f = at // (n - 1)
-    k = at - f * (n - 1)
-    at += f  # the same (feature, position) in a (features, n) block
-    ys = y.take(rows)
-    cum_y = ys.cumsum(axis=1)
-    cum_y2 = np.square(ys, out=ys).cumsum(axis=1, out=ys)
-    cy, cy2 = cum_y.take(at), cum_y2.take(at)
-    # sse = (cy2 - cy**2 / left_n) + ((total_y2 - cy2) - (total_y - cy)**2 / right_n),
-    # evaluated in place to keep the temporaries few.
-    sse = np.square(cy)
-    sse /= left_n.take(k)
-    np.subtract(cy2, sse, out=sse)
-    np.subtract(cum_y[:, -1].take(f), cy, out=cy)
-    np.square(cy, out=cy)
-    cy /= right_n.take(k)
-    np.subtract(cum_y2[:, -1].take(f), cy2, out=cy2)
-    cy2 -= cy
-    sse += cy2
-
-    best = sse.argmin()
-    r, kr = f[best], k[best]
-    return float(sse[best]), int(features[r]), float((vs[r, kr] + vs[r, kr + 1]) / 2.0)
+    r, k = divmod(int((score >= best * (1.0 - _TIE)).argmax()), n - 1)
+    return float(score[r, k]), int(features[r]), float((vs[r, k] + vs[r, k + 1]) / 2.0)
 
 
 def _divisors(n_rows):
@@ -340,12 +339,11 @@ def _presort(Xt):
 def _rows_block(root, idx):
     """The presorted block of ``X[idx]``, derived from ``root = _presort(X.T)``.
 
-    ``idx`` is sorted and may leave rows out (a subsample) or repeat
-    them (a bootstrap). Each entry of ``root`` is expanded by its row's
-    count in ``idx`` (0, 1 or more) and each copy mapped to its position
-    in ``idx``. Positions grow with the row id, and the copies of a row
-    sit side by side, so the block equals a stable argsort of
-    ``X[idx].T`` without sorting again.
+    ``idx`` is sorted and may repeat rows (a bootstrap). Each entry of
+    ``root`` is expanded by its row's count in ``idx`` (0, 1 or more)
+    and each copy mapped to its position in ``idx``. Positions grow with
+    the row id, and the copies of a row sit side by side, so the block
+    equals a stable argsort of ``X[idx].T`` without sorting again.
     """
     n_features, n_rows = root.shape
     ids = root.dtype  # every position fits: idx is no longer than the fit's rows
@@ -353,8 +351,6 @@ def _rows_block(root, idx):
     first = np.cumsum(counts, dtype=ids) - counts  # position of each row's first copy in idx
     flat = root.ravel()
     reps = counts.take(flat)
-    if counts.max() <= 1:
-        return first.take(flat.compress(reps.astype(bool))).reshape(n_features, idx.size)
     # copy c of entry e lands at flat slot start[e] + c and holds position first[row] + c
     shift = np.cumsum(reps, dtype=ids) - reps - first.take(flat)
     block = np.arange(n_features * idx.size, dtype=ids) - np.repeat(shift, reps)
@@ -379,39 +375,56 @@ def build_tree(
     deterministic CART fit.
 
     ``presorted`` is ``_presort(X.T)`` when the caller has it, as the
-    ensembles do through ``_rows_block``; the tree then runs no argsort
+    forest does through ``_rows_block``; the tree then runs no argsort
     of its own. The block is only read.
     """
+    X = np.asarray(X, dtype=float)
     return _grow_tree(
-        X, y, max_depth, min_samples_split, min_samples_leaf, feature_subsample, rng, presorted
+        np.ascontiguousarray(X.T),
+        np.asarray(y, dtype=float),
+        np.arange(X.shape[0]),
+        presorted,
+        max_depth,
+        min_samples_split,
+        min_samples_leaf,
+        feature_subsample,
+        rng,
     )[0]
 
 
 def _grow_tree(
-    X,
+    Xt,
     y,
+    rows,
+    order,
     max_depth,
     min_samples_split=2,
     min_samples_leaf=1,
     feature_subsample=1.0,
     rng=None,
-    presorted=None,
 ):
-    """``build_tree``'s tree and each fitted row's leaf value.
+    """The tree fitted to ``rows`` of ``Xt`` and ``y``, and the fitted rows' leaf values.
 
-    A row lands in the leaf that the split tests ``x <= threshold`` send
-    it to, so its value equals ``tree.predict`` of that row.
+    ``Xt`` is the (features, all rows) matrix and ``y`` the targets of
+    all rows; ``rows`` holds the ids to fit, ascending, and ``order`` the
+    presorted block of exactly those ids (each feature's ids in (value,
+    id) order), or None when ``rows`` is every row, to presort here. Ids
+    keep their order, so the tree equals ``build_tree(Xt.T[rows],
+    y[rows])`` bit for bit: a boosting stage grows on its subsample
+    without gathering it. The second result holds, at each fitted row's
+    id, the value of the leaf that the split tests ``x <= threshold``
+    send it to, which equals ``tree.predict`` of that row; other entries
+    are unset.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n_rows, n_features = X.shape
+    n_features = Xt.shape[0]
+    n_rows = rows.size
     all_features = np.arange(n_features)
     if feature_subsample < 1.0 and rng is None:
         raise ValueError("feature_subsample < 1 requires an rng")
     n_sub = max(1, int(round(feature_subsample * n_features)))
-    Xt = np.ascontiguousarray(X.T)
-    go_left = np.empty(n_rows, dtype=bool)
-    fitted = np.empty(n_rows)
+    go_left = np.empty(y.size, dtype=bool)
+    centred = np.empty(y.size)
+    fitted = np.empty(y.size)
     lefts, rights = _divisors(n_rows)
 
     feature, threshold, left, right, value = [], [], [], [], []
@@ -447,43 +460,55 @@ def _grow_tree(
         if order is None:
             return leaf(node, idx)
         y_node -= mean
+        # A second pass takes out the sum the rounded mean left, so the
+        # centred targets sum to zero up to their own rounding rather than
+        # the targets' (the corrected two-pass algorithm; Chan, Golub and
+        # LeVeque, Am. Stat. 1983), and a large common offset in y cannot
+        # tip the split scores.
+        y_node -= np.add.reduce(y_node) / n
+        centred[idx] = y_node
         parent_sse = float(np.add.reduce(np.square(y_node, out=y_node)))
         if parent_sse == 0.0:
             return leaf(node, idx)
         if feature_subsample < 1.0:
-            candidates = np.sort(rng.choice(n_features, size=n_sub, replace=False))
+            candidates = rng.choice(n_features, size=n_sub, replace=False)
+            candidates.sort()
         else:
             candidates = all_features
         best = _best_split(
-            Xt, y, order, candidates, min_samples_leaf, lefts[: n - 1], rights[n_rows - n :]
+            Xt, centred, order, candidates, min_samples_leaf, lefts[: n - 1], rights[n_rows - n :]
         )
         if best is None:
             return leaf(node, idx)
-        sse, feat, thr = best
-        if parent_sse - sse <= _MIN_REDUCTION * max(parent_sse, 1.0):
+        reduction, feat, thr = best
+        if reduction <= _MIN_REDUCTION * max(parent_sse, 1.0):
             return leaf(node, idx)
         mask = Xt[feat].take(idx) <= thr
         feature[node] = feat
         threshold[node] = thr
-        left_idx, right_idx = idx[mask], idx[~mask]
-        go_left[idx] = mask
-        goes = go_left.take(order)
+        left_idx, right_idx = idx.compress(mask), idx.compress(~mask)
         left_order = right_order = None
-        if may_split(left_idx.size, depth + 1):
-            left_order = sorted_rows(order, goes, left_idx.size)
-        if may_split(right_idx.size, depth + 1):
-            right_order = sorted_rows(order, ~goes, right_idx.size)
-        del order, goes  # only the children's blocks stay alive down the recursion
+        left_splits = may_split(left_idx.size, depth + 1)
+        right_splits = may_split(right_idx.size, depth + 1)
+        if left_splits or right_splits:  # a leaf child needs no block
+            go_left[idx] = mask
+            goes = go_left.take(order)
+            if left_splits:
+                left_order = sorted_rows(order, goes, left_idx.size)
+            if right_splits:
+                right_order = sorted_rows(order, ~goes, right_idx.size)
+            del goes
+        del order  # only the children's blocks stay alive down the recursion
         left[node] = grow(left_idx, left_order, depth + 1)
         right[node] = grow(right_idx, right_order, depth + 1)
         return node
 
     root = None
     if may_split(n_rows, 0):
-        root = _presort(Xt) if presorted is None else presorted
-    grow(np.arange(n_rows), root, 0)
-    # grow refers to itself; unbinding it breaks that cycle, so Xt and the
-    # other work arrays are freed on return rather than at the next gc pass
+        root = _presort(Xt) if order is None else order
+    grow(rows, root, 0)
+    # grow refers to itself; unbinding it breaks that cycle, so the work
+    # arrays are freed on return rather than at the next gc pass
     del grow
     return Tree(feature, threshold, left, right, value), fitted
 
@@ -633,7 +658,8 @@ def fit_random_forest(spec: ModelSpec, X, y, feature_names) -> ForestPredictor:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    order = _presort(np.ascontiguousarray(X.T))
+    Xt = np.ascontiguousarray(X.T)
+    order = _presort(Xt)
     trees = []
     for child in np.random.SeedSequence(spec.seed).spawn(hp["n_estimators"]):
         rng = np.random.default_rng(child)
@@ -644,7 +670,7 @@ def fit_random_forest(spec: ModelSpec, X, y, feature_names) -> ForestPredictor:
             idx, block = np.arange(n), order
         trees.append(
             build_tree(
-                X[idx],
+                Xt.take(idx, axis=1).T,  # X[idx] laid out as build_tree transposes it, at no copy
                 y[idx],
                 max_depth=hp["max_depth"],
                 min_samples_split=hp["min_samples_split"],
@@ -665,27 +691,28 @@ def fit_gradient_boosting(spec: ModelSpec, X, y, feature_names) -> BoostingPredi
     lr = float(hp["learning_rate"])
     init = float(y.mean())
     current = np.full(n, init)
-    order = _presort(np.ascontiguousarray(X.T))
+    Xt = np.ascontiguousarray(X.T)
+    order = _presort(Xt)
+    all_rows = np.arange(n)
     trees = []
     for child in np.random.SeedSequence(spec.seed).spawn(hp["n_estimators"]):
         rng = np.random.default_rng(child)
         residual = y - current
         if hp["subsample"] < 1.0:
+            # The stage grows on its subsample in the fit's own row ids; the
+            # root order with the left-out rows dropped is its presorted block.
             m = max(1, int(round(hp["subsample"] * n)))
-            idx = np.sort(rng.permutation(n)[:m])
-            block = _rows_block(order, idx)
+            kept = np.zeros(n, dtype=bool)
+            kept[rng.permutation(n)[:m]] = True
+            rows = kept.nonzero()[0]
+            block = order.compress(kept.take(order).ravel()).reshape(order.shape[0], m)
         else:
-            idx, block = np.arange(n), order
+            rows, block = all_rows, order
         # In-sample rows take their leaf value from the fit itself; only
         # the rows the subsample left out go through the tree.
-        tree, fitted = _grow_tree(X[idx], residual[idx], max_depth=hp["max_depth"], presorted=block)
-        if idx.size < n:
-            rest = np.ones(n, dtype=bool)
-            rest[idx] = False
-            step = np.empty(n)
-            step[rest] = _Stacked((tree,)).predict(X[rest])
-            step[idx] = fitted
-            fitted = step
+        tree, fitted = _grow_tree(Xt, residual, rows, block, hp["max_depth"])
+        if rows.size < n:
+            fitted[~kept] = _Stacked((tree,)).predict(X[~kept])
         current += lr * fitted
         trees.append(tree)
     return BoostingPredictor(spec, tuple(feature_names), init, lr, tuple(trees))

@@ -15,6 +15,7 @@ from floodpave.dataset import (
     format_stats_table,
     load_csv,
     pearson_corr,
+    quantiles,
     train_test_split,
 )
 from floodpave.errors import InsufficientDataError, SchemaError, ZeroVarianceError
@@ -184,6 +185,31 @@ class TestDescribe:
             assert math.isnan(got)
         else:
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, width=64),
+                st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.one_of(
+            st.integers(2, 12).map(lambda n_bins: [i / n_bins for i in range(1, n_bins)]),
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        ),
+    )
+    def test_quantiles_are_numpy_quantile_bit_for_bit(self, values, qs):
+        # LIME's bin edges ask for several quantiles at once, which numpy
+        # takes from one partition on all their positions.
+        col = np.array(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.quantile(col, qs)
+            got = np.array(quantiles(col, qs))
+        same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+        assert same.all(), (got, want)
 
     def test_quartile_of_a_column_with_nan_is_nan(self):
         t = small_table(np.array([[1.0, 0], [math.nan, 0], [3, 0]]))

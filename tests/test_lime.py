@@ -77,6 +77,25 @@ class TestPerturbation:
         assert dist[0] == 0.0
         assert np.all(interp[0] == 1.0)
 
+    def test_training_stats_equal_numpy_quantiles_and_counts(self):
+        # Signed zeros and repeated values, where a quantile written out
+        # could part from numpy's.
+        rng = np.random.default_rng(5)
+        u = rng.choice([-0.0, 0.0, 1.5, 2.0, 7.25], size=301)
+        v = rng.normal(size=301).round(1)
+        flag = (rng.random(301) < 0.3).astype(float)
+        keys = tuple(("R", str(i), 2000) for i in range(301))
+        table = DataTable(("u", "v", "flag"), np.column_stack([u, v, flag]), {}, keys)
+        for n_bins in (2, 4, 7):
+            stats = training_stats(table, ["u", "v", "flag"], n_bins)
+            for fs, col in zip(stats[:2], (u, v)):
+                want = np.quantile(col, [i / n_bins for i in range(1, n_bins)])
+                assert np.array(fs.bin_edges).tobytes() == want.tobytes()
+            distinct = np.unique(flag)
+            counts = np.array([(flag == c).sum() for c in distinct], dtype=float)
+            assert stats[2].categories == tuple(distinct.tolist())
+            assert stats[2].frequencies == tuple(counts / counts.sum())
+
     def test_zero_variance_feature_held_constant(self, caplog):
         vals = np.column_stack([np.full(50, 7.0), np.arange(50.0)])
         table = DataTable(("c", "u"), vals, {}, tuple(("R", str(i), 2000) for i in range(50)))

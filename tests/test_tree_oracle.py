@@ -7,9 +7,11 @@ the root. Every tree array must match it bit for bit. It accepts the
 sorts on its own.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floodpave import models
@@ -21,31 +23,37 @@ from conftest import reference_tree_predict
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
+def reference_centred(y_node):
+    """The node's targets minus their mean, and minus the mean of what is left."""
+    centred = y_node - y_node.mean()
+    return centred - np.sum(centred) / centred.size
+
+
 def reference_best_split(X, y, idx, features, min_leaf):
+    """The builder's split, feature by feature: one prefix sum of centred targets each."""
     n = idx.size
-    y_node = y[idx]
-    best = None
+    centred = reference_centred(y[idx])
+    left_n = np.arange(1, n, dtype=float)
+    weight = n / (left_n * (n - left_n))
+    scores, splits = [], []
     for j in features:
         v = X[idx, j]
         order = np.argsort(v, kind="stable")
         vs = v[order]
-        ys = y_node[order]
-        cum_y = np.cumsum(ys)
-        cum_y2 = np.cumsum(ys * ys)
-        total_y, total_y2 = cum_y[-1], cum_y2[-1]
-        left_n = np.arange(1, n)
+        score = np.cumsum(centred[order])[:-1] ** 2 * weight
         valid = vs[1:] > vs[:-1]
         if min_leaf > 1:
             valid &= (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        if not valid.any():
-            continue
-        left_sse = cum_y2[:-1] - cum_y[:-1] ** 2 / left_n
-        right_sse = (total_y2 - cum_y2[:-1]) - (total_y - cum_y[:-1]) ** 2 / (n - left_n)
-        sse = np.where(valid, left_sse + right_sse, np.inf)
-        k = int(np.argmin(sse))
-        if best is None or sse[k] < best[0]:
-            best = (float(sse[k]), int(j), float((vs[k] + vs[k + 1]) / 2.0))
-    return best
+        scores.append(np.where(valid, score, 0.0))
+        splits += [(int(j), float((vs[k] + vs[k + 1]) / 2.0)) for k in range(n - 1)]
+    if not scores:
+        return None
+    scores = np.concatenate(scores)
+    best = scores.max()
+    if not best > 0.0:
+        return None
+    at = int(np.argmax(scores >= best * (1.0 - tree_module._TIE)))
+    return (float(scores[at]),) + splits[at]
 
 
 def reference_build_tree(
@@ -72,7 +80,7 @@ def reference_build_tree(
         n = idx.size
         if depth >= max_depth or n < min_samples_split or n < 2 * min_samples_leaf:
             return node
-        parent_sse = float(np.sum((y_node - y_node.mean()) ** 2))
+        parent_sse = float(np.sum(reference_centred(y_node) ** 2))
         if parent_sse == 0.0:
             return node
         if feature_subsample < 1.0:
@@ -82,8 +90,8 @@ def reference_build_tree(
         best = reference_best_split(X, y, idx, candidates, min_samples_leaf)
         if best is None:
             return node
-        sse, feat, thr = best
-        if parent_sse - sse <= tree_module._MIN_REDUCTION * max(parent_sse, 1.0):
+        reduction, feat, thr = best
+        if reduction <= tree_module._MIN_REDUCTION * max(parent_sse, 1.0):
             return node
         mask = X[idx, feat] <= thr
         nodes[node][:2] = [feat, thr]
@@ -151,8 +159,70 @@ def test_best_split_is_bit_exact(min_leaf):
         features = np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False))
         order = idx[np.argsort(X[idx].T, axis=1, kind="stable")].astype(np.int32)
         divisors = tree_module._divisors(idx.size)
-        got = tree_module._best_split(Xt, y, order, features, min_leaf, *divisors)
+        centred = np.full(400, np.nan)
+        centred[idx] = reference_centred(y[idx])
+        got = tree_module._best_split(Xt, centred, order, features, min_leaf, *divisors)
         assert got == reference_best_split(X, y, idx, features, min_leaf)
+
+
+def exact_candidates(X, y, features, min_leaf):
+    """The node's exact SSE, and each valid split's exact SSE reduction with its
+    feature and threshold, in (feature, position) order, in rational arithmetic."""
+    n = len(y)
+    ys = [Fraction(float(v)) for v in y]
+    total, total2 = sum(ys), sum(v * v for v in ys)
+    candidates = []
+    for j in features:
+        order = sorted(range(n), key=lambda i: (X[i, j], i))
+        c = c2 = Fraction(0)
+        for k in range(1, n):
+            a, b = float(X[order[k - 1], j]), float(X[order[k], j])
+            c += ys[order[k - 1]]
+            c2 += ys[order[k - 1]] ** 2
+            if a < b and min_leaf <= k <= n - min_leaf:
+                sse = (c2 - c * c / k) + ((total2 - c2) - (total - c) ** 2 / (n - k))
+                candidates.append((total2 - total * total / n - sse, int(j), (a + b) / 2.0))
+    return total2 - total * total / n, candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    m=st.integers(1, 4),
+    tied=st.booleans(),
+    min_leaf=st.integers(1, 3),
+    data=st.data(),
+)
+def test_best_split_matches_exact_arithmetic(n, m, tied, min_leaf, data):
+    value = st.integers(0, 3).map(float) if tied else st.floats(-100, 100)
+    row = st.lists(value, min_size=m, max_size=m)
+    X = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    features = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1))))
+    parent, candidates = exact_candidates(X, y, features, min_leaf)
+    best = max((c[0] for c in candidates), default=Fraction(0))
+    # Where the best split removes a tiny share of the node's SSE, the
+    # rounding of the centred targets exceeds the tie window; such a split
+    # is noise.
+    assume(best > parent * Fraction(1, 10**6))
+    Xt = np.ascontiguousarray(X.T)
+    order = tree_module._presort(Xt)
+    divisors = tree_module._divisors(n)
+    got = tree_module._best_split(Xt, reference_centred(y), order, features, min_leaf, *divisors)
+    first = next(c for c in candidates if c[0] >= best * (1 - Fraction(tree_module._TIE)))
+    assert got[1:] == first[1:]
+    assert got[0] == pytest.approx(float(first[0]), rel=1e-9)
+
+
+def test_first_feature_wins_a_tie_of_mirrored_columns():
+    # Column 1 = -column 0 puts the same rows on each side of every split,
+    # with the sides swapped, so each split of column 0 has an equal twin.
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(3, 30))
+        x = rng.normal(size=n)
+        tree = build_tree(np.column_stack([x, -x]), rng.normal(size=n), max_depth=1)
+        assert tree.feature[0] == 0
 
 
 def test_bootstrap_duplicated_rows():
@@ -194,9 +264,12 @@ def test_ensemble_fits_match_reference(monkeypatch):
     fitted = [models.fit(s, X, y) for s in specs]
     monkeypatch.setattr(tree_module, "build_tree", reference_build_tree)
 
-    def reference_grow_tree(X, y, *args, **kwargs):
-        tree = reference_build_tree(X, y, *args, **kwargs)
-        return tree, reference_tree_predict(tree, X)
+    def reference_grow_tree(Xt, y, rows, order, *args, **kwargs):
+        X = Xt.T[rows]
+        tree = reference_build_tree(X, y[rows], *args, **kwargs)
+        fitted = np.full(y.size, np.nan)
+        fitted[rows] = reference_tree_predict(tree, X)
+        return tree, fitted
 
     monkeypatch.setattr(tree_module, "_grow_tree", reference_grow_tree)
     for spec, predictor in zip(specs, fitted):
@@ -230,23 +303,44 @@ def test_property_matches_reference(n, m, depth, min_leaf, levels, subsample, se
     n=st.integers(1, 50),
     m=st.integers(1, 4),
     levels=st.integers(1, 5),
-    bootstrap=st.booleans(),
-    fraction=st.floats(0.05, 1.0),
     seed=st.integers(0, 2**16),
 )
-def test_rows_block_equals_fresh_argsort(n, m, levels, bootstrap, fraction, seed):
-    # Tied values, and duplicated rows, both from a few levels per feature.
+def test_rows_block_equals_fresh_argsort(n, m, levels, seed):
+    # Tied values from a few levels per feature; a bootstrap duplicates rows.
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(n, m)).astype(float)
-    if bootstrap:
-        idx = np.sort(rng.integers(0, n, size=n))
-    else:
-        idx = np.sort(rng.permutation(n)[: max(1, int(round(fraction * n)))])
+    idx = np.sort(rng.integers(0, n, size=n))
     root = tree_module._presort(np.ascontiguousarray(X.T))
     block = tree_module._rows_block(root, idx)
     fresh = tree_module._presort(np.ascontiguousarray(X[idx].T))
     assert block.dtype == fresh.dtype
     assert np.array_equal(block, fresh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    m=st.integers(1, 4),
+    levels=st.integers(2, 6),
+    fraction=st.floats(0.05, 1.0),
+    depth=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_row_space_growth_equals_gathered_rows(n, m, levels, fraction, depth, seed):
+    # A boosting stage grows on its subsample's own row ids, from the root
+    # order with the other rows dropped.
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, m)).astype(float)
+    y = rng.normal(size=n) + X[:, 0]
+    kept = np.zeros(n, dtype=bool)
+    kept[rng.permutation(n)[: max(1, int(round(fraction * n)))]] = True
+    rows = kept.nonzero()[0]
+    Xt = np.ascontiguousarray(X.T)
+    order = tree_module._presort(Xt)
+    block = order.compress(kept.take(order).ravel()).reshape(m, rows.size)
+    tree, fitted = tree_module._grow_tree(Xt, y, rows, block, depth)
+    assert_same_tree(tree, build_tree(X[rows], y[rows], max_depth=depth))
+    assert np.array_equal(fitted[rows], reference_tree_predict(tree, X[rows]))
 
 
 @pytest.mark.parametrize("tied", [False, True])
