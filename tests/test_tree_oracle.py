@@ -30,7 +30,7 @@ def reference_centred(y_node):
 
 
 def reference_best_split(X, y, idx, features, min_leaf):
-    """The builder's split, feature by feature: one prefix sum of centred targets each."""
+    """``_best_split``'s result, feature by feature: one prefix sum of centred targets each."""
     n = idx.size
     centred = reference_centred(y[idx])
     left_n = np.arange(1, n, dtype=float)
