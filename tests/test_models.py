@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -348,6 +349,38 @@ class TestPersistence:
         q = models.load_model(path)
         assert q.feature_names == p.feature_names
         assert np.array_equal(p.predict(x), q.predict(x))
+
+    @pytest.mark.parametrize(
+        "kind, hp, digest",
+        [
+            (
+                "random_forest",
+                {"n_estimators": 4, "max_depth": 6, "feature_subsample": 0.6},
+                "85d974ecdd412b3cb50541353a530cb19b0d8da0b96adef7029f281a5bf68a39",
+            ),
+            (
+                "random_forest",
+                {"n_estimators": 3, "max_depth": 6, "bootstrap": False, "min_samples_leaf": 3},
+                "23f5a7cb019f9d795b8a0cbbe6a47f23b2a5aba4d7feeefeae9f20d0c30c90c3",
+            ),
+            (
+                "gradient_boosting",
+                {"n_estimators": 6, "max_depth": 3, "subsample": 0.75},
+                "4619525e559753c6c8283c0c51cba3767c28ba7bb5499c65d4eed1cbba8553b7",
+            ),
+        ],
+        ids=["forest-bootstrap", "forest-no-bootstrap", "boosting-subsample"],
+    )
+    def test_ensemble_model_files_are_pinned(self, kind, hp, digest):
+        # The bytes save_model writes for seeded ensemble fits: a change to
+        # how trees are grown must leave every model file as it was.
+        rng = np.random.default_rng(19)
+        tied = rng.integers(0, 4, size=(300, 2)).astype(float)
+        x = np.column_stack([tied, rng.normal(size=(300, 3))])
+        y = x @ np.array([0.8, -0.5, 1.0, 0.3, 0.0]) + rng.normal(scale=0.5, size=300)
+        p = models.fit(ModelSpec(kind, hp, 7), x, y, feature_names=list("abcde"))
+        text = json.dumps(models.model_to_dict(p), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "m.json"
