@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SingularDesignError
-from .spec import ModelSpec
+from .._util import _typed
+from ..errors import SchemaError, SingularDesignError
+from .spec import ModelSpec, _check_dims, _feature_names
 
 LASSO_TOL = 1e-6
 LASSO_MAX_SWEEPS = 10_000
@@ -118,13 +119,7 @@ class LinearPredictor:
     intercept: float
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != len(self.feature_names):
-            raise ValueError(
-                f"expected {len(self.feature_names)} feature columns, got shape {X.shape}"
-            )
-        if np.isnan(X).any():
-            raise ValueError("predict input contains missing values; filter rows first")
+        X = _check_dims(X, self.feature_names)
         return ((X - self.mu) / self.sigma) @ self.coef + self.intercept
 
     def raw_coefficients(self):
@@ -145,14 +140,31 @@ class LinearPredictor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearPredictor":
+        """The predictor ``to_dict`` wrote; a SchemaError unless every value is usable.
+
+        ``mu``, ``sigma`` and ``coef`` hold one finite number per feature,
+        ``sigma`` is positive, and the intercept is a finite number.
+        """
+        names = _feature_names(d)
+        sigma = _per_feature(d, "sigma", len(names))
+        if not (sigma > 0.0).all():
+            raise SchemaError("model sigma must be positive")
         return cls(
             spec=ModelSpec.from_dict(d["spec"]),
-            feature_names=tuple(d["feature_names"]),
-            mu=np.array(d["mu"], dtype=float),
-            sigma=np.array(d["sigma"], dtype=float),
-            coef=np.array(d["coef"], dtype=float),
-            intercept=float(d["intercept"]),
+            feature_names=names,
+            mu=_per_feature(d, "mu", len(names)),
+            sigma=sigma,
+            coef=_per_feature(d, "coef", len(names)),
+            intercept=_typed(float, "intercept", d["intercept"]),
         )
+
+
+def _per_feature(d: dict, key: str, n_features: int) -> np.ndarray:
+    """``d[key]`` as an array of one finite number per feature; a SchemaError otherwise."""
+    values = d[key]
+    if not (isinstance(values, list) and len(values) == n_features):
+        raise SchemaError(f"model {key} must be a list of {n_features} numbers, one per feature")
+    return np.array([_typed(float, f"{key}[{j}]", v) for j, v in enumerate(values)])
 
 
 def fit_linear_family(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names) -> LinearPredictor:

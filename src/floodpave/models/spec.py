@@ -1,4 +1,8 @@
-"""Model identification: kinds, hyperparameters, shipped default grids and grid expansion."""
+"""Model identification: kinds, hyperparameters, shipped default grids and grid expansion.
+
+Also the checks every predictor shares: feature names read from a model
+file, and the shape and NaN check of a predict input.
+"""
 
 from __future__ import annotations
 
@@ -150,3 +154,19 @@ def expand_grid(kind: str, grid: dict, seed: int) -> list[ModelSpec]:
     keys = list(grid)
     combos = itertools.product(*(grid[k] for k in keys))
     return [ModelSpec(kind, dict(zip(keys, combo)), seed) for combo in combos]
+
+
+def _feature_names(d: dict) -> tuple[str, ...]:
+    names = d["feature_names"]
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise SchemaError("model feature_names must be a list of strings")
+    return tuple(names)
+
+
+def _check_dims(X, feature_names):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != len(feature_names):
+        raise ValueError(f"expected {len(feature_names)} feature columns, got shape {X.shape}")
+    if np.isnan(X).any():
+        raise ValueError("predict input contains missing values; filter rows first")
+    return X

@@ -20,14 +20,14 @@ node.
 
 The block is sorted once per fit, not once per tree: an ensemble sorts
 its training rows once (``_presort``) (XGBoost's presorted column
-blocks, arXiv:1603.02754). A forest tree's bootstrap block is derived
-from that root order by ``_rows_block``, which equals a stable argsort
-of the bootstrap rows. A boosting stage grows in the fit's own row ids
-(``_grow_tree``): its block is the root order with the rows its
-subsample left out dropped, so it gathers no rows, and its tree equals
-one grown on the gathered subsample bit for bit. The stage takes the
-update of its fitted rows from the leaves the build put them in, and
-predicts only the rows its subsample left out.
+blocks, arXiv:1603.02754). Every ensemble tree grows in the fit's own
+row ids (``_grow_tree``), so it gathers no rows. A forest tree's
+bootstrap or a boosting stage's subsample is a count per row, and its
+block is the root order with each row repeated by its count (dropped at
+0), the copies of a row side by side. That is the stable argsort of the
+gathered rows, so the tree equals one grown on them bit for bit. A
+boosting stage takes the update of its fitted rows from the leaves the
+build put them in, and predicts only the rows its subsample left out.
 
 Prediction walks all of a predictor's trees at once (Hummingbird's tree
 traversal, Nakandala et al., OSDI 2020). ``_Stacked`` renumbers the
@@ -51,7 +51,7 @@ import numpy as np
 
 from .._util import _typed
 from ..errors import SchemaError
-from .spec import ModelSpec
+from .spec import ModelSpec, _check_dims, _feature_names
 
 LEAF = -1
 # The arrays of a tree's ``to_dict`` form and the numpy kinds each may hold.
@@ -336,27 +336,6 @@ def _presort(Xt):
     return np.argsort(Xt, axis=1, kind="stable").astype(ids)
 
 
-def _rows_block(root, idx):
-    """The presorted block of ``X[idx]``, derived from ``root = _presort(X.T)``.
-
-    ``idx`` is sorted and may repeat rows (a bootstrap). Each entry of
-    ``root`` is expanded by its row's count in ``idx`` (0, 1 or more)
-    and each copy mapped to its position in ``idx``. Positions grow with
-    the row id, and the copies of a row sit side by side, so the block
-    equals a stable argsort of ``X[idx].T`` without sorting again.
-    """
-    n_features, n_rows = root.shape
-    ids = root.dtype  # every position fits: idx is no longer than the fit's rows
-    counts = np.bincount(idx, minlength=n_rows).astype(ids)
-    first = np.cumsum(counts, dtype=ids) - counts  # position of each row's first copy in idx
-    flat = root.ravel()
-    reps = counts.take(flat)
-    # copy c of entry e lands at flat slot start[e] + c and holds position first[row] + c
-    shift = np.cumsum(reps, dtype=ids) - reps - first.take(flat)
-    block = np.arange(n_features * idx.size, dtype=ids) - np.repeat(shift, reps)
-    return block.reshape(n_features, idx.size)
-
-
 def build_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -365,7 +344,6 @@ def build_tree(
     min_samples_leaf: int = 1,
     feature_subsample: float = 1.0,
     rng: np.random.Generator | None = None,
-    presorted: np.ndarray | None = None,
 ) -> Tree:
     """Grow a CART regression tree, depth first, numbering nodes in preorder.
 
@@ -373,17 +351,13 @@ def build_tree(
     split (the random-forest decorrelation device) and requires ``rng``;
     at exactly 1.0 no randomness is consumed and the tree is the plain
     deterministic CART fit.
-
-    ``presorted`` is ``_presort(X.T)`` when the caller has it, as the
-    forest does through ``_rows_block``; the tree then runs no argsort
-    of its own. The block is only read.
     """
     X = np.asarray(X, dtype=float)
     return _grow_tree(
         np.ascontiguousarray(X.T),
         np.asarray(y, dtype=float),
         np.arange(X.shape[0]),
-        presorted,
+        None,
         max_depth,
         min_samples_split,
         min_samples_leaf,
@@ -406,15 +380,16 @@ def _grow_tree(
     """The tree fitted to ``rows`` of ``Xt`` and ``y``, and the fitted rows' leaf values.
 
     ``Xt`` is the (features, all rows) matrix and ``y`` the targets of
-    all rows; ``rows`` holds the ids to fit, ascending, and ``order`` the
-    presorted block of exactly those ids (each feature's ids in (value,
-    id) order), or None when ``rows`` is every row, to presort here. Ids
-    keep their order, so the tree equals ``build_tree(Xt.T[rows],
-    y[rows])`` bit for bit: a boosting stage grows on its subsample
-    without gathering it. The second result holds, at each fitted row's
-    id, the value of the leaf that the split tests ``x <= threshold``
-    send it to, which equals ``tree.predict`` of that row; other entries
-    are unset.
+    all rows; ``rows`` holds the ids to fit, ascending, and may repeat an
+    id (a bootstrap). ``order`` is the presorted block of exactly those
+    ids (each feature's ids in (value, id) order, the copies of an id
+    side by side), or None when ``rows`` is every row, to presort here.
+    Ids keep their order, so the tree equals ``build_tree(Xt.T[rows],
+    y[rows])`` bit for bit: a forest tree grows on its bootstrap and a
+    boosting stage on its subsample without gathering either. The second
+    result holds, at each fitted row's id, the value of the leaf that the
+    split tests ``x <= threshold`` send it to, which equals
+    ``tree.predict`` of that row; other entries are unset.
     """
     n_features = Xt.shape[0]
     n_rows = rows.size
@@ -511,22 +486,6 @@ def _grow_tree(
     # arrays are freed on return rather than at the next gc pass
     del grow
     return Tree(feature, threshold, left, right, value), fitted
-
-
-def _check_dims(X, feature_names):
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(feature_names):
-        raise ValueError(f"expected {len(feature_names)} feature columns, got shape {X.shape}")
-    if np.isnan(X).any():
-        raise ValueError("predict input contains missing values; filter rows first")
-    return X
-
-
-def _feature_names(d: dict) -> tuple[str, ...]:
-    names = d["feature_names"]
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-        raise SchemaError("model feature_names must be a list of strings")
-    return tuple(names)
 
 
 def _trees(d: dict, n_features: int) -> tuple[Tree, ...]:
@@ -660,26 +619,20 @@ def fit_random_forest(spec: ModelSpec, X, y, feature_names) -> ForestPredictor:
     n = X.shape[0]
     Xt = np.ascontiguousarray(X.T)
     order = _presort(Xt)
+    all_rows = np.arange(n)
+    limits = hp["max_depth"], hp["min_samples_split"], hp["min_samples_leaf"], hp["feature_subsample"]
     trees = []
     for child in np.random.SeedSequence(spec.seed).spawn(hp["n_estimators"]):
         rng = np.random.default_rng(child)
         if hp["bootstrap"]:
-            idx = np.sort(rng.integers(0, n, size=n))
-            block = _rows_block(order, idx)
+            # The tree grows on its bootstrap in the fit's own row ids; the
+            # root order with each row repeated by its count is its block.
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            rows = np.repeat(all_rows, counts)
+            block = np.repeat(order.ravel(), counts.take(order).ravel()).reshape(order.shape[0], n)
         else:
-            idx, block = np.arange(n), order
-        trees.append(
-            build_tree(
-                Xt.take(idx, axis=1).T,  # X[idx] laid out as build_tree transposes it, at no copy
-                y[idx],
-                max_depth=hp["max_depth"],
-                min_samples_split=hp["min_samples_split"],
-                min_samples_leaf=hp["min_samples_leaf"],
-                feature_subsample=hp["feature_subsample"],
-                rng=rng,
-                presorted=block,
-            )
-        )
+            rows, block = all_rows, order
+        trees.append(_grow_tree(Xt, y, rows, block, *limits, rng)[0])
     return ForestPredictor(spec, tuple(feature_names), tuple(trees))
 
 

@@ -18,7 +18,7 @@ from floodpave.cli import (
     main,
 )
 
-from conftest import make_flood_bump_data
+from conftest import make_flood_bump_data, manual_linear
 
 SMALL_GRIDS = {
     "ridge": {"alpha": [0.01, 1.0]},
@@ -1003,6 +1003,22 @@ class TestMalformedModelFile:
         assert result.returncode == EXIT_SCHEMA, result.stderr
         assert message in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_linear_file_with_zero_sigma_refused(self, boosting_file, capsys):
+        from floodpave import models
+        from floodpave.dataset import FEATURE_COLUMNS
+
+        tmp_path, records, _ = boosting_file
+        doc = models.model_to_dict(manual_linear(np.ones(len(FEATURE_COLUMNS)), names=FEATURE_COLUMNS))
+        doc["sigma"][0] = 0.0
+        model = tmp_path / "linear-sigma-zero.json"
+        model.write_text(json.dumps(doc))
+        cfg = write_config(
+            tmp_path, name="linear.cfg.json", records_csv=records, out_dir=str(tmp_path / "linear"),
+            explain={"model_path": str(model), "instances": "sample:2"},
+        )
+        assert main(["--config", cfg, "--quiet", "explain"]) == EXIT_SCHEMA
+        assert "model sigma must be positive" in capsys.readouterr().err
 
     def test_intact_file_explains(self, boosting_file):
         tmp_path, records, doc = boosting_file

@@ -382,6 +382,23 @@ class TestPersistence:
         text = json.dumps(models.model_to_dict(p), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("feature_names", "abc", "model feature_names must be a list of strings"),
+            ("coef", [0.5, 1.0], "model coef must be a list of 3 numbers, one per feature"),
+            ("sigma", [1.0, 0.0, 2.0], "model sigma must be positive"),
+            ("coef", [0.5, float("nan"), 1.0], "coef[1] must be a finite number, got nan"),
+            ("intercept", "x", "intercept must be a number, got 'x'"),
+        ],
+        ids=["names-not-a-list", "coef-too-short", "sigma-zero", "coef-nan", "intercept-not-a-number"],
+    )
+    def test_malformed_linear_file_is_refused(self, key, value, message):
+        doc = models.model_to_dict(manual_linear([1.0, -2.0, 0.5]))
+        doc[key] = value
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            models.model_from_dict(doc)
+
     def test_version_guard(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"format_version": 999, "spec": {"kind": "linear"}}))

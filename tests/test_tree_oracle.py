@@ -2,9 +2,9 @@
 
 ``reference_build_tree`` sorts every candidate feature at every node, one
 feature at a time, exactly as the builder did before it presorted once at
-the root. Every tree array must match it bit for bit. It accepts the
-``presorted`` block that the ensembles pass and ignores it, so it always
-sorts on its own.
+the root. Every tree array must match it bit for bit. The ensembles grow
+their trees in the fit's own row ids; the reference stands in for them
+on the gathered rows.
 """
 
 from fractions import Fraction
@@ -64,7 +64,6 @@ def reference_build_tree(
     min_samples_leaf=1,
     feature_subsample=1.0,
     rng=None,
-    presorted=None,
 ):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -258,11 +257,15 @@ def test_ensemble_fits_match_reference(monkeypatch):
             "random_forest", {"n_estimators": 4, "max_depth": 6, "feature_subsample": 0.6}, 3
         ),
         models.ModelSpec(
+            "random_forest",
+            {"n_estimators": 3, "max_depth": 6, "bootstrap": False, "min_samples_leaf": 3},
+            3,
+        ),
+        models.ModelSpec(
             "gradient_boosting", {"n_estimators": 5, "max_depth": 3, "subsample": 0.75}, 3
         ),
     ]
     fitted = [models.fit(s, X, y) for s in specs]
-    monkeypatch.setattr(tree_module, "build_tree", reference_build_tree)
 
     def reference_grow_tree(Xt, y, rows, order, *args, **kwargs):
         X = Xt.T[rows]
@@ -298,25 +301,6 @@ def test_property_matches_reference(n, m, depth, min_leaf, levels, subsample, se
     )
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(1, 50),
-    m=st.integers(1, 4),
-    levels=st.integers(1, 5),
-    seed=st.integers(0, 2**16),
-)
-def test_rows_block_equals_fresh_argsort(n, m, levels, seed):
-    # Tied values from a few levels per feature; a bootstrap duplicates rows.
-    rng = np.random.default_rng(seed)
-    X = rng.integers(0, levels, size=(n, m)).astype(float)
-    idx = np.sort(rng.integers(0, n, size=n))
-    root = tree_module._presort(np.ascontiguousarray(X.T))
-    block = tree_module._rows_block(root, idx)
-    fresh = tree_module._presort(np.ascontiguousarray(X[idx].T))
-    assert block.dtype == fresh.dtype
-    assert np.array_equal(block, fresh)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 60),
@@ -324,20 +308,25 @@ def test_rows_block_equals_fresh_argsort(n, m, levels, seed):
     levels=st.integers(2, 6),
     fraction=st.floats(0.05, 1.0),
     depth=st.integers(1, 6),
+    bootstrap=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_row_space_growth_equals_gathered_rows(n, m, levels, fraction, depth, seed):
-    # A boosting stage grows on its subsample's own row ids, from the root
-    # order with the other rows dropped.
+def test_row_space_growth_equals_gathered_rows(n, m, levels, fraction, depth, bootstrap, seed):
+    # An ensemble tree grows in the fit's own row ids, from the root order
+    # with each row repeated by its count: 0 or 1 for a boosting stage's
+    # subsample, 0, 1 or more for a forest tree's bootstrap.
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(n, m)).astype(float)
     y = rng.normal(size=n) + X[:, 0]
-    kept = np.zeros(n, dtype=bool)
-    kept[rng.permutation(n)[: max(1, int(round(fraction * n)))]] = True
-    rows = kept.nonzero()[0]
+    if bootstrap:
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    else:
+        counts = np.zeros(n, dtype=np.intp)
+        counts[rng.permutation(n)[: max(1, int(round(fraction * n)))]] = 1
+    rows = np.repeat(np.arange(n), counts)
     Xt = np.ascontiguousarray(X.T)
     order = tree_module._presort(Xt)
-    block = order.compress(kept.take(order).ravel()).reshape(m, rows.size)
+    block = np.repeat(order.ravel(), counts.take(order).ravel()).reshape(m, rows.size)
     tree, fitted = tree_module._grow_tree(Xt, y, rows, block, depth)
     assert_same_tree(tree, build_tree(X[rows], y[rows], max_depth=depth))
     assert np.array_equal(fitted[rows], reference_tree_predict(tree, X[rows]))
