@@ -93,7 +93,8 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names=None):
     become an infinite split threshold with an unreachable child).
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    # A table column is a strided view, and a tree gathers from y at every node.
+    y = np.ascontiguousarray(y, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-d, got shape {X.shape}")
     if X.shape[0] != len(y):
