@@ -35,13 +35,17 @@ of each kind, with its hyperparameters, the MSE of every fold, their
 mean, and whether it was scored on its own fit or on an `n_estimators`
 prefix or a depth truncation of another candidate's fit.
 
+`explain` draws one LIME neighbourhood per run and shares it between
+the instances, in one thread. `--workers` (config key `workers`) sizes
+only the thread pool of SHAP in `explain`.
+
 Each command imports only the modules it runs. Importing this module
-loads the config sections (`config`), the records loader (`dataset`) and
+loads the typed config (`config`), the records loader (`dataset`) and
 the model kinds (`models.spec`), and nothing else of the package: the
 `floodpave` and `floodpave.models` packages resolve their names on
 first use, and `synth`, `floods`, `deterioration`, `shapley`, `lime`,
-the model fitting and IO code, and `concurrent.futures` (only with
-`workers` > 1) are imported inside the commands that use them. So
+the model fitting and IO code, and `concurrent.futures` (only for SHAP
+with `workers` > 1) are imported inside the commands that use them. So
 `describe` loads no model, explainer, flood or generator code.
 """
 
@@ -53,13 +57,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import models
-from ._util import _typed, stage_rng, stage_seed, write_text_atomic
-from .config import LimeConfig, ShapConfig, SynthSpec
+from ._util import stage_rng, stage_seed, write_text_atomic
+from .config import INSTANCE_FORMS, ExplainConfig, RunConfig, _parse_instances
 from .dataset import (
     DataTable,
     FEATURE_COLUMNS,
@@ -68,7 +72,6 @@ from .dataset import (
     filter_complete,
     format_stats_table,
     load_csv,
-    not_utf8,
     pearson_corr,
     train_test_split,
 )
@@ -97,143 +100,6 @@ MODEL_DISPLAY_NAMES = {
     "random_forest": "Random Forest (RF)",
     "gradient_boosting": "Gradient Boosting (GBR)",
 }
-
-
-EXPLAINERS = ("shap", "lime")
-INSTANCE_FORMS = "all | sample:N | key:ROUTE,SECTION,YEAR"
-
-
-def _parse_instances(selector: str):
-    """("all", None), ("sample", N) or ("key", (ROUTE, SECTION, YEAR)); ValueError if malformed."""
-
-    def malformed(why: str) -> ValueError:
-        return ValueError(f"bad instance selector {selector!r}: {why}; expected {INSTANCE_FORMS}")
-
-    if selector == "all":
-        return "all", None
-    form, colon, arg = selector.partition(":")
-    if colon and form == "sample":
-        try:
-            n = int(arg)
-        except ValueError:
-            raise malformed("N is not an integer") from None
-        if n < 1:
-            raise malformed("N must be >= 1")
-        return form, n
-    if colon and form == "key":
-        parts = arg.split(",")
-        if len(parts) != 3:
-            raise malformed(f"a key has 3 comma-separated parts, got {len(parts)}")
-        route, section, year = parts
-        try:
-            return form, (route, section, int(year))
-        except ValueError:
-            raise malformed("YEAR is not an integer") from None
-    raise malformed("unknown form")
-
-
-@dataclass(frozen=True)
-class ExplainConfig:
-    """Config section `explain`; the `explain` flags of the same names override it.
-
-    Keys: model_path (the saved model; `explain` requires it), instances
-    (a selector, INSTANCE_FORMS), explainers (a non-empty list drawn from
-    EXPLAINERS).
-    """
-
-    model_path: str | None = None
-    instances: str = "sample:5"
-    explainers: list[str] = field(default_factory=lambda: list(EXPLAINERS))
-
-    def __post_init__(self):
-        _parse_instances(self.instances)
-        unknown = [e for e in self.explainers if e not in EXPLAINERS]
-        if unknown:
-            raise ValueError(f"unknown explainer(s) {unknown}; choose from {list(EXPLAINERS)}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A run's whole config: the JSON config file with the flags merged over it.
-
-    Root keys: records_csv, events_csv, out_dir, seed (>= 0; the root of
-    every stage's seed), workers (>= 1), quiet, test_fraction (in (0, 1)),
-    cv_folds (>= 2), model_kinds (a non-empty list of MODEL_KINDS), grids
-    (kind -> {hyperparameter: [values]}, replacing that kind's default
-    grid). Sections: synth (`config.SynthSpec`, its ground_truth a
-    `config.GroundTruth`), lime (`config.LimeConfig`), shap
-    (`config.ShapConfig`) and explain (`ExplainConfig`); a section has
-    no `seed`, which comes from the root. `from_sources` parses it all
-    with `_typed`, so every command refuses any bad value before it reads
-    a file.
-    """
-
-    records_csv: str = "records.csv"
-    events_csv: str = "events.csv"
-    out_dir: str = "out"
-    seed: int = 0
-    workers: int = 1
-    quiet: bool = False
-    test_fraction: float = 0.2
-    cv_folds: int = 5
-    model_kinds: list[str] = field(default_factory=lambda: list(models.MODEL_KINDS))
-    grids: dict[str, dict] = field(default_factory=dict)
-    synth: SynthSpec = field(default_factory=SynthSpec)
-    lime: LimeConfig = field(default_factory=LimeConfig)
-    shap: ShapConfig = field(default_factory=ShapConfig)
-    explain: ExplainConfig = field(default_factory=ExplainConfig)
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.cv_folds < 2:
-            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        unknown = [k for k in self.model_kinds if k not in models.MODEL_KINDS]
-        if unknown:
-            raise ValueError(f"unknown model kind(s) {unknown}; choose from {list(models.MODEL_KINDS)}")
-        for kind, grid in self.grids.items():
-            if kind not in models.MODEL_KINDS:
-                raise ValueError(f"unknown model kind {kind!r} in grids; choose from {list(models.MODEL_KINDS)}")
-            try:
-                if grid:
-                    models.expand_grid(kind, grid, self.seed)
-            except (TypeError, ValueError, SchemaError) as exc:
-                raise ValueError(f"grids.{kind}: {exc}") from None
-
-    @classmethod
-    def from_sources(cls, config_path: str | None, overrides: dict) -> "RunConfig":
-        """Parse the config file with `overrides` (the flags given) merged over it."""
-        doc = {}
-        if config_path:
-            try:
-                with open(config_path, "r", encoding="utf-8-sig") as fh:
-                    doc = json.load(fh)
-            except UnicodeDecodeError as exc:
-                raise not_utf8(config_path, exc) from None
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{config_path}: not valid JSON ({exc})") from None
-            if not isinstance(doc, dict):
-                raise SchemaError(f"{config_path}: the config must be a JSON object")
-        # The command's one default that differs from GroundTruth's: noisy data.
-        doc = _merged(_merged({"synth": {"ground_truth": {"noise_std": 2.0}}}, doc), overrides)
-        return _typed(cls, "", doc)
-
-
-def _merged(base, extra: dict):
-    """`base` with the keys of `extra` set, merged into where both hold JSON objects.
-
-    A `base` that is not an object is kept as it is, for `_typed` to refuse.
-    """
-    if not isinstance(base, dict):
-        return base
-    out = dict(base)
-    for key, value in extra.items():
-        out[key] = _merged(out.get(key, {}), value) if isinstance(value, dict) else value
-    return out
 
 
 def _say(config: RunConfig, message: str) -> None:
@@ -661,22 +527,10 @@ def cmd_explain(config: RunConfig) -> int:
         from . import lime
 
         stats = lime.training_stats(train, features, config.lime.n_bins)
-
-        def explain_one(i: int):
-            seed = int(stage_seed(config.seed, "lime", int(idx[i])).generate_state(1)[0])
-            cfg = replace(config.lime, seed=seed)
-            return lime.fit_local_surrogate(
-                predictor, X[i], train, cfg, instance_key=keys[i], stats=stats
-            )
-
-        indices = range(len(keys))
-        if config.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                explanations = list(pool.map(explain_one, indices))
-        else:
-            explanations = [explain_one(i) for i in indices]
+        seed = int(stage_seed(config.seed, "lime").generate_state(1)[0])
+        explanations = lime.fit_local_surrogates(
+            predictor, X, keys, train, replace(config.lime, seed=seed), stats
+        )
 
         _dump_json(
             [e.to_dict() for e in explanations], _out_path(config, "lime_explanations.json")
@@ -708,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="root seed for all stages")
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument(
-        "--workers", type=int, help="worker threads for explain (SHAP and LIME); train runs in one thread"
+        "--workers", type=int, help="worker threads for explain's SHAP pool; train and LIME run in one thread"
     )
     parser.add_argument("--quiet", action="store_true", default=None, help="suppress progress lines")
     parser.add_argument("--records", dest="records_csv", help="section-year records CSV")

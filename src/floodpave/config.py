@@ -1,21 +1,27 @@
-"""The typed sections of a run's config, apart from the model code that uses them.
+"""A run's typed config, apart from the model code that uses it.
 
-`cli.RunConfig` types its sections by these dataclasses, so parsing a
-config loads no model, explainer or generator code: synth (`SynthSpec`,
-whose ground_truth is a `GroundTruth`), lime (`LimeConfig`) and shap
-(`ShapConfig`). `synth`, `lime` and `shapley` use them under the same
-names.
+`RunConfig` is the whole config, and it types its sections by the
+dataclasses here, so parsing a config loads no model, explainer or
+generator code: synth (`SynthSpec`, whose ground_truth is a
+`GroundTruth`), lime (`LimeConfig`), shap (`ShapConfig`) and explain
+(`ExplainConfig`). `synth`, `lime`, `shapley` and `cli` use them under
+the same names. They live in this module rather than in `cli`, so that
+their annotations resolve when `cli` runs as ``__main__`` under another
+runner, such as ``python -m cProfile -m floodpave.cli``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import _typed
-from .dataset import FEATURE_COLUMNS
+from .dataset import FEATURE_COLUMNS, not_utf8
+from .errors import SchemaError
+from .models import MODEL_KINDS, expand_grid
 
 IRI = "TX_IRI_AVERAGE_SCORE"
 FLOOD = "Flood"
@@ -172,3 +178,140 @@ class ShapConfig:
             raise ValueError("background_size must be >= 1")
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be >= 1")
+
+
+EXPLAINERS = ("shap", "lime")
+INSTANCE_FORMS = "all | sample:N | key:ROUTE,SECTION,YEAR"
+
+
+def _parse_instances(selector: str):
+    """("all", None), ("sample", N) or ("key", (ROUTE, SECTION, YEAR)); ValueError if malformed."""
+
+    def malformed(why: str) -> ValueError:
+        return ValueError(f"bad instance selector {selector!r}: {why}; expected {INSTANCE_FORMS}")
+
+    if selector == "all":
+        return "all", None
+    form, colon, arg = selector.partition(":")
+    if colon and form == "sample":
+        try:
+            n = int(arg)
+        except ValueError:
+            raise malformed("N is not an integer") from None
+        if n < 1:
+            raise malformed("N must be >= 1")
+        return form, n
+    if colon and form == "key":
+        parts = arg.split(",")
+        if len(parts) != 3:
+            raise malformed(f"a key has 3 comma-separated parts, got {len(parts)}")
+        route, section, year = parts
+        try:
+            return form, (route, section, int(year))
+        except ValueError:
+            raise malformed("YEAR is not an integer") from None
+    raise malformed("unknown form")
+
+
+@dataclass(frozen=True)
+class ExplainConfig:
+    """Config section `explain`; the `explain` flags of the same names override it.
+
+    Keys: model_path (the saved model; `explain` requires it), instances
+    (a selector, INSTANCE_FORMS), explainers (a non-empty list drawn from
+    EXPLAINERS).
+    """
+
+    model_path: str | None = None
+    instances: str = "sample:5"
+    explainers: list[str] = field(default_factory=lambda: list(EXPLAINERS))
+
+    def __post_init__(self):
+        _parse_instances(self.instances)
+        unknown = [e for e in self.explainers if e not in EXPLAINERS]
+        if unknown:
+            raise ValueError(f"unknown explainer(s) {unknown}; choose from {list(EXPLAINERS)}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A run's whole config: the JSON config file with the flags merged over it.
+
+    Root keys: records_csv, events_csv, out_dir, seed (>= 0; the root of
+    every stage's seed), workers (>= 1; the threads of SHAP in `explain`),
+    quiet, test_fraction (in (0, 1)), cv_folds (>= 2), model_kinds (a
+    non-empty list of MODEL_KINDS), grids (kind -> {hyperparameter:
+    [values]}, replacing that kind's default grid). Sections: synth
+    (`SynthSpec`, its ground_truth a `GroundTruth`), lime (`LimeConfig`),
+    shap (`ShapConfig`) and explain (`ExplainConfig`); a section has
+    no `seed`, which comes from the root. `from_sources` parses it all
+    with `_typed`, so every command refuses any bad value before it reads
+    a file.
+    """
+
+    records_csv: str = "records.csv"
+    events_csv: str = "events.csv"
+    out_dir: str = "out"
+    seed: int = 0
+    workers: int = 1
+    quiet: bool = False
+    test_fraction: float = 0.2
+    cv_folds: int = 5
+    model_kinds: list[str] = field(default_factory=lambda: list(MODEL_KINDS))
+    grids: dict[str, dict] = field(default_factory=dict)
+    synth: SynthSpec = field(default_factory=SynthSpec)
+    lime: LimeConfig = field(default_factory=LimeConfig)
+    shap: ShapConfig = field(default_factory=ShapConfig)
+    explain: ExplainConfig = field(default_factory=ExplainConfig)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        unknown = [k for k in self.model_kinds if k not in MODEL_KINDS]
+        if unknown:
+            raise ValueError(f"unknown model kind(s) {unknown}; choose from {list(MODEL_KINDS)}")
+        for kind, grid in self.grids.items():
+            if kind not in MODEL_KINDS:
+                raise ValueError(f"unknown model kind {kind!r} in grids; choose from {list(MODEL_KINDS)}")
+            try:
+                if grid:
+                    expand_grid(kind, grid, self.seed)
+            except (TypeError, ValueError, SchemaError) as exc:
+                raise ValueError(f"grids.{kind}: {exc}") from None
+
+    @classmethod
+    def from_sources(cls, config_path: str | None, overrides: dict) -> "RunConfig":
+        """Parse the config file with `overrides` (the flags given) merged over it."""
+        doc = {}
+        if config_path:
+            try:
+                with open(config_path, "r", encoding="utf-8-sig") as fh:
+                    doc = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise not_utf8(config_path, exc) from None
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{config_path}: not valid JSON ({exc})") from None
+            if not isinstance(doc, dict):
+                raise SchemaError(f"{config_path}: the config must be a JSON object")
+        # The command's one default that differs from GroundTruth's: noisy data.
+        doc = _merged(_merged({"synth": {"ground_truth": {"noise_std": 2.0}}}, doc), overrides)
+        return _typed(cls, "", doc)
+
+
+def _merged(base, extra: dict):
+    """`base` with the keys of `extra` set, merged into where both hold JSON objects.
+
+    A `base` that is not an object is kept as it is, for `_typed` to refuse.
+    """
+    if not isinstance(base, dict):
+        return base
+    out = dict(base)
+    for key, value in extra.items():
+        out[key] = _merged(out.get(key, {}), value) if isinstance(value, dict) else value
+    return out

@@ -1,10 +1,14 @@
-"""Local surrogate explanations around a single instance.
+"""Local surrogate explanations around single instances.
 
 A neighborhood is sampled from the training marginals, weighted by an
-exponential distance kernel, and a small weighted linear model is fitted
-to the black-box outputs on it. Continuous features are reported as
-quantile-bin conditions ("90.00 < TX_IRI_AVERAGE_SCORE <= 100.00");
-binary and label-encoded features as category conditions.
+exponential distance kernel around the instance, and a small weighted
+linear model is fitted to the black-box outputs on it. Since the sampler
+does not depend on the instance, `fit_local_surrogates` draws and
+predicts the neighborhood once per run and shares it between every
+instance explained; each instance only takes row 0 (and holds the
+features with zero training std at its own values). Continuous features
+are reported as quantile-bin conditions ("90.00 < TX_IRI_AVERAGE_SCORE
+<= 100.00"); binary and label-encoded features as category conditions.
 
 At most ``max_features_K`` features are kept by greedy forward selection
 (Ribeiro et al., arXiv:1602.04938). Each round scores every remaining
@@ -114,43 +118,87 @@ def kernel_weight(distance, sigma: float):
     return float(out) if np.isscalar(distance) else out
 
 
-def perturb_neighborhood(x, stats: list[FeatureStats], config: LimeConfig, rng):
-    """Sample the local neighborhood around x.
+def _draw(x, stats: list[FeatureStats], config: LimeConfig, rng) -> np.ndarray:
+    """The ``n_samples`` × M neighbourhood of x, drawn feature by feature from ``rng``.
 
-    Returns ``(samples, interpretable, distances)``. Row 0 is x itself.
-    Continuous features draw from a normal law with the training
-    mean/std; categorical features resample from training frequencies.
-    The interpretable representation is the shares-x's-bin/category
+    Row 0 is x. Continuous features draw from a normal law with the
+    training mean/std; categorical features resample from training
+    frequencies. A feature with zero training std draws nothing and is
+    held at x's value. So every row but 0, on every feature but the held
+    ones, is the same whatever x is.
+    """
+    n = config.n_samples
+    samples = np.empty((n, len(stats)))
+    samples[0] = x
+    for j, fs in enumerate(stats):
+        if fs.kind == "categorical":
+            samples[1:, j] = rng.choice(np.asarray(fs.categories), size=n - 1, p=np.asarray(fs.frequencies))
+        elif fs.std == 0.0:
+            log.warning("feature %s has zero training std; held constant", fs.name)
+            samples[:, j] = x[j]
+        else:
+            samples[1:, j] = rng.normal(fs.mean, fs.std, size=n - 1)
+    return samples
+
+
+def _held(stats: list[FeatureStats]) -> list[int]:
+    """The features ``_draw`` holds at x's value: continuous with zero training std."""
+    return [j for j, fs in enumerate(stats) if fs.kind == "continuous" and fs.std == 0.0]
+
+
+def _bins(samples, stats: list[FeatureStats], config: LimeConfig) -> list:
+    """Per feature, the quantile bin of each sampled value, or None where no bin is compared."""
+    return [
+        _bin_of(samples[:, j], fs.bin_edges) if config.discretize and fs.kind == "continuous" and fs.std != 0.0 else None
+        for j, fs in enumerate(stats)
+    ]
+
+
+def _localize(samples, bins: list, x, stats: list[FeatureStats], config: LimeConfig):
+    """Put x in row 0 of ``samples`` and ``bins``; return x's ``(interpretable, distances)``.
+
+    ``samples`` must hold x's values on the held features. The
+    interpretable representation is the shares-x's-bin/category
     indicator (or the standardized value when discretize is off), and
     distances are Euclidean over standardized continuous features only.
     """
-    x = np.asarray(x, dtype=float)
-    n, m = config.n_samples, len(x)
-    if m != len(stats):
-        raise ValueError(f"x has {m} features but stats describe {len(stats)}")
-    samples = np.empty((n, m))
+    n, m = samples.shape
     samples[0] = x
     interp = np.empty((n, m))
     sq_dist = np.zeros(n)
     for j, fs in enumerate(stats):
         if fs.kind == "categorical":
-            cats = np.asarray(fs.categories)
-            samples[1:, j] = rng.choice(cats, size=n - 1, p=np.asarray(fs.frequencies))
             interp[:, j] = (samples[:, j] == x[j]).astype(float)
             continue
         if fs.std == 0.0:
-            log.warning("feature %s has zero training std; held constant", fs.name)
-            samples[:, j] = x[j]
             interp[:, j] = 1.0 if config.discretize else 0.0
             continue
-        samples[1:, j] = rng.normal(fs.mean, fs.std, size=n - 1)
         z = (samples[:, j] - x[j]) / fs.std
         sq_dist += z**2
         if config.discretize:
-            interp[:, j] = (_bin_of(samples[:, j], fs.bin_edges) == _bin_of(x[j], fs.bin_edges)).astype(float)
+            bins[j][0] = _bin_of(x[j], fs.bin_edges)
+            interp[:, j] = (bins[j] == bins[j][0]).astype(float)
         else:
             interp[:, j] = (samples[:, j] - fs.mean) / fs.std
-    return samples, interp, np.sqrt(sq_dist)
+    return interp, np.sqrt(sq_dist)
+
+
+def _check_width(m: int, stats: list[FeatureStats]) -> None:
+    if m != len(stats):
+        raise ValueError(f"x has {m} features but stats describe {len(stats)}")
+
+
+def perturb_neighborhood(x, stats: list[FeatureStats], config: LimeConfig, rng):
+    """Sample the local neighborhood around x.
+
+    Returns ``(samples, interpretable, distances)``, as ``_draw`` and
+    ``_localize`` make them. Row 0 is x itself.
+    """
+    x = np.asarray(x, dtype=float)
+    _check_width(len(x), stats)
+    samples = _draw(x, stats, config, rng)
+    interp, distances = _localize(samples, _bins(samples, stats, config), x, stats, config)
+    return samples, interp, distances
 
 
 @dataclass(frozen=True)
@@ -253,6 +301,58 @@ def _select(interp, outputs, sqrt_w, usable, k, beta, sse):
     return selected, beta, sse
 
 
+def fit_local_surrogates(
+    predictor,
+    X,
+    keys,
+    table: DataTable,
+    config: LimeConfig,
+    stats: list[FeatureStats] | None = None,
+) -> list[LocalExplanation]:
+    """Explain each row of X with a weighted sparse linear surrogate; ``keys`` name the rows.
+
+    The neighbourhood is drawn once from ``config.seed``, binned once and
+    predicted once, and shared by every row: the sampler draws from the
+    training marginals, so only row 0 (the instance itself) depends on
+    the row explained. A feature with zero training std is held at the
+    instance's value, so the neighbourhood is predicted once per distinct
+    tuple of the rows' values on such features. Each row then puts
+    itself in row 0 and fits its own surrogate, and its output there is
+    predicted alone, so an explanation does not depend on the other rows
+    in X: row i's equals ``fit_local_surrogate`` on X[i], bit for bit.
+
+    The feature cap is enforced by greedy forward selection on weighted
+    residual reduction, followed by an exact weighted least-squares refit
+    on the selected set. The reported R-squared is the kernel-weighted
+    fit quality of the surrogate against the black-box outputs.
+    """
+    X = np.asarray(X, dtype=float)
+    names = list(predictor.feature_names)
+    if stats is None:
+        stats = training_stats(table, names, config.n_bins)
+    _check_width(X.shape[1], stats)
+    if len(X) == 0:
+        return []
+    samples = _draw(X[0], stats, config, np.random.default_rng(config.seed))
+    bins = _bins(samples, stats, config)
+    held = _held(stats)
+    groups: dict[bytes, list[int]] = {}
+    for i, x in enumerate(X):
+        groups.setdefault(x[held].tobytes(), []).append(i)
+    sigma = config.sigma_for(len(names))
+    explanations = [None] * len(X)
+    for members in groups.values():
+        samples[:, held] = X[members[0], held]
+        outputs = predictor.predict(samples)
+        for i in members:
+            interp, distances = _localize(samples, bins, X[i], stats, config)
+            outputs[0] = predictor.predict(X[i : i + 1])[0]
+            explanations[i] = _surrogate(
+                names, stats, X[i], keys[i], interp, outputs, kernel_weight(distances, sigma), config
+            )
+    return explanations
+
+
 def fit_local_surrogate(
     predictor,
     x,
@@ -261,22 +361,13 @@ def fit_local_surrogate(
     instance_key: tuple = (),
     stats: list[FeatureStats] | None = None,
 ) -> LocalExplanation:
-    """Explain one prediction with a weighted sparse linear surrogate.
-
-    The feature cap is enforced by greedy forward selection on weighted
-    residual reduction, followed by an exact weighted least-squares refit
-    on the selected set. The reported R-squared is the kernel-weighted
-    fit quality of the surrogate against the black-box outputs.
-    """
+    """Explain one prediction: ``fit_local_surrogates`` on the single row x."""
     x = np.asarray(x, dtype=float)
-    names = list(predictor.feature_names)
-    if stats is None:
-        stats = training_stats(table, names, config.n_bins)
-    rng = np.random.default_rng(config.seed)
-    samples, interp, distances = perturb_neighborhood(x, stats, config, rng)
-    outputs = predictor.predict(samples)
-    sigma = config.sigma_for(len(names))
-    weights = kernel_weight(distances, sigma)
+    return fit_local_surrogates(predictor, x[None], [instance_key], table, config, stats)[0]
+
+
+def _surrogate(names, stats, x, instance_key, interp, outputs, weights, config) -> LocalExplanation:
+    """The surrogate fitted to ``outputs`` over one instance's neighbourhood."""
     sqrt_w = np.sqrt(weights)
 
     w_mean = float(np.sum(weights * outputs) / np.sum(weights))

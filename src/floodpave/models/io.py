@@ -32,7 +32,7 @@ def model_to_dict(predictor) -> dict:
 
 
 def model_from_dict(doc: dict):
-    """The predictor ``model_to_dict`` wrote; a missing entry is a SchemaError."""
+    """The predictor ``model_to_dict`` wrote; a missing or refused entry is a SchemaError."""
     if not isinstance(doc, dict):
         raise SchemaError("a model file must hold a JSON object")
     version = doc.get("format_version")
@@ -41,7 +41,7 @@ def model_from_dict(doc: dict):
     try:
         kind = doc["spec"]["kind"]
         if kind not in _CLASSES:
-            raise ValueError(f"unknown model kind {kind!r}")
+            raise SchemaError(f"unknown model kind {kind!r}")
         return _CLASSES[kind].from_dict(doc)
     except (KeyError, TypeError) as exc:
         # TypeError: an entry of the wrong JSON type, such as a number where an object belongs

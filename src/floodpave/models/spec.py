@@ -106,11 +106,17 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        """The spec ``to_dict`` wrote; a missing key or a non-integral seed is a SchemaError."""
+        """The spec ``to_dict`` wrote; a missing key, a non-integral seed or a spec
+        that ``ModelSpec`` refuses (an unknown kind or hyperparameter, a value
+        out of range) is a SchemaError."""
         missing = [key for key in ("kind", "hyperparameters", "seed") if key not in d]
         if missing:
             raise SchemaError(f"model spec has no {missing} entry")
-        return cls(kind=d["kind"], hyperparameters=dict(d["hyperparameters"]), seed=_typed(int, "spec.seed", d["seed"]))
+        seed = _typed(int, "spec.seed", d["seed"])
+        try:
+            return cls(kind=d["kind"], hyperparameters=dict(d["hyperparameters"]), seed=seed)
+        except ValueError as exc:
+            raise SchemaError(f"model spec: {exc}") from None
 
 
 def default_grid(kind: str) -> dict:
@@ -160,6 +166,9 @@ def _feature_names(d: dict) -> tuple[str, ...]:
     names = d["feature_names"]
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise SchemaError("model feature_names must be a list of strings")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise SchemaError(f"model feature_names repeat {repeated}")
     return tuple(names)
 
 

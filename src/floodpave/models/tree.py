@@ -591,13 +591,13 @@ class BoostingPredictor:
     @classmethod
     def from_dict(cls, d: dict) -> "BoostingPredictor":
         names = _feature_names(d)
-        return cls(
-            ModelSpec.from_dict(d["spec"]),
-            names,
-            _typed(float, "init_value", d["init_value"]),
-            _typed(float, "learning_rate", d["learning_rate"]),
-            _trees(d, len(names)),
-        )
+        spec = ModelSpec.from_dict(d["spec"])
+        learning_rate = _typed(float, "learning_rate", d["learning_rate"])
+        if learning_rate != spec.hyperparameters["learning_rate"]:
+            raise SchemaError(
+                f"learning_rate {learning_rate!r} differs from the spec's {spec.hyperparameters['learning_rate']!r}"
+            )
+        return cls(spec, names, _typed(float, "init_value", d["init_value"]), learning_rate, _trees(d, len(names)))
 
 
 def fit_decision_tree(spec: ModelSpec, X, y, feature_names) -> TreePredictor:

@@ -617,6 +617,21 @@ class TestExplain:
         assert len(written["1"]) == 4 + 4  # three SHAP files and the LIME JSON, one LIME CSV per instance
         assert written["2"] == written["1"]
 
+    def test_one_key_writes_the_lime_file_it_gets_in_a_sample(self, trained, tmp_path):
+        # Every instance shares one neighbourhood drawn from the run's seed,
+        # so an instance's LIME file does not depend on the others explained.
+        _, records, out = trained
+        argv = ["--records", records, "--seed", "21", "--quiet", "explain", "--explainers", "lime",
+                "--model-path", str(out / "model_gradient_boosting.json")]
+        assert main(["--out", str(tmp_path / "sample")] + argv + ["--instances", "sample:4"]) == EXIT_OK
+        doc = json.loads((tmp_path / "sample" / "lime_explanations.json").read_text())
+        route, section, year = doc[2]["instance_key"]
+        assert main(["--out", str(tmp_path / "key")] + argv + ["--instances", f"key:{route},{section},{year}"]) == EXIT_OK
+        name = f"lime_{cli._safe_name((route, section, year))}.csv"
+        assert sorted(os.listdir(tmp_path / "key")) == sorted(["lime_explanations.json", name])
+        assert (tmp_path / "key" / name).read_bytes() == (tmp_path / "sample" / name).read_bytes()
+        assert json.loads((tmp_path / "key" / "lime_explanations.json").read_text()) == [doc[2]]
+
     def test_model_without_features_is_refused(self, tmp_path):
         from floodpave.dataset import FEATURE_COLUMNS
 
@@ -816,6 +831,20 @@ class TestStartup:
         )
         assert result.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
+    def test_cli_runs_as_main_under_cprofile(self, tmp_path):
+        # Under -m cProfile, sys.modules["__main__"] is cProfile, not the cli;
+        # the config's annotations must resolve all the same.
+        cfg = write_config(tmp_path, synth={"n_sections": 20})
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "p.prof"), "-m", "floodpave.cli",
+             "--config", cfg, "--out", str(tmp_path / "d"), "--quiet", "synth-gen"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert (tmp_path / "d" / "records.csv").exists() and (tmp_path / "p.prof").exists()
+
     # Modules that a command which does not use them must not load.
     MODEL_CODE = {"floodpave.models.tree", "floodpave.models.linear", "floodpave.models.io"}
     EXPLAINERS = {"floodpave.shapley", "floodpave.lime"}
@@ -969,6 +998,14 @@ def _corrupt(doc, case):
         tree["value"].pop()
     elif case == "non-finite-threshold":
         tree["threshold"][0] = float("inf")
+    elif case == "spec-out-of-range":
+        doc["spec"]["hyperparameters"]["max_depth"] = 0
+    elif case == "spec-unknown-kind":
+        doc["spec"]["kind"] = "svm"
+    elif case == "learning-rate-differs-from-spec":
+        doc["learning_rate"] = -5.0
+    elif case == "repeated-feature-name":
+        doc["feature_names"][1] = doc["feature_names"][0]
     return doc
 
 
@@ -983,6 +1020,10 @@ class TestMalformedModelFile:
             ("missing-spec-key", "model spec has no ['hyperparameters'] entry"),
             ("arrays-differ-in-length", "tree arrays differ in length"),
             ("non-finite-threshold", "tree split thresholds and leaf values must be finite"),
+            ("spec-out-of-range", "model spec: gradient_boosting: max_depth must be >= 1"),
+            ("spec-unknown-kind", "unknown model kind 'svm'"),
+            ("learning-rate-differs-from-spec", "learning_rate -5.0 differs from the spec's 0.1"),
+            ("repeated-feature-name", "model feature_names repeat ['TX_CONDITION_SCORE']"),
         ],
     )
     def test_refused_with_exit_3(self, boosting_file, case, message):

@@ -364,6 +364,92 @@ class TestSelection:
         assert "intercept-only" in caplog.text
 
 
+def shared_neighbourhood_case():
+    """A training table whose column "c" is constant, and six instances that
+    take two values on it; "zone" is label-encoded and "flag" binary."""
+    rng = np.random.default_rng(40)
+    names = ("u", "zone", "flag", "c")
+
+    def rows(n, c):
+        return np.column_stack(
+            [rng.normal(50, 10, n), rng.integers(0, 3, n).astype(float), (rng.random(n) < 0.3).astype(float), c]
+        )
+
+    train = DataTable(names, rows(300, np.full(300, 7.0)), {"zone": ("west", "east", "north")},
+                      tuple(("R", str(i), 2000) for i in range(300)))
+    fit_X = rows(400, rng.choice([7.0, 9.0], 400))
+    fit_y = 0.2 * fit_X[:, 0] + 3.0 * fit_X[:, 1] + 5.0 * fit_X[:, 2] + 4.0 * fit_X[:, 3] + rng.normal(0, 1, 400)
+    X = rows(6, np.array([7.0, 9.0, 9.0, 7.0, 9.0, 7.0]))
+    return train, fit_X, fit_y, X
+
+
+SHARED_KINDS = [
+    ("gradient_boosting", {"n_estimators": 10, "max_depth": 3, "subsample": 0.75}),
+    ("random_forest", {"n_estimators": 5, "max_depth": 5, "feature_subsample": 0.6}),
+    ("linear", {}),
+]
+
+
+def reference_surrogate(predictor, x, stats, cfg, key):
+    """One instance the way LIME explained each before the neighbourhood was
+    shared: its own draw from the seed, column by column, predicted whole,
+    with x's own output predicted alone."""
+    rng = np.random.default_rng(cfg.seed)
+    n, m = cfg.n_samples, len(x)
+    samples, interp, sq_dist = np.empty((n, m)), np.empty((n, m)), np.zeros(n)
+    samples[0] = x
+    for j, fs in enumerate(stats):
+        if fs.kind == "categorical":
+            samples[1:, j] = rng.choice(np.asarray(fs.categories), size=n - 1, p=np.asarray(fs.frequencies))
+            interp[:, j] = (samples[:, j] == x[j]).astype(float)
+        elif fs.std == 0.0:
+            samples[:, j] = x[j]
+            interp[:, j] = 1.0 if cfg.discretize else 0.0
+        else:
+            samples[1:, j] = rng.normal(fs.mean, fs.std, size=n - 1)
+            z = (samples[:, j] - x[j]) / fs.std
+            sq_dist += z**2
+            if cfg.discretize:
+                edges = np.asarray(fs.bin_edges)
+                interp[:, j] = (np.searchsorted(edges, samples[:, j]) == np.searchsorted(edges, x[j])).astype(float)
+            else:
+                interp[:, j] = (samples[:, j] - fs.mean) / fs.std
+    outputs = predictor.predict(samples)
+    outputs[0] = predictor.predict(x[None])[0]
+    weights = kernel_weight(np.sqrt(sq_dist), cfg.sigma_for(m))
+    return lime._surrogate(list(predictor.feature_names), stats, x, key, interp, outputs, weights, cfg)
+
+
+class TestSharedNeighbourhood:
+    @pytest.mark.parametrize("discretize", [True, False])
+    @pytest.mark.parametrize("kind, hp", SHARED_KINDS, ids=[k for k, _ in SHARED_KINDS])
+    def test_batch_equals_one_row_calls_bit_for_bit(self, kind, hp, discretize):
+        train, fit_X, fit_y, X = shared_neighbourhood_case()
+        predictor = models.fit(models.ModelSpec(kind, hp, 3), fit_X, fit_y, feature_names=list(train.column_names))
+        cfg = LimeConfig(n_samples=500, discretize=discretize, seed=17)
+        stats = training_stats(train, list(train.column_names), cfg.n_bins)
+        assert [fs.kind for fs in stats] == ["continuous", "categorical", "categorical", "continuous"]
+        assert stats[3].std == 0.0
+        keys = [("R", str(i), 2001) for i in range(len(X))]
+        sizes = []
+
+        class Counted:
+            feature_names = predictor.feature_names
+
+            def predict(self, Z):
+                sizes.append(len(Z))
+                return predictor.predict(Z)
+
+        batch = lime.fit_local_surrogates(Counted(), X, keys, train, cfg, stats)
+        # one neighbourhood per value of the zero-std column "c", and x alone per instance
+        assert sorted(sizes) == [1] * len(X) + [cfg.n_samples] * 2
+        for x, key, got in zip(X, keys, batch):
+            # repr shows every float to the last bit, NaN R² included
+            assert repr(got) == repr(fit_local_surrogate(predictor, x, train, cfg, key, stats))
+            assert repr(got) == repr(reference_surrogate(predictor, x, stats, cfg, key))
+        assert lime.fit_local_surrogates(predictor, X[:0], [], train, cfg, stats) == []
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

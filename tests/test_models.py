@@ -390,8 +390,9 @@ class TestPersistence:
             ("sigma", [1.0, 0.0, 2.0], "model sigma must be positive"),
             ("coef", [0.5, float("nan"), 1.0], "coef[1] must be a finite number, got nan"),
             ("intercept", "x", "intercept must be a number, got 'x'"),
+            ("feature_names", ["a", "a", "b"], "model feature_names repeat ['a']"),
         ],
-        ids=["names-not-a-list", "coef-too-short", "sigma-zero", "coef-nan", "intercept-not-a-number"],
+        ids=["names-not-a-list", "coef-too-short", "sigma-zero", "coef-nan", "intercept-not-a-number", "names-repeated"],
     )
     def test_malformed_linear_file_is_refused(self, key, value, message):
         doc = models.model_to_dict(manual_linear([1.0, -2.0, 0.5]))

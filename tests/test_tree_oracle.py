@@ -204,13 +204,39 @@ def test_best_split_matches_exact_arithmetic(n, m, tied, min_leaf, data):
     # rounding of the centred targets exceeds the tie window; such a split
     # is noise.
     assume(best > parent * Fraction(1, 10**6))
+    assert_best_split_is_exact(X, y, features, min_leaf, parent, candidates, best)
+
+
+def assert_best_split_is_exact(X, y, features, min_leaf, parent, candidates, best):
+    """``_best_split`` picks the first candidate within the tie window of the
+    exact best. It may find none only where `grow` would refuse the exact
+    best anyway: at or below ``_MIN_REDUCTION · max(parent SSE, 1)``, where
+    squared subnormal sums can round to 0."""
     Xt = np.ascontiguousarray(X.T)
     order = tree_module._presort(Xt)
-    divisors = tree_module._divisors(n)
+    divisors = tree_module._divisors(len(y))
     got = tree_module._best_split(Xt, reference_centred(y), order, features, min_leaf, *divisors)
+    if got is None:
+        assert best <= Fraction(tree_module._MIN_REDUCTION) * max(parent, Fraction(1))
+        return got
     first = next(c for c in candidates if c[0] >= best * (1 - Fraction(tree_module._TIE)))
     assert got[1:] == first[1:]
     assert got[0] == pytest.approx(float(first[0]), rel=1e-9)
+    return got
+
+
+def test_subnormal_targets_find_no_split():
+    # A case the property test above once drew: the exact best reduction is
+    # positive and passes its assume, but the squared prefix sum of the
+    # subnormal target underflows to 0, so no split is found.
+    X = np.array([[0.0]] * 5 + [[1.0]])
+    y = np.array([0.0] * 5 + [5e-324])
+    features = np.array([0])
+    parent, candidates = exact_candidates(X, y, features, 1)
+    best = max(c[0] for c in candidates)
+    assert 0 < parent * Fraction(1, 10**6) < best
+    assert assert_best_split_is_exact(X, y, features, 1, parent, candidates, best) is None
+    assert build_tree(X, y, max_depth=3).n_nodes == 1
 
 
 def test_first_feature_wins_a_tie_of_mirrored_columns():
