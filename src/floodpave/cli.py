@@ -35,7 +35,7 @@ of each kind, with its hyperparameters, the MSE of every fold, their
 mean, and whether it was scored on its own fit or on an `n_estimators`
 prefix or a depth truncation of another candidate's fit.
 
-`explain` draws one LIME neighbourhood per run and shares it between
+`explain` draws one LIME neighborhood per run and shares it between
 the instances, in one thread. `--workers` (config key `workers`) sizes
 only the thread pool of SHAP in `explain`.
 

@@ -119,7 +119,7 @@ def kernel_weight(distance, sigma: float):
 
 
 def _draw(x, stats: list[FeatureStats], config: LimeConfig, rng) -> np.ndarray:
-    """The ``n_samples`` × M neighbourhood of x, drawn feature by feature from ``rng``.
+    """The ``n_samples`` × M neighborhood of x, drawn feature by feature from ``rng``.
 
     Row 0 is x. Continuous features draw from a normal law with the
     training mean/std; categorical features resample from training
@@ -127,6 +127,8 @@ def _draw(x, stats: list[FeatureStats], config: LimeConfig, rng) -> np.ndarray:
     held at x's value. So every row but 0, on every feature but the held
     ones, is the same whatever x is.
     """
+    if len(x) != len(stats):
+        raise ValueError(f"x has {len(x)} features but stats describe {len(stats)}")
     n = config.n_samples
     samples = np.empty((n, len(stats)))
     samples[0] = x
@@ -139,11 +141,6 @@ def _draw(x, stats: list[FeatureStats], config: LimeConfig, rng) -> np.ndarray:
         else:
             samples[1:, j] = rng.normal(fs.mean, fs.std, size=n - 1)
     return samples
-
-
-def _held(stats: list[FeatureStats]) -> list[int]:
-    """The features ``_draw`` holds at x's value: continuous with zero training std."""
-    return [j for j, fs in enumerate(stats) if fs.kind == "continuous" and fs.std == 0.0]
 
 
 def _bins(samples, stats: list[FeatureStats], config: LimeConfig) -> list:
@@ -183,11 +180,6 @@ def _localize(samples, bins: list, x, stats: list[FeatureStats], config: LimeCon
     return interp, np.sqrt(sq_dist)
 
 
-def _check_width(m: int, stats: list[FeatureStats]) -> None:
-    if m != len(stats):
-        raise ValueError(f"x has {m} features but stats describe {len(stats)}")
-
-
 def perturb_neighborhood(x, stats: list[FeatureStats], config: LimeConfig, rng):
     """Sample the local neighborhood around x.
 
@@ -195,7 +187,6 @@ def perturb_neighborhood(x, stats: list[FeatureStats], config: LimeConfig, rng):
     ``_localize`` make them. Row 0 is x itself.
     """
     x = np.asarray(x, dtype=float)
-    _check_width(len(x), stats)
     samples = _draw(x, stats, config, rng)
     interp, distances = _localize(samples, _bins(samples, stats, config), x, stats, config)
     return samples, interp, distances
@@ -311,11 +302,11 @@ def fit_local_surrogates(
 ) -> list[LocalExplanation]:
     """Explain each row of X with a weighted sparse linear surrogate; ``keys`` name the rows.
 
-    The neighbourhood is drawn once from ``config.seed``, binned once and
+    The neighborhood is drawn once from ``config.seed``, binned once and
     predicted once, and shared by every row: the sampler draws from the
     training marginals, so only row 0 (the instance itself) depends on
     the row explained. A feature with zero training std is held at the
-    instance's value, so the neighbourhood is predicted once per distinct
+    instance's value, so the neighborhood is predicted once per distinct
     tuple of the rows' values on such features. Each row then puts
     itself in row 0 and fits its own surrogate, and its output there is
     predicted alone, so an explanation does not depend on the other rows
@@ -330,12 +321,11 @@ def fit_local_surrogates(
     names = list(predictor.feature_names)
     if stats is None:
         stats = training_stats(table, names, config.n_bins)
-    _check_width(X.shape[1], stats)
     if len(X) == 0:
         return []
     samples = _draw(X[0], stats, config, np.random.default_rng(config.seed))
     bins = _bins(samples, stats, config)
-    held = _held(stats)
+    held = [j for j, fs in enumerate(stats) if fs.kind == "continuous" and fs.std == 0.0]
     groups: dict[bytes, list[int]] = {}
     for i, x in enumerate(X):
         groups.setdefault(x[held].tobytes(), []).append(i)
@@ -367,7 +357,7 @@ def fit_local_surrogate(
 
 
 def _surrogate(names, stats, x, instance_key, interp, outputs, weights, config) -> LocalExplanation:
-    """The surrogate fitted to ``outputs`` over one instance's neighbourhood."""
+    """The surrogate fitted to ``outputs`` over one instance's neighborhood."""
     sqrt_w = np.sqrt(weights)
 
     w_mean = float(np.sum(weights * outputs) / np.sum(weights))
