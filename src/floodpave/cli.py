@@ -14,10 +14,10 @@ Exit codes:
     unknown config key, model kind or explainer name, a config value or
     flag of the wrong type, out of its range or a non-finite number, a
     grid that does not expand to valid model specs, a malformed
-    `--instances` selector). Every command checks the whole config, each
-    section included, and refuses its errors before it reads any input
-    file. A UTF-8 byte-order mark at the start of a records, events or
-    config file is ignored.
+    `--instances` selector, two instances that would write one LIME
+    file). Every command checks the whole config, each section included,
+    and refuses its errors before it reads any input file. A leading UTF-8
+    byte-order mark in a records, events or config file is ignored.
   4 I/O error
   5 empty result or insufficient data (including a records file with no
     data row, named in the message, and `explain` on a model with no
@@ -448,6 +448,17 @@ def _safe_name(key) -> str:
     return "_".join(str(part).replace("/", "-").replace(" ", "-") for part in key)
 
 
+def _lime_files(keys) -> list[str]:
+    """The ``lime_*.csv`` name of each key; two keys that would write one file are a SchemaError."""
+    owner = {}
+    for key in keys:
+        name = f"lime_{_safe_name(key)}.csv"
+        if name in owner:
+            raise SchemaError(f"instances {owner[name]} and {key} would both write {name}")
+        owner[name] = key
+    return list(owner)
+
+
 def cmd_explain(config: RunConfig) -> int:
     shap_cfg = replace(config.shap, seed=config.seed)
     model_path = config.explain.model_path
@@ -473,6 +484,8 @@ def cmd_explain(config: RunConfig) -> int:
     idx = _select_instances(complete, config.explain.instances, config.seed)
     X = complete.matrix(features)[idx]
     keys = [complete.row_keys[i] for i in idx]
+    if "lime" in config.explain.explainers:
+        lime_files = _lime_files(keys)
 
     if "shap" in config.explain.explainers:
         from . import shapley
@@ -535,11 +548,11 @@ def cmd_explain(config: RunConfig) -> int:
         _dump_json(
             [e.to_dict() for e in explanations], _out_path(config, "lime_explanations.json")
         )
-        for e in explanations:
+        for e, name in zip(explanations, lime_files):
             _dump_csv(
                 [["condition", "weight"]]
                 + [[c.condition, _fmt(c.weight)] for c in e.contributions],
-                _out_path(config, f"lime_{_safe_name(e.instance_key)}.csv"),
+                _out_path(config, name),
             )
         _say(config, f"[explain] LIME over {len(keys)} instance(s)")
 
@@ -564,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=int, help="worker threads for explain's SHAP pool; train and LIME run in one thread"
     )
-    parser.add_argument("--quiet", action="store_true", default=None, help="suppress progress lines")
+    parser.add_argument("--quiet", action="store_true", default=None, help="suppress progress lines and warnings")
     parser.add_argument("--records", dest="records_csv", help="section-year records CSV")
     parser.add_argument("--events", dest="events_csv", help="flood events CSV")
 
@@ -592,12 +605,29 @@ _HANDLERS = {
 }
 
 
+def _without_warnings(handler, config: RunConfig) -> int:
+    """``handler(config)`` with the package's log warnings off stderr, as ``--quiet`` asks."""
+    import logging
+
+    logger = logging.getLogger("floodpave")
+    level = logger.level
+    logger.setLevel(logging.ERROR)
+    try:
+        return handler(config)
+    finally:
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if v is not None and k not in ("config", "command")}
     flags["explain"] = {f.name: flags.pop(f.name) for f in fields(ExplainConfig) if f.name in flags}
     try:
-        return _HANDLERS[args.command](RunConfig.from_sources(args.config, flags))
+        config = RunConfig.from_sources(args.config, flags)
+        # Only these commands load a module that logs; logging costs the others 10 ms of start-up.
+        if config.quiet and args.command in ("flood-analysis", "train", "explain"):
+            return _without_warnings(_HANDLERS[args.command], config)
+        return _HANDLERS[args.command](config)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -174,11 +174,6 @@ def _is_text_column(texts: list[str]) -> bool:
     return bool(nonempty) and all(t.lower() != "nan" for t in nonempty)
 
 
-def _label_codes(texts: list[str], index: dict[str, int]) -> list[float]:
-    """Label codes (NaN for empty cells), adding new labels to ``index`` in order."""
-    return [index.setdefault(t, len(index)) if t else math.nan for t in texts]
-
-
 def not_utf8(path, exc: UnicodeDecodeError) -> SchemaError:
     """The SchemaError for an input file that does not decode as UTF-8."""
     byte = exc.object[exc.start]
@@ -197,7 +192,7 @@ def csv_error(path, line_num: int, exc: csv.Error) -> SchemaError:
 _BLOCK_ROWS = 256
 
 
-def load_csv(path, schema, categorical: set[str] | None = None) -> DataTable:
+def load_csv(path, schema) -> DataTable:
     """Load a UTF-8 comma-delimited CSV into a DataTable.
 
     The header must contain every column in ``schema`` plus the
@@ -209,21 +204,20 @@ def load_csv(path, schema, categorical: set[str] | None = None) -> DataTable:
     that the csv module cannot parse (such as a cell over
     ``csv.field_size_limit()``), is a SchemaError naming it.
 
-    Categorical columns are label-encoded in first-appearance order and
-    the label list is recorded in ``encodings``. When ``categorical`` is
-    None a column is auto-detected as categorical if none of its
-    non-empty cells parse as a number; otherwise it is numeric and
-    empty or unparseable cells become NaN.
+    A column is categorical if none of its non-empty cells parse as a
+    number: it is label-encoded in first-appearance order and the label
+    list is recorded in ``encodings``. Otherwise it is numeric and empty
+    or unparseable cells become NaN.
 
     The file is read in blocks of ``_BLOCK_ROWS`` rows. Each block is
     transposed and parsed column by column into a float block, so the
     cell strings of only one block are held at a time. numpy converts a
     numeric column's raw cells as ``float()`` does, bit for bit and
     whitespace included; only a column block with a blank or unparseable
-    cell is parsed cell by cell. A column being auto-detected keeps its
-    stripped texts only until a cell parses as a number. Key values and
-    kept texts are looked up by their raw cell text, so a repeated route,
-    section, year or label is stripped or parsed once and is one object.
+    cell is parsed cell by cell. A column keeps its stripped texts only
+    until one of its cells parses as a number. Key values and kept texts
+    are looked up by their raw cell text, so a repeated route, section,
+    year or label is stripped or parsed once and is one object.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -236,7 +230,7 @@ def load_csv(path, schema, categorical: set[str] | None = None) -> DataTable:
             missing = [c for c in list(schema) + list(KEY_COLUMNS) if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing required column(s) {missing}")
-            loader = _BlockLoader(path, header, categorical)
+            loader = _BlockLoader(path, header)
             while block := list(itertools.islice(reader, _BLOCK_ROWS)):
                 loader.add(block)
     except UnicodeDecodeError as exc:
@@ -249,9 +243,9 @@ def load_csv(path, schema, categorical: set[str] | None = None) -> DataTable:
 
 
 class _BlockLoader:
-    """`load_csv`'s state across blocks: row keys, float blocks and labels."""
+    """`load_csv`'s state across blocks: row keys, float blocks and column texts."""
 
-    def __init__(self, path, header: list[str], categorical: set[str] | None):
+    def __init__(self, path, header: list[str]):
         self.path = path
         self.width = len(header)
         self.key_index = [header.index(name) for name in KEY_COLUMNS]
@@ -263,16 +257,8 @@ class _BlockLoader:
         self.years: dict[str | int, int] = {}
         self.row_keys: list[RowKey] = []
         self.blocks: list[np.ndarray] = []
-        # Column position -> first-appearance label index (explicit
-        # categorical), or -> stripped texts while no cell has read as a
-        # number (auto-detection).
-        self.labels: dict[int, dict[str, int]] = {}
-        self.undecided: dict[int, list[str]] = {}
-        for j, name in enumerate(self.columns):
-            if categorical is None:
-                self.undecided[j] = []
-            elif name in categorical:
-                self.labels[j] = {}
+        # Column position -> its stripped texts, while no cell has read as a number.
+        self.undecided: dict[int, list[str]] = {j: [] for j in range(len(self.columns))}
 
     def _stripped(self, cells) -> list[str]:
         """The stripped `cells`, one object per distinct text."""
@@ -316,10 +302,6 @@ class _BlockLoader:
         block = np.empty((len(years), len(self.columns)))
         for j, i in enumerate(self.column_index):
             cells = by_index[i]
-            index = self.labels.get(j)
-            if index is not None:
-                block[:, j] = _label_codes(self._stripped(cells), index)
-                continue
             try:
                 block[:, j] = cells
             except ValueError:
@@ -337,11 +319,9 @@ class _BlockLoader:
         self.blocks.clear()
         encodings: dict[str, list[str]] = {}
         for j, name in enumerate(self.columns):
-            if j in self.labels:
-                encodings[name] = list(self.labels[j])
-            elif j in self.undecided and _is_text_column(self.undecided[j]):
+            if j in self.undecided and _is_text_column(self.undecided[j]):
                 index = {}
-                values[:, j] = _label_codes(self.undecided[j], index)
+                values[:, j] = [index.setdefault(t, len(index)) if t else math.nan for t in self.undecided[j]]
                 encodings[name] = list(index)
         return DataTable(tuple(self.columns), values, encodings, tuple(self.row_keys))
 

@@ -12,10 +12,10 @@ are reported as quantile-bin conditions ("90.00 < TX_IRI_AVERAGE_SCORE
 
 At most ``max_features_K`` features are kept by greedy forward selection
 (Ribeiro et al., arXiv:1602.04938). Each round scores every remaining
-candidate at once from the weighted columns projected off the intercept
-and the columns already chosen, and refits only the best one by least
-squares; that refit decides whether it is kept and gives the reported
-weights, so the result is that of refitting every candidate.
+candidate at once by the weighted-SSE reduction it brings, from the
+weighted columns projected off the intercept and the chosen columns, and
+keeps the best while that is not noise. One least-squares fit on the
+chosen columns then gives the weights, as refitting every candidate would.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ class LocalExplanation:
 
 
 def _weighted_lstsq(columns, target, sqrt_w):
-    """Weighted least squares with intercept; returns (beta, weighted SSE)."""
-    a = np.hstack([np.ones((len(target), 1))] + columns) * sqrt_w[:, None]
+    """Weighted least squares of ``target`` on an intercept and ``columns``; returns (beta, weighted SSE)."""
+    a = np.hstack([np.ones((len(target), 1)), columns]) * sqrt_w[:, None]
     b = target * sqrt_w
     beta, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
     sse = float(np.sum((b - a @ beta) ** 2))
@@ -253,43 +253,39 @@ def _squared_norms(rows):
     return np.array([row @ row for row in rows])
 
 
-def _select(interp, outputs, sqrt_w, usable, k, beta, sse):
-    """Greedy forward selection of up to ``k`` of the ``usable`` columns.
+def _select(interp, outputs, sqrt_w, k, ss_tot):
+    """Greedy forward selection of up to ``k`` columns of ``interp``; returns their indices in order.
 
-    ``beta`` and ``sse`` are the intercept-only fit's. Returns
-    ``(selected, beta, sse)`` of the last accepted fit. Each round scores
-    every remaining candidate at once: with the weighted columns and
-    target projected off the intercept and the selected columns
-    (classical Gram-Schmidt, twice), adding column u lowers the weighted
-    SSE by ``(u.r)^2 / u.u`` for the projected target r. The best
-    candidate, the first in ``usable`` order on a tie, is refitted by
-    ``_weighted_lstsq``, and that refit's SSE decides whether it is kept.
+    Each round scores every remaining column at once: with the weighted
+    columns and target projected off the intercept and the selected
+    columns (classical Gram-Schmidt, twice), adding column u lowers the
+    weighted SSE by ``(u.r)^2 / u.u`` for the projected target r. The
+    best, the first on a tie, is kept while that exceeds
+    ``_SELECTION_EPS * max(ss_tot, 1)``, ``ss_tot`` being the intercept-only
+    SSE. A column left with at most ``_COLLINEAR`` of its weighted squared
+    norm scores 0, as does one with no weighted variation or one selected.
     """
-    selected, ss_tot = [], sse
-    if not usable:
-        return selected, beta, sse
-    rows = np.empty((len(usable) + 1, len(outputs)))  # candidates, then the target
-    for row, j in zip(rows, usable):
-        np.multiply(interp[:, j], sqrt_w, out=row)
+    rows = np.empty((interp.shape[1] + 1, len(outputs)))  # candidates, then the target
+    for row, column in zip(rows, interp.T):
+        np.multiply(column, sqrt_w, out=row)
     np.multiply(outputs, sqrt_w, out=rows[-1])
     floor = _COLLINEAR * _squared_norms(rows[:-1])
     _project_off(rows, sqrt_w / np.linalg.norm(sqrt_w))
-    taken = np.zeros(len(usable), dtype=bool)
-    while len(selected) < min(k, len(usable)):
+    if not (_squared_norms(rows[:-1]) > floor).any():
+        log.warning("degenerate neighborhood: explanation is intercept-only")
+        return []
+    selected = []
+    while len(selected) < min(k, len(floor)):
         norms, dots = _squared_norms(rows[:-1]), rows[:-1] @ rows[-1]
         live = norms > floor
-        score = np.zeros(len(usable))
+        score = np.zeros(len(floor))
         score[live] = np.square(dots[live]) / norms[live]
-        score[taken] = -1.0
         i = int(score.argmax())
-        cand_beta, cand_sse = _weighted_lstsq([interp[:, selected + [usable[i]]]], outputs, sqrt_w)
-        if sse - cand_sse <= _SELECTION_EPS * max(ss_tot, 1.0):
+        if score[i] <= _SELECTION_EPS * max(ss_tot, 1.0):
             break
-        selected.append(usable[i])
-        beta, sse = cand_beta, cand_sse
-        taken[i] = True
+        selected.append(i)
         _project_off(rows, rows[i] / np.linalg.norm(rows[i]))
-    return selected, beta, sse
+    return selected
 
 
 def fit_local_surrogates(
@@ -363,25 +359,18 @@ def _surrogate(names, stats, x, instance_key, interp, outputs, weights, config) 
     w_mean = float(np.sum(weights * outputs) / np.sum(weights))
     ss_tot = float(np.sum(weights * (outputs - w_mean) ** 2))
 
-    # Columns with no weighted variation can never reduce the residual.
-    usable = [
-        j
-        for j in range(len(names))
-        if float(np.sum(weights * (interp[:, j] - np.sum(weights * interp[:, j]) / np.sum(weights)) ** 2)) > 0.0
-    ]
-    if not usable:
-        log.warning("degenerate neighborhood: explanation is intercept-only")
-
-    selected, beta, current_sse = _select(
-        interp, outputs, sqrt_w, usable, config.max_features_K, np.array([w_mean]), ss_tot
-    )
+    selected = _select(interp, outputs, sqrt_w, config.max_features_K, ss_tot)
+    if selected:
+        beta, sse = _weighted_lstsq(interp[:, selected], outputs, sqrt_w)
+    else:
+        beta, sse = (w_mean,), ss_tot
 
     intercept = float(beta[0])
     # Constant black-box output: weighted variance is zero up to rounding.
     if ss_tot <= 1e-20 * float(np.sum(weights)) * max(1.0, w_mean**2):
         r2 = float("nan")
     else:
-        r2 = 1.0 - current_sse / ss_tot
+        r2 = 1.0 - sse / ss_tot
 
     contributions = [
         Contribution(

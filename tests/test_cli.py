@@ -632,6 +632,32 @@ class TestExplain:
         assert (tmp_path / "key" / name).read_bytes() == (tmp_path / "sample" / name).read_bytes()
         assert json.loads((tmp_path / "key" / "lime_explanations.json").read_text()) == [doc[2]]
 
+    def test_instances_sharing_a_lime_file_are_refused(self, trained, tmp_path, capsys):
+        _, records, out = trained
+        lines = open(records).read().splitlines(keepends=True)
+        header = lines[0].rstrip("\n").split(",")
+        target = header.index("NEXT_YEAR_IRI")
+        row = next(line for line in lines[1:] if line.split(",")[target].strip())
+        cells = row.split(",")
+        route, section, year = (cells[header.index(c)].strip() for c in ("ROUTE_NAME", "SECTION_ID", "YEAR"))
+        doubled = tmp_path / "records.csv"
+        doubled.write_text("".join(lines) + row)  # a second row under the same key
+        argv = ["--records", str(doubled), "--seed", "21", "--quiet", "--out", str(tmp_path / "o"), "explain",
+                "--model-path", str(out / "model_linear.json"), "--instances", f"key:{route},{section},{year}"]
+        assert main(argv) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"{(route, section, int(year))}" in err and f"lime_{route}_{section}_{year}.csv" in err
+        assert not (tmp_path / "o").exists()
+        # SHAP alone writes no LIME file, so it explains both rows
+        assert main(argv + ["--explainers", "shap"]) == EXIT_OK
+
+    @pytest.mark.parametrize("keys", [[("R", "1 2", 2014), ("R", "1-2", 2014)],
+                                      [("R_1", "2", 2014), ("R", "1_2", 2014)]])
+    def test_keys_with_one_safe_name_are_refused(self, keys):
+        with pytest.raises(cli.SchemaError, match="would both write lime_"):
+            cli._lime_files(keys)
+        assert cli._lime_files(keys[:1]) == [f"lime_{cli._safe_name(keys[0])}.csv"]
+
     def test_model_without_features_is_refused(self, tmp_path):
         from floodpave.dataset import FEATURE_COLUMNS
 
@@ -877,7 +903,8 @@ class TestStartup:
 
         unused = self.MODEL_CODE | self.EXPLAINERS | self.THREADS
         unused |= {"floodpave.deterioration", "floodpave.floods", "floodpave.synth"}
-        assert self.loaded_after(argv + ["describe"]) & (unused | self.NUMPY_MA) == set()
+        # logging costs about 10 ms of describe's start-up, even under --quiet
+        assert self.loaded_after(argv + ["describe"]) & (unused | self.NUMPY_MA | {"logging"}) == set()
         loaded = self.loaded_after(argv + ["flood-analysis"])
         assert loaded & (self.MODEL_CODE | self.EXPLAINERS | self.THREADS) == set()
         assert "floodpave.floods" in loaded
@@ -890,6 +917,24 @@ class TestStartup:
         loaded = self.loaded_after(argv + ["explain", "--model-path", model, "--instances", "sample:2"])
         assert loaded & (self.THREADS | self.NUMPY_MA) == set()
         assert self.EXPLAINERS <= loaded
+
+    def test_quiet_silences_log_warnings(self, tmp_path):
+        # In a subprocess: in-process, pytest's log capture hides what
+        # logging's last-resort handler would print.
+        cfg = write_config(tmp_path, synth={"n_sections": 40, "sections_per_route": 1, "flood_fraction": 0.3})
+        data = tmp_path / "d"
+        assert main(["--config", cfg, "--seed", "3", "--out", str(data), "--quiet", "synth-gen"]) == EXIT_OK
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "floodpave.cli", "--records", str(data / "records.csv"),
+                "--events", str(data / "events.csv"), "--out", str(tmp_path / "o")]
+        warning = "flooded vs non-flooded comparison: no overlapping routes"
+        loud = subprocess.run(argv + ["flood-analysis"], capture_output=True, text=True, env=env, timeout=120)
+        assert loud.returncode == EXIT_OK and warning in loud.stderr
+        quiet = subprocess.run(argv + ["--quiet", "flood-analysis"], capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert quiet.returncode == EXIT_OK
+        assert quiet.stderr == ""
 
 
 class TestConfigHandling:

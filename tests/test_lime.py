@@ -254,34 +254,35 @@ class TestSurrogate:
         )
 
 
-def reference_select(interp, outputs, sqrt_w, usable, k, beta, sse):
+def reference_select(interp, outputs, sqrt_w, k, ss_tot):
     """Greedy forward selection by refitting every remaining candidate each round.
 
-    Also returns whether some round's two best candidate SSEs lay within
-    1e-9 relative, where rounding may order them either way.
+    The candidates are the columns with positive weighted variance, that
+    is, not constant over the rows of positive weight. Returns the
+    selected columns, the last accepted fit's SSE, and whether some
+    round's two best candidate SSEs lay within 1e-9 relative, where
+    rounding may order them either way.
     """
-    ss_tot, selected, near_tie = sse, [], False
+    weighted = sqrt_w > 0
+    usable = [j for j in range(interp.shape[1]) if np.ptp(interp[weighted, j]) > 0]
+    selected, sse, near_tie = [], ss_tot, False
     while len(selected) < k:
         fits = [
-            (lime._weighted_lstsq([interp[:, selected + [j]]], outputs, sqrt_w), j)
+            (lime._weighted_lstsq(interp[:, selected + [j]], outputs, sqrt_w)[1], j)
             for j in usable
             if j not in selected
         ]
         if not fits:
             break
-        best = None
-        for (cand_beta, cand_sse), j in fits:
-            if best is None or cand_sse < best[0]:
-                best = (cand_sse, j, cand_beta)
-        sses = sorted(cand_sse for (_, cand_sse), _ in fits)
+        cand_sse, j = min(fits, key=lambda fit: fit[0])  # the first on a tie
+        sses = sorted(fit[0] for fit in fits)
         if len(sses) > 1 and sses[1] - sses[0] <= 1e-9 * abs(sses[1]):
             near_tie = True
-        cand_sse, j, cand_beta = best
         if sse - cand_sse <= lime._SELECTION_EPS * max(ss_tot, 1.0):
             break
         selected.append(j)
-        beta, sse = cand_beta, cand_sse
-    return selected, beta, sse, near_tie
+        sse = cand_sse
+    return selected, sse, near_tie
 
 
 def neighbourhood(seed, n, m, binary=True, noise=0.5):
@@ -296,22 +297,11 @@ def neighbourhood(seed, n, m, binary=True, noise=0.5):
 
 
 def both_selections(interp, outputs, weights, k):
-    sqrt_w = np.sqrt(weights)
+    """``_select`` and ``reference_select`` on every column of ``interp``."""
     w_mean = float(np.sum(weights * outputs) / np.sum(weights))
     ss_tot = float(np.sum(weights * (outputs - w_mean) ** 2))
-    wsum = np.sum(weights)
-    usable = [
-        j for j in range(interp.shape[1])
-        if float(np.sum(weights * (interp[:, j] - np.sum(weights * interp[:, j]) / wsum) ** 2)) > 0.0
-    ]
-    args = (interp, outputs, sqrt_w, usable, k, np.array([w_mean]), ss_tot)
+    args = (interp, outputs, np.sqrt(weights), k, ss_tot)
     return lime._select(*args), reference_select(*args)
-
-
-def assert_same_selection(new, ref):
-    assert new[0] == ref[0]
-    assert np.array_equal(new[1], ref[1])
-    assert new[2] == ref[2]
 
 
 class TestSelection:
@@ -323,11 +313,16 @@ class TestSelection:
         k=st.integers(1, 6),
         binary=st.booleans(),
         noise=st.sampled_from([0.0, 0.01, 0.5, 5.0]),
+        constants=st.lists(st.tuples(st.integers(0, 11), st.sampled_from([0.0, 1.0, 0.37])), max_size=2),
     )
-    def test_matches_brute_force(self, seed, n, m, k, binary, noise):
-        new, ref = both_selections(*neighbourhood(seed, n, m, binary, noise), k)
-        assume(not ref[3])
-        assert_same_selection(new, ref)
+    def test_matches_brute_force(self, seed, n, m, k, binary, noise, constants):
+        interp, outputs, weights = neighbourhood(seed, n, m, binary, noise)
+        # exactly constant columns: collinear with the intercept, never selected
+        for position, value in constants:
+            interp = np.insert(interp, min(position, interp.shape[1]), value, axis=1)
+        new, (selected, _, near_tie) = both_selections(interp, outputs, weights, k)
+        assume(not near_tie)
+        assert new == selected
 
     @pytest.mark.parametrize("kind", ["duplicate", "complement", "scaled"])
     def test_collinear_pair(self, kind):
@@ -335,14 +330,14 @@ class TestSelection:
         interp[:, 3] = {"duplicate": interp[:, 0], "complement": 1.0 - interp[:, 0],
                         "scaled": 2.0 * interp[:, 0]}[kind]
         outputs = outputs + 20.0 * interp[:, 0]  # column 0 is picked first
-        new, ref = both_selections(interp, outputs, weights, 5)
+        new, (selected, sse, _) = both_selections(interp, outputs, weights, 5)
         # one twin is picked first and the other never; equal twins pick the first
-        assert new[0][0] in (0, 3) and len({0, 3} & set(new[0])) == 1
+        assert new[0] in (0, 3) and len({0, 3} & set(new)) == 1
         if kind == "duplicate":
-            assert_same_selection(new, ref)
+            assert new == selected
         else:  # the twins' SSEs differ by rounding alone, so either may come first
-            assert new[0][1:] == ref[0][1:]
-            assert new[2] == pytest.approx(ref[2], rel=1e-9)
+            assert new[1:] == selected[1:]
+            assert lime._weighted_lstsq(interp[:, new], outputs, np.sqrt(weights))[1] == pytest.approx(sse, rel=1e-9)
 
     def test_matches_brute_force_on_a_model(self, flood_bump_split, flood_bump_boosting, monkeypatch):
         train = flood_bump_split["train"]
@@ -350,9 +345,26 @@ class TestSelection:
         cfg = LimeConfig(n_samples=2000, seed=3)
         stats = training_stats(train, FEATS, cfg.n_bins)
         got = [fit_local_surrogate(flood_bump_boosting, X[i], train, cfg, stats=stats) for i in range(0, 400, 40)]
-        monkeypatch.setattr(lime, "_select", lambda *a: reference_select(*a)[:3])
+        monkeypatch.setattr(lime, "_select", lambda *a: reference_select(*a)[0])
         want = [fit_local_surrogate(flood_bump_boosting, X[i], train, cfg, stats=stats) for i in range(0, 400, 40)]
         assert [e.to_dict() for e in got] == [e.to_dict() for e in want]
+
+    def test_one_least_squares_per_instance(self, flood_bump_split, flood_bump_boosting, monkeypatch):
+        train = flood_bump_split["train"]
+        X = train.matrix(FEATS)[:8]
+        calls = []
+        lstsq = lime._weighted_lstsq
+
+        def counted(*args):
+            calls.append(args)
+            return lstsq(*args)
+
+        monkeypatch.setattr(lime, "_weighted_lstsq", counted)
+        keys = [("R", str(i), 2000) for i in range(len(X))]
+        explanations = lime.fit_local_surrogates(flood_bump_boosting, X, keys, train, LimeConfig(n_samples=1000, seed=4))
+        # several features kept per instance, so several selection rounds
+        assert sum(len(e.contributions) for e in explanations) > 2 * len(X)
+        assert len(calls) <= len(X)
 
     def test_no_usable_column(self, caplog):
         vals = np.column_stack([np.full(50, 3.0), np.ones(50)])

@@ -1,9 +1,10 @@
 """`load_csv` against the row-wise loader it replaced.
 
 `reference_load_csv` is the earlier implementation: it reads every cell
-through a per-row helper and parses one cell at a time. The only change
-is that a YEAR cell of ±inf raises SchemaError rather than OverflowError,
-which is the current contract. The block-wise loader must give the same
+through a per-row helper and parses one cell at a time. The only changes
+are that a YEAR cell of ±inf raises SchemaError rather than OverflowError,
+which is the current contract, and that, like `load_csv`, it no longer
+takes a set of columns to read as categorical. The block-wise loader must give the same
 table, bit for bit, or the same exception with the same message, at its
 default block size and at block sizes of 1, 2 and 3 rows, so that blank
 rows, first numbers, "nan" words, new labels, bad YEARs and a numeric
@@ -36,7 +37,7 @@ from floodpave.dataset import (
 from floodpave.errors import SchemaError
 
 
-def reference_load_csv(path, schema, categorical=None):
+def reference_load_csv(path, schema):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -69,13 +70,12 @@ def reference_load_csv(path, schema, categorical=None):
             raise SchemaError(f"{path}: unparseable YEAR value {year_text!r}") from None
         row_keys.append((cell(row, ROUTE_COLUMN), cell(row, SECTION_COLUMN), year))
 
-    if categorical is None:
-        categorical = set()
-        for name in data_columns:
-            texts = [cell(r, name) for r in raw_rows]
-            nonempty = [t for t in texts if t]
-            if nonempty and all(math.isnan(_parse_cell(t)) and t.lower() != "nan" for t in nonempty):
-                categorical.add(name)
+    categorical = set()
+    for name in data_columns:
+        texts = [cell(r, name) for r in raw_rows]
+        nonempty = [t for t in texts if t]
+        if nonempty and all(math.isnan(_parse_cell(t)) and t.lower() != "nan" for t in nonempty):
+            categorical.add(name)
 
     n = len(raw_rows)
     values = np.full((n, len(data_columns)), np.nan)
@@ -102,16 +102,16 @@ def reference_load_csv(path, schema, categorical=None):
 BLOCK_ROWS = [dataset._BLOCK_ROWS, 1, 2, 3]
 
 
-def outcome(loader, path, schema, categorical):
+def outcome(loader, path, schema):
     try:
-        return loader(path, schema, categorical)
+        return loader(path, schema)
     except SchemaError as exc:
         return (type(exc), str(exc))
 
 
-def blocked_outcome(block_rows, path, schema, categorical):
+def blocked_outcome(block_rows, path, schema):
     with mock.patch.object(dataset, "_BLOCK_ROWS", block_rows):
-        return outcome(load_csv, path, schema, categorical)
+        return outcome(load_csv, path, schema)
 
 
 def assert_same(got, want):
@@ -165,7 +165,7 @@ sections = st.sampled_from(["0001", "0002", "10", "9", ""])
 
 @st.composite
 def csv_documents(draw):
-    """(text, schema, categorical) for a random records CSV."""
+    """(text, schema) for a random records CSV."""
     data_names = draw(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=5))
     names = list(KEY_COLUMNS) + data_names
     header = draw(st.permutations(names))
@@ -206,21 +206,18 @@ def csv_documents(draw):
     schema = draw(st.lists(st.sampled_from(data_names), max_size=2)) if data_names else []
     if draw(st.integers(0, 9)) == 0:
         schema.append("z")
-    categorical = draw(
-        st.one_of(st.none(), st.sets(st.sampled_from(["a", "b", "c", "z", ROUTE_COLUMN])))
-    )
-    return buf.getvalue(), schema, categorical
+    return buf.getvalue(), schema
 
 
 @settings(max_examples=300, deadline=None)
 @given(doc=csv_documents())
 def test_matches_row_wise_reference(tmp_path_factory, doc):
-    text, schema, categorical = doc
+    text, schema = doc
     path = tmp_path_factory.mktemp("csv") / "records.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    want = outcome(reference_load_csv, path, schema, categorical)
+    want = outcome(reference_load_csv, path, schema)
     for block_rows in BLOCK_ROWS:
-        assert_same(blocked_outcome(block_rows, path, schema, categorical), want)
+        assert_same(blocked_outcome(block_rows, path, schema), want)
 
 
 def write(tmp_path, text):
@@ -232,27 +229,28 @@ def write(tmp_path, text):
 HEAD = "ROUTE_NAME,SECTION_ID,YEAR,a,b\n"
 
 
+# The three "explicit" cases once named their categorical columns, when
+# load_csv took that set; they now check auto-detection on the same text.
 HAND_WRITTEN = pytest.mark.parametrize(
-    "text, categorical",
+    "text",
     [
-        (HEAD, None),
-        (HEAD + "\n , \n", None),
-        ("YEAR, ROUTE_NAME ,SECTION_ID,a,b,c\nR,1,2014, 1.5 ,east,nan\n R , 2 ,2015,,west,NaN\n", None),
-        (HEAD + "R,1,2014,oops,-nan\nR,2,2014,2,\nR,3\n", None),
-        (HEAD + "R,1,2014,1,2,3,4\nR,2,2014,x,y\n", {"a", "z"}),
-        ("ROUTE_NAME,SECTION_ID,YEAR,a,a\nR,1,2014,1,2\n", None),
-        (HEAD + "R,1,2014,1,x\n\n,,\n \n\t,\n\n\nR,2,2015,2,y\n", None),
-        (HEAD + "R,1,2014,,oops\nR,2,2014,x,\nR,3,2014,,\nR,4,2014,,\nR,5,2014,7,\n", None),
-        (HEAD + "R,1,2014,east,1\nR,2,2014,west,\nR,3,2014,,2\nR,4,2014,east,\nR,5,2014,nan,\n", None),
-        (HEAD + "R,1,2014,x,1\nR,2,2014,,2\nR,3,2014,x,3\nR,4,2014,y,4\nR,5,2014,z,5\nR,6,2014,x,6\n",
-         {"a"}),
-        (HEAD + "R,1,2014,1,1\nR,2,2014,2,2\nR,3,2014,3,3\nR,4,20x4,4,4\nR,5,2014,5,5\nR,6,y,6,6\n", None),
-        ("ROUTE_NAME,YEAR,a,SECTION_ID,b,a,YEAR\n" + "".join(
+        HEAD,
+        HEAD + "\n , \n",
+        "YEAR, ROUTE_NAME ,SECTION_ID,a,b,c\nR,1,2014, 1.5 ,east,nan\n R , 2 ,2015,,west,NaN\n",
+        HEAD + "R,1,2014,oops,-nan\nR,2,2014,2,\nR,3\n",
+        HEAD + "R,1,2014,1,2,3,4\nR,2,2014,x,y\n",
+        "ROUTE_NAME,SECTION_ID,YEAR,a,a\nR,1,2014,1,2\n",
+        HEAD + "R,1,2014,1,x\n\n,,\n \n\t,\n\n\nR,2,2015,2,y\n",
+        HEAD + "R,1,2014,,oops\nR,2,2014,x,\nR,3,2014,,\nR,4,2014,,\nR,5,2014,7,\n",
+        HEAD + "R,1,2014,east,1\nR,2,2014,west,\nR,3,2014,,2\nR,4,2014,east,\nR,5,2014,nan,\n",
+        HEAD + "R,1,2014,x,1\nR,2,2014,,2\nR,3,2014,x,3\nR,4,2014,y,4\nR,5,2014,z,5\nR,6,2014,x,6\n",
+        HEAD + "R,1,2014,1,1\nR,2,2014,2,2\nR,3,2014,3,3\nR,4,20x4,4,4\nR,5,2014,5,5\nR,6,y,6,6\n",
+        "ROUTE_NAME,YEAR,a,SECTION_ID,b,a,YEAR\n" + "".join(
             f"R{i % 2},{2014 + i % 3},{i},{i:04d},{'xy'[i % 2]},{-i},x\n" for i in range(7)
-        ), None),
-        ("ROUTE_NAME,YEAR,a,SECTION_ID,b,a,YEAR\n" + "".join(
+        ),
+        "ROUTE_NAME,YEAR,a,SECTION_ID,b,a,YEAR\n" + "".join(
             f"R{i % 2},{2014 + i % 3},{'pq'[i % 2]},{i:04d},{'xy'[i % 2]},{-i},x\n" for i in range(7)
-        ), {"a", "b"}),
+        ),
     ],
     ids=["header-only", "blank-rows-only", "padded-and-nan-words", "junk-and-short",
          "explicit-categorical-and-long", "duplicate-column", "blank-block-between-data",
@@ -263,21 +261,21 @@ HAND_WRITTEN = pytest.mark.parametrize(
 
 
 @HAND_WRITTEN
-def test_hand_written_cases(tmp_path, text, categorical):
+def test_hand_written_cases(tmp_path, text):
     path = write(tmp_path, text)
     assert_same(
-        outcome(load_csv, path, ["a"], categorical),
-        outcome(reference_load_csv, path, ["a"], categorical),
+        outcome(load_csv, path, ["a"]),
+        outcome(reference_load_csv, path, ["a"]),
     )
 
 
 @HAND_WRITTEN
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
-def test_hand_written_cases_in_small_blocks(tmp_path, text, categorical, block_rows):
+def test_hand_written_cases_in_small_blocks(tmp_path, text, block_rows):
     path = write(tmp_path, text)
     assert_same(
-        blocked_outcome(block_rows, path, ["a"], categorical),
-        outcome(reference_load_csv, path, ["a"], categorical),
+        blocked_outcome(block_rows, path, ["a"]),
+        outcome(reference_load_csv, path, ["a"]),
     )
 
 
