@@ -237,7 +237,7 @@ def cmd_describe(config: RunConfig) -> int:
 
 def cmd_flood_analysis(config: RunConfig) -> int:
     from . import deterioration
-    from .floods import apply_maintenance_exclusion, extract_windows, load_events_csv, tag_flooded
+    from .floods import apply_maintenance_exclusion, extract_windows, iri_by_section, load_events_csv, tag_flooded
 
     table = _load_records(config)
     events = load_events_csv(config.events_csv)
@@ -245,8 +245,9 @@ def cmd_flood_analysis(config: RunConfig) -> int:
     for warning in warnings:
         _say(config, f"[flood-analysis] warning: {warning}")
 
-    flooded_raw, summary_f = extract_windows(tagged, events, include="flooded")
-    control_raw, summary_nf = extract_windows(tagged, events, include="nonflooded")
+    by_section = iri_by_section(tagged)
+    flooded_raw, summary_f = extract_windows(tagged, events, "flooded", by_section)
+    control_raw, summary_nf = extract_windows(tagged, events, "nonflooded", by_section)
     flooded = apply_maintenance_exclusion(flooded_raw)
     control = apply_maintenance_exclusion(control_raw)
 

@@ -162,7 +162,7 @@ def tag_flooded(table: DataTable, events: list[FloodEvent]):
     return table.replace_column(FLOOD_COLUMN, flood), warnings
 
 
-def _iri_by_section(table: DataTable):
+def iri_by_section(table: DataTable):
     """(route, section) -> {year: iri}, skipping missing IRI values."""
     iri = table.col(IRI_COLUMN)
     out: dict[tuple[str, str], dict[int, float]] = {}
@@ -173,7 +173,7 @@ def _iri_by_section(table: DataTable):
     return out
 
 
-def extract_windows(table: DataTable, events: list[FloodEvent], include: str = "flooded"):
+def extract_windows(table: DataTable, events: list[FloodEvent], include: str = "flooded", by_section=None):
     """Build one SectionWindow per qualifying (section, flood year) pair.
 
     ``include="flooded"`` selects sections covered by an event's marker
@@ -182,13 +182,15 @@ def extract_windows(table: DataTable, events: list[FloodEvent], include: str = "
     control cohort). A window requires IRI observations at flood_year-1
     and flood_year+1; the flood_year-3 value is attached when available.
     Sections lacking a mandatory year are dropped silently and counted
-    in the returned summary.
+    in the returned summary. ``by_section`` is ``iri_by_section(table)``,
+    which two cohorts of one table can share; None builds it here.
 
     Returns ``(windows, summary)``.
     """
     if include not in ("flooded", "nonflooded"):
         raise ValueError(f"include must be 'flooded' or 'nonflooded', got {include!r}")
-    by_section = _iri_by_section(table)
+    if by_section is None:
+        by_section = iri_by_section(table)
 
     sections_by_route: dict[str, list[str]] = {}
     for route, section in by_section:

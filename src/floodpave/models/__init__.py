@@ -47,6 +47,10 @@ _SOURCES = {
     "CVResult": "cv",
     "grid_search_cv": "cv",
     "kfold_indices": "cv",
+    "build_tree": "grow",
+    "fit_decision_tree": "grow",
+    "fit_gradient_boosting": "grow",
+    "fit_random_forest": "grow",
     "load_model": "io",
     "model_from_dict": "io",
     "model_to_dict": "io",
@@ -62,10 +66,6 @@ _SOURCES = {
     "ForestPredictor": "tree",
     "Tree": "tree",
     "TreePredictor": "tree",
-    "build_tree": "tree",
-    "fit_decision_tree": "tree",
-    "fit_gradient_boosting": "tree",
-    "fit_random_forest": "tree",
 }
 
 

@@ -51,18 +51,13 @@ _PREFIX_KINDS = ("random_forest", "gradient_boosting")
 def _depth_nested(spec: ModelSpec) -> bool:
     """Whether a fit at ``max_depth`` d is a deeper fit's trees cut at depth d.
 
-    True for trees that draw no randomness while they grow: a decision
-    tree, and a forest that considers every feature at every split (a
-    bootstrap is drawn before its tree grows). A forest with
-    ``feature_subsample`` < 1 draws a feature subset at each split in
-    depth-first order, so a deeper tree's extra splits shift the draws of
-    every later node; boosting fits each stage to the residuals of the
-    earlier, depth-dependent stages.
+    True for decision trees and forests: a node's split never depends on
+    the depth limit below it, a bootstrap is drawn before its tree grows,
+    and a forest node's feature subset depends only on its path from the
+    root (see ``grow._Grower.candidates``). Boosting fits each stage to the
+    residuals of the earlier, depth-dependent stages.
     """
-    hp = spec.hyperparameters
-    return spec.kind == "decision_tree" or (
-        spec.kind == "random_forest" and hp["feature_subsample"] >= 1.0
-    )
+    return spec.kind in ("decision_tree", "random_forest")
 
 
 def _shared_fit_groups(candidates: list[ModelSpec]) -> list[list[int]]:
@@ -115,13 +110,11 @@ def grid_search_cv(
     - random forests and gradient boosting: candidates that differ only
       in ``n_estimators`` are scored on the first ``n_estimators`` trees
       of the largest, which are the trees their own fits would grow;
-    - decision trees, and forests with ``feature_subsample`` 1: candidates
-      that differ only in ``max_depth`` (and ``n_estimators``) are scored
-      on the deepest fit's trees cut at their own depth (``Tree.truncate``),
-      since such trees draw no randomness while they grow. A forest with
-      ``feature_subsample`` < 1 draws a feature subset at every split in
-      depth-first order, so a deeper tree's extra splits change the draws
-      of later nodes: such forests are not nested by depth.
+    - decision trees and random forests: candidates that differ only in
+      ``max_depth`` (and ``n_estimators``) are scored on the deepest fit's
+      trees cut at their own depth (``Tree.truncate``), since a node's
+      split, and a forest node's feature subset, never depend on the
+      depth limit below it.
 
     ``sources`` says, per candidate, "own fit", "n_estimators prefix of
     #i" or "depth truncation of #i", where i is the 0-based index of the

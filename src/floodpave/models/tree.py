@@ -1,33 +1,10 @@
-"""CART regression trees and the two tree ensembles built on them.
+"""Regression trees as flat arrays, and the three predictors built on them.
 
-Splits maximize the reduction of the summed child squared error over
-midpoint thresholds between consecutive distinct sorted values. A
-node's targets are centred on its mean, so a split after the first k
-of n sorted rows, whose centred targets sum to c, reduces the SSE by
-c² · n / (k · (n - k)): one prefix sum per feature scores every split.
-Candidates whose reductions lie within ``_TIE`` of the best, relative
-to it, tie, and ties go to the first in (feature, position) order, so
-a fit is a pure function of (data, spec, seed) and rounding cannot
-pick between two features that put the same rows on each side.
-
-``build_tree`` carries a (features, rows) block of per-feature sorted
-row ids down the tree. A split partitions that block stably, so every
-node sees its rows in (value, row id) order, the order a stable
-per-node argsort would give, and ``_best_split`` scores all candidate
-features in one vectorized pass with the same per-feature arithmetic.
-Splits, thresholds and ties are therefore those of sorting at every
-node.
-
-The block is sorted once per fit, not once per tree: an ensemble sorts
-its training rows once (``_presort``) (XGBoost's presorted column
-blocks, arXiv:1603.02754). Every ensemble tree grows in the fit's own
-row ids (``_grow_tree``), so it gathers no rows. A forest tree's
-bootstrap or a boosting stage's subsample is a count per row, and its
-block is the root order with each row repeated by its count (dropped at
-0), the copies of a row side by side. That is the stable argsort of the
-gathered rows, so the tree equals one grown on them bit for bit. A
-boosting stage takes the update of its fitted rows from the leaves the
-build put them in, and predicts only the rows its subsample left out.
+A ``Tree`` is one fitted CART tree; ``TreePredictor``, ``ForestPredictor``
+and ``BoostingPredictor`` predict with a decision tree, a forest and a
+boosting model, and write and read their model files. Growing trees and
+fitting the models is ``grow``'s, which a command that only predicts
+never loads.
 
 Prediction walks all of a predictor's trees at once (Hummingbird's tree
 traversal, Nakandala et al., OSDI 2020). ``_Stacked`` renumbers the
@@ -58,10 +35,6 @@ LEAF = -1
 _TREE_ARRAYS = {"feature": "iu", "threshold": "iuf", "left": "iu", "right": "iu", "value": "iuf"}
 # Most (tree, row) pairs that one traversal block holds.
 _BLOCK_PAIRS = 1 << 13
-# Relative SSE-reduction floor below which a split is considered noise.
-_MIN_REDUCTION = 1e-12
-# Candidate splits whose SSE reductions are this close, relative to the best, tie.
-_TIE = 1e-9
 
 
 class Tree:
@@ -83,9 +56,9 @@ class Tree:
         """This tree cut off at ``max_depth``, its nodes renumbered in preorder.
 
         Split nodes at depth ``max_depth`` become leaves that keep their
-        value, and everything below them is dropped. For a fit that draws
-        no randomness while it grows, the result equals a fit at
-        ``max_depth``: a node's split never depends on the depth limit
+        value, and everything below them is dropped. For a decision or
+        forest tree the result equals a fit at ``max_depth``: a node's
+        split, and its feature subset, never depend on the depth limit
         below it, and ``build_tree`` numbers nodes in preorder.
         """
         keep = np.zeros(self.n_nodes, dtype=bool)
@@ -279,215 +252,6 @@ class _Stacked:
         return leaves
 
 
-def _best_split(Xt, centred, order, features, min_leaf, left_n, right_n):
-    """Best (SSE reduction, feature, threshold) over candidate features at a node, or None.
-
-    ``order[j]`` holds the node's rows sorted by feature j (ties by row
-    id), and ``centred`` each row's target minus the node's mean. A split
-    after the first k of n sorted rows, whose centred targets sum to c,
-    leaves the other side summing to -c, so it reduces the node's SSE by
-    c² · n / (k · (n - k)): one prefix sum per feature scores every split
-    (the gain of XGBoost, arXiv:1603.02754, eq. 7, for squared error).
-    Every candidate feature is scored in one pass over the (features,
-    n - 1) block, with a per-node weight that is zero where a child would
-    hold fewer than ``min_leaf`` rows, and masked where the values on
-    either side are equal. The winner is the first candidate in
-    (feature, position) order whose score is within ``_TIE`` relative of
-    the best, so two features that put the same rows on each side tie
-    whatever the rounding of their sums. ``left_n`` and ``right_n`` are
-    the child sizes, as floats, of a split after each sorted position
-    (see ``_divisors``). None when no split reduces the SSE at all.
-    """
-    rows = order if features.size == order.shape[0] else order.take(features, axis=0)
-    n = rows.shape[1]
-    # flat positions into Xt: row id plus the feature's offset
-    vs = Xt.take(rows + (features * Xt.shape[1]).astype(rows.dtype)[:, None])
-    weight = n / (left_n * right_n)
-    if min_leaf > 1:
-        weight[: min_leaf - 1] = 0.0
-        weight[max(n - min_leaf, 0) :] = 0.0
-    score = centred.take(rows[:, :-1]).cumsum(axis=1)  # no split after the last row
-    np.square(score, out=score)
-    score *= weight
-    score *= vs[:, 1:] > vs[:, :-1]
-    best = score.max(initial=0.0)  # a block of no features holds no split
-    if not best > 0.0:
-        return None
-    r, k = divmod(int((score >= best * (1.0 - _TIE)).argmax()), n - 1)
-    return float(score[r, k]), int(features[r]), float((vs[r, k] + vs[r, k + 1]) / 2.0)
-
-
-def _divisors(n_rows):
-    """Left and right child sizes, as floats, of each split of an ``n_rows``-row node.
-
-    A node of n rows divides by ``left[: n - 1]`` and ``right[n_rows - n :]``,
-    so one pair serves a whole tree.
-    """
-    return np.arange(1, n_rows, dtype=float), np.arange(n_rows - 1, 0, -1, dtype=float)
-
-
-def _presort(Xt):
-    """Each feature's rows in ascending value order, ties by row id.
-
-    Ids are int32 when every flat position into ``Xt`` fits, to keep the
-    per-node index blocks small.
-    """
-    ids = np.int32 if Xt.size <= np.iinfo(np.int32).max else np.int64
-    return np.argsort(Xt, axis=1, kind="stable").astype(ids)
-
-
-def build_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    max_depth: int,
-    min_samples_split: int = 2,
-    min_samples_leaf: int = 1,
-    feature_subsample: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> Tree:
-    """Grow a CART regression tree, depth first, numbering nodes in preorder.
-
-    ``feature_subsample`` < 1 draws a fresh feature subset at every
-    split (the random-forest decorrelation device) and requires ``rng``;
-    at exactly 1.0 no randomness is consumed and the tree is the plain
-    deterministic CART fit.
-    """
-    X = np.asarray(X, dtype=float)
-    return _grow_tree(
-        np.ascontiguousarray(X.T),
-        np.asarray(y, dtype=float),
-        np.arange(X.shape[0]),
-        None,
-        max_depth,
-        min_samples_split,
-        min_samples_leaf,
-        feature_subsample,
-        rng,
-    )[0]
-
-
-def _grow_tree(
-    Xt,
-    y,
-    rows,
-    order,
-    max_depth,
-    min_samples_split=2,
-    min_samples_leaf=1,
-    feature_subsample=1.0,
-    rng=None,
-):
-    """The tree fitted to ``rows`` of ``Xt`` and ``y``, and the fitted rows' leaf values.
-
-    ``Xt`` is the (features, all rows) matrix and ``y`` the targets of
-    all rows; ``rows`` holds the ids to fit, ascending, and may repeat an
-    id (a bootstrap). ``order`` is the presorted block of exactly those
-    ids (each feature's ids in (value, id) order, the copies of an id
-    side by side), or None when ``rows`` is every row, to presort here.
-    Ids keep their order, so the tree equals ``build_tree(Xt.T[rows],
-    y[rows])`` bit for bit: a forest tree grows on its bootstrap and a
-    boosting stage on its subsample without gathering either. The second
-    result holds, at each fitted row's id, the value of the leaf that the
-    split tests ``x <= threshold`` send it to, which equals
-    ``tree.predict`` of that row; other entries are unset.
-    """
-    n_features = Xt.shape[0]
-    n_rows = rows.size
-    all_features = np.arange(n_features)
-    if feature_subsample < 1.0 and rng is None:
-        raise ValueError("feature_subsample < 1 requires an rng")
-    n_sub = max(1, int(round(feature_subsample * n_features)))
-    go_left = np.empty(y.size, dtype=bool)
-    centred = np.empty(y.size)
-    fitted = np.empty(y.size)
-    lefts, rights = _divisors(n_rows)
-
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
-        feature.append(LEAF)
-        threshold.append(0.0)
-        left.append(LEAF)
-        right.append(LEAF)
-        value.append(0.0)
-        return len(feature) - 1
-
-    def leaf(node, idx):
-        fitted[idx] = value[node]
-        return node
-
-    def may_split(n, depth):
-        return depth < max_depth and n >= min_samples_split and n >= 2 * min_samples_leaf
-
-    def sorted_rows(order, mask, n_kept):
-        # Stable partition: each feature's sorted row list keeps its order.
-        return order.compress(mask.ravel()).reshape(n_features, n_kept)
-
-    def grow(idx, order, depth):
-        # idx: the node's rows in ascending id order; order: (n_features, n)
-        # per-feature sorted rows, or None when the node cannot split.
-        node = new_node()
-        n = idx.size
-        y_node = y.take(idx)
-        # np.add.reduce is the pairwise sum behind ndarray.mean and np.sum
-        mean = np.add.reduce(y_node) / n
-        value[node] = float(mean)
-        if order is None:
-            return leaf(node, idx)
-        y_node -= mean
-        # A second pass takes out the sum the rounded mean left, so the
-        # centred targets sum to zero up to their own rounding rather than
-        # the targets' (the corrected two-pass algorithm; Chan, Golub and
-        # LeVeque, Am. Stat. 1983), and a large common offset in y cannot
-        # tip the split scores.
-        y_node -= np.add.reduce(y_node) / n
-        centred[idx] = y_node
-        parent_sse = float(np.add.reduce(np.square(y_node, out=y_node)))
-        if parent_sse == 0.0:
-            return leaf(node, idx)
-        if feature_subsample < 1.0:
-            candidates = rng.choice(n_features, size=n_sub, replace=False)
-            candidates.sort()
-        else:
-            candidates = all_features
-        best = _best_split(
-            Xt, centred, order, candidates, min_samples_leaf, lefts[: n - 1], rights[n_rows - n :]
-        )
-        if best is None:
-            return leaf(node, idx)
-        reduction, feat, thr = best
-        if reduction <= _MIN_REDUCTION * max(parent_sse, 1.0):
-            return leaf(node, idx)
-        mask = Xt[feat].take(idx) <= thr
-        feature[node] = feat
-        threshold[node] = thr
-        left_idx, right_idx = idx.compress(mask), idx.compress(~mask)
-        left_order = right_order = None
-        left_splits = may_split(left_idx.size, depth + 1)
-        right_splits = may_split(right_idx.size, depth + 1)
-        if left_splits or right_splits:  # a leaf child needs no block
-            go_left[idx] = mask
-            goes = go_left.take(order)
-            if left_splits:
-                left_order = sorted_rows(order, goes, left_idx.size)
-            if right_splits:
-                right_order = sorted_rows(order, ~goes, right_idx.size)
-            del goes
-        del order  # only the children's blocks stay alive down the recursion
-        left[node] = grow(left_idx, left_order, depth + 1)
-        right[node] = grow(right_idx, right_order, depth + 1)
-        return node
-
-    root = None
-    if may_split(n_rows, 0):
-        root = _presort(Xt) if order is None else order
-    grow(rows, root, 0)
-    # grow refers to itself; unbinding it breaks that cycle, so the work
-    # arrays are freed on return rather than at the next gc pass
-    del grow
-    return Tree(feature, threshold, left, right, value), fitted
-
-
 def _trees(d: dict, n_features: int) -> tuple[Tree, ...]:
     if not isinstance(d["trees"], list):
         raise SchemaError("model trees must be a list")
@@ -600,72 +364,11 @@ class BoostingPredictor:
         return cls(spec, names, _typed(float, "init_value", d["init_value"]), learning_rate, _trees(d, len(names)))
 
 
-def fit_decision_tree(spec: ModelSpec, X, y, feature_names) -> TreePredictor:
-    hp = spec.hyperparameters
-    tree = build_tree(
-        X,
-        y,
-        max_depth=hp["max_depth"],
-        min_samples_split=hp["min_samples_split"],
-        min_samples_leaf=hp["min_samples_leaf"],
-    )
-    return TreePredictor(spec, tuple(feature_names), tree)
+def __getattr__(name: str):
+    # ``build_tree`` is public under this module too; loading ``grow`` on its
+    # first use keeps predict-only commands from compiling it (PEP 562).
+    if name == "build_tree":
+        from .grow import build_tree
 
-
-def fit_random_forest(spec: ModelSpec, X, y, feature_names) -> ForestPredictor:
-    hp = spec.hyperparameters
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    Xt = np.ascontiguousarray(X.T)
-    order = _presort(Xt)
-    all_rows = np.arange(n)
-    limits = hp["max_depth"], hp["min_samples_split"], hp["min_samples_leaf"], hp["feature_subsample"]
-    trees = []
-    for child in np.random.SeedSequence(spec.seed).spawn(hp["n_estimators"]):
-        rng = np.random.default_rng(child)
-        if hp["bootstrap"]:
-            # The tree grows on its bootstrap in the fit's own row ids; the
-            # root order with each row repeated by its count is its block.
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            rows = np.repeat(all_rows, counts)
-            block = np.repeat(order.ravel(), counts.take(order).ravel()).reshape(order.shape[0], n)
-        else:
-            rows, block = all_rows, order
-        trees.append(_grow_tree(Xt, y, rows, block, *limits, rng)[0])
-    return ForestPredictor(spec, tuple(feature_names), tuple(trees))
-
-
-def fit_gradient_boosting(spec: ModelSpec, X, y, feature_names) -> BoostingPredictor:
-    hp = spec.hyperparameters
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    lr = float(hp["learning_rate"])
-    init = float(y.mean())
-    current = np.full(n, init)
-    Xt = np.ascontiguousarray(X.T)
-    order = _presort(Xt)
-    all_rows = np.arange(n)
-    trees = []
-    for child in np.random.SeedSequence(spec.seed).spawn(hp["n_estimators"]):
-        rng = np.random.default_rng(child)
-        residual = y - current
-        if hp["subsample"] < 1.0:
-            # The stage grows on its subsample in the fit's own row ids; the
-            # root order with the left-out rows dropped is its presorted block.
-            m = max(1, int(round(hp["subsample"] * n)))
-            kept = np.zeros(n, dtype=bool)
-            kept[rng.permutation(n)[:m]] = True
-            rows = kept.nonzero()[0]
-            block = order.compress(kept.take(order).ravel()).reshape(order.shape[0], m)
-        else:
-            rows, block = all_rows, order
-        # In-sample rows take their leaf value from the fit itself; only
-        # the rows the subsample left out go through the tree.
-        tree, fitted = _grow_tree(Xt, residual, rows, block, hp["max_depth"])
-        if rows.size < n:
-            fitted[~kept] = _Stacked((tree,)).predict(X[~kept])
-        current += lr * fitted
-        trees.append(tree)
-    return BoostingPredictor(spec, tuple(feature_names), init, lr, tuple(trees))
+        return build_tree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

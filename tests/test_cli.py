@@ -226,6 +226,17 @@ class TestFloodAnalysis:
         assert (tmp_path / "o" / "rates.csv").exists()
         assert (tmp_path / "o" / "flooded_vs_nonflooded.csv").exists()
 
+    def test_builds_the_iri_index_once(self, tmp_path, monkeypatch):
+        from floodpave import floods
+
+        records, events = make_dataset(tmp_path, n_sections=40)
+        cfg = write_config(tmp_path, records_csv=records, events_csv=events, out_dir=str(tmp_path / "o"))
+        calls = []
+        real = floods.iri_by_section
+        monkeypatch.setattr(floods, "iri_by_section", lambda table: calls.append(1) or real(table))
+        assert main(["--config", cfg, "--quiet", "flood-analysis"]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_no_events_is_empty_result_status(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=20)
         empty = tmp_path / "no_events.csv"
@@ -872,7 +883,7 @@ class TestStartup:
         assert (tmp_path / "d" / "records.csv").exists() and (tmp_path / "p.prof").exists()
 
     # Modules that a command which does not use them must not load.
-    MODEL_CODE = {"floodpave.models.tree", "floodpave.models.linear", "floodpave.models.io"}
+    MODEL_CODE = {"floodpave.models.tree", "floodpave.models.grow", "floodpave.models.linear", "floodpave.models.io"}
     EXPLAINERS = {"floodpave.shapley", "floodpave.lime"}
     THREADS = {"concurrent.futures"}
     # np.unique and np.quantile import numpy.ma, about 14 ms of start-up.
@@ -917,6 +928,8 @@ class TestStartup:
         loaded = self.loaded_after(argv + ["explain", "--model-path", model, "--instances", "sample:2"])
         assert loaded & (self.THREADS | self.NUMPY_MA) == set()
         assert self.EXPLAINERS <= loaded
+        # explain predicts with a tree model but grows none
+        assert "floodpave.models.tree" in loaded and "floodpave.models.grow" not in loaded
 
     def test_quiet_silences_log_warnings(self, tmp_path):
         # In a subprocess: in-process, pytest's log capture hides what

@@ -102,7 +102,7 @@ class TestGridSearch:
             (
                 "random_forest",
                 {"max_depth": [2, 4], "n_estimators": [4, 1, 4, 2], "feature_subsample": [0.5]},
-                [(2, 4, 0.5), (4, 4, 0.5)],
+                [(4, 4, 0.5)],
             ),
             (
                 "gradient_boosting",
@@ -117,23 +117,27 @@ class TestGridSearch:
             (
                 "random_forest",
                 {"feature_subsample": [0.5, 1.0], "max_depth": [2, 4], "n_estimators": [1, 3]},
-                [(0.5, 2, 3), (0.5, 4, 3), (1.0, 4, 3)],
+                [(0.5, 4, 3), (1.0, 4, 3)],
             ),
             (
                 "decision_tree",
                 {"max_depth": [1, 4, 2], "min_samples_split": [2, 9], "min_samples_leaf": [1, 3]},
                 [(4, 2, 1), (4, 2, 3), (4, 9, 1), (4, 9, 3)],
             ),
+            (
+                "random_forest",
+                {"max_depth": [3, 7, 5], "feature_subsample": [0.6], "n_estimators": [2, 3], "min_samples_leaf": [1, 2]},
+                [(7, 0.6, 3, 1), (7, 0.6, 3, 2)],
+            ),
         ],
-        ids=["random_forest", "gradient_boosting", "forest-depths", "forest-mixed", "decision_tree"],
+        ids=["random_forest", "gradient_boosting", "forest-depths", "forest-mixed", "decision_tree", "forest-subsampled-depths"],
     )
     def test_prefix_reuse_equals_independent_fits(self, monkeypatch, kind, grid, fitted_per_fold):
         # Candidates that one fit can serve share it per fold: a prefix of its
-        # trees, cut at their own depth where the trees draw no randomness as
-        # they grow. Every score must equal that of fitting the candidate on its
-        # own, and each group is fitted once per fold, at its deepest depth and
-        # largest n_estimators. Forests with feature_subsample < 1 are never
-        # nested by depth.
+        # trees, cut at their own depth for decision trees and forests, whose
+        # feature subsets are keyed by each node's path. Every score must equal
+        # that of fitting the candidate on its own, and each group is fitted
+        # once per fold, at its deepest depth and largest n_estimators.
         rng = np.random.default_rng(3)
         x = rng.integers(0, 4, size=(45, 3)).astype(float)
         y = x[:, 0] - x[:, 2] + rng.normal(scale=0.3, size=45)
@@ -173,11 +177,11 @@ class TestGridSearch:
         # candidates in key order: (n_estimators, max_depth, feature_subsample)
         assert res.sources == (
             "depth truncation of #6",
-            "n_estimators prefix of #5",
+            "depth truncation of #7",
             "n_estimators prefix of #6",
             "n_estimators prefix of #7",
             "depth truncation of #6",
-            "own fit",
+            "depth truncation of #7",
             "own fit",
             "own fit",
         )

@@ -12,6 +12,7 @@ from floodpave.floods import (
     SectionWindow,
     apply_maintenance_exclusion,
     extract_windows,
+    iri_by_section,
     load_events_csv,
     tag_flooded,
 )
@@ -184,6 +185,16 @@ class TestExtractWindows:
         control, _ = extract_windows(t, [ev], include="nonflooded")
         assert [w.section_id for w in flooded] == ["0001"]
         assert [w.section_id for w in control] == ["0002"]
+
+    def test_cohorts_share_one_index(self):
+        t = panel_table(
+            [("A", s, y, 100.0 + y % 7 + len(s)) for s in ("0001", "0002", "0003") for y in (2011, 2013, 2015)]
+            + [("A", "0004", 2013, 90.0), ("B", "0001", 2013, 80.0)]
+        )
+        events = [FloodEvent("A", 2014, start_marker="0002", end_marker="0003"), FloodEvent("B", 2014)]
+        index = iri_by_section(t)
+        for include in ("flooded", "nonflooded"):
+            assert extract_windows(t, events, include, index) == extract_windows(t, events, include)
 
     def test_missing_iri_is_not_an_observation(self):
         keys = (("A", "1", 2013), ("A", "1", 2015))

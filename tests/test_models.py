@@ -20,7 +20,8 @@ def test_every_public_name_resolves():
     # The package imports its submodules on first use; each name still resolves.
     for name in models.__all__:
         assert getattr(models, name) is not None, name
-    assert models.fit_decision_tree is models.tree.fit_decision_tree
+    assert models.fit_decision_tree is models.grow.fit_decision_tree
+    assert models.tree.build_tree is models.build_tree
     with pytest.raises(AttributeError, match="no_such_name"):
         models.no_such_name
 
@@ -356,7 +357,7 @@ class TestPersistence:
             (
                 "random_forest",
                 {"n_estimators": 4, "max_depth": 6, "feature_subsample": 0.6},
-                "85d974ecdd412b3cb50541353a530cb19b0d8da0b96adef7029f281a5bf68a39",
+                "2e7ddd66875214703b960d8102b6b3a1390af4d8b48b54a0058be2db3b5a8993",
             ),
             (
                 "random_forest",

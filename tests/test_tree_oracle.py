@@ -1,8 +1,9 @@
 """The presorted CART builder against a per-node argsort reference.
 
-``reference_build_tree`` sorts every candidate feature at every node, one
-feature at a time, exactly as the builder did before it presorted once at
-the root. Every tree array must match it bit for bit. The ensembles grow
+``reference_build_tree`` grows depth first and sorts every candidate
+feature at every node, one feature at a time, and draws feature subsets
+by the keyed rule in Python integers. Every tree array must match it bit
+for bit, however the builder schedules its nodes. The ensembles grow
 their trees in the fit's own row ids; the reference stands in for them
 on the gathered rows.
 """
@@ -15,8 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floodpave import models
-from floodpave.models import tree as tree_module
-from floodpave.models.tree import LEAF, Tree, build_tree
+from floodpave.models import grow as grow_module
+from floodpave.models.grow import build_tree
+from floodpave.models.tree import LEAF, Tree
 
 from conftest import reference_tree_predict
 
@@ -52,8 +54,30 @@ def reference_best_split(X, y, idx, features, min_leaf):
     best = scores.max()
     if not best > 0.0:
         return None
-    at = int(np.argmax(scores >= best * (1.0 - tree_module._TIE)))
+    at = int(np.argmax(scores >= best * (1.0 - grow_module._TIE)))
     return (float(scores[at]),) + splits[at]
+
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def reference_mix(z):
+    """SplitMix64's output function in Python integers."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_stream(key, i):
+    """Output i of the SplitMix64 stream that starts at ``key``."""
+    return reference_mix((key + i * GOLDEN) & MASK64)
+
+
+def reference_subset(key, n_features, n_sub):
+    """The ``n_sub`` features whose outputs 3 + j of the node's stream are smallest, ascending."""
+    ranked = sorted(range(n_features), key=lambda j: (reference_stream(key, 3 + j), j))
+    return np.array(sorted(ranked[:n_sub]))
 
 
 def reference_build_tree(
@@ -70,8 +94,10 @@ def reference_build_tree(
     n_features = X.shape[1]
     n_sub = max(1, int(round(feature_subsample * n_features)))
     nodes = []  # [feature, threshold, left, right, value]
+    # the root's subset key: the one draw a subsampled tree makes
+    root_key = int(rng.integers(MASK64, dtype=np.uint64, endpoint=True)) if feature_subsample < 1.0 else 0
 
-    def grow(idx, depth):
+    def grow(idx, depth, key):
         node = len(nodes)
         nodes.append([LEAF, 0.0, LEAF, LEAF, 0.0])
         y_node = y[idx]
@@ -83,22 +109,22 @@ def reference_build_tree(
         if parent_sse == 0.0:
             return node
         if feature_subsample < 1.0:
-            candidates = np.sort(rng.choice(n_features, size=n_sub, replace=False))
+            candidates = reference_subset(key, n_features, n_sub)
         else:
             candidates = np.arange(n_features)
         best = reference_best_split(X, y, idx, candidates, min_samples_leaf)
         if best is None:
             return node
         reduction, feat, thr = best
-        if reduction <= tree_module._MIN_REDUCTION * max(parent_sse, 1.0):
+        if reduction <= grow_module._MIN_REDUCTION * max(parent_sse, 1.0):
             return node
         mask = X[idx, feat] <= thr
         nodes[node][:2] = [feat, thr]
-        nodes[node][2] = grow(idx[mask], depth + 1)
-        nodes[node][3] = grow(idx[~mask], depth + 1)
+        nodes[node][2] = grow(idx[mask], depth + 1, reference_stream(key, 1))
+        nodes[node][3] = grow(idx[~mask], depth + 1, reference_stream(key, 2))
         return node
 
-    grow(np.arange(X.shape[0]), 0)
+    grow(np.arange(X.shape[0]), 0, root_key)
     return Tree(*zip(*nodes))
 
 
@@ -141,6 +167,9 @@ def test_matches_reference(tied, kw):
     assert_matches_reference(X, y, **kw)
 
 
+# The keys wrap mod 2⁶⁴ in uint64 arrays, which numpy does silently; a scalar
+# would warn on overflow.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("frac", [0.2, 0.6, 0.95])
 def test_feature_subsample_matches_reference(tied, frac):
@@ -157,10 +186,10 @@ def test_best_split_is_bit_exact(min_leaf):
         idx = np.sort(rng.choice(400, size=int(rng.integers(2, 400)), replace=False))
         features = np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False))
         order = idx[np.argsort(X[idx].T, axis=1, kind="stable")].astype(np.int32)
-        divisors = tree_module._divisors(idx.size)
+        divisors = grow_module._divisors(idx.size)
         centred = np.full(400, np.nan)
         centred[idx] = reference_centred(y[idx])
-        got = tree_module._best_split(Xt, centred, order, features, min_leaf, *divisors)
+        got = grow_module._best_split(Xt, centred, order, features, min_leaf, *divisors)
         assert got == reference_best_split(X, y, idx, features, min_leaf)
 
 
@@ -213,13 +242,13 @@ def assert_best_split_is_exact(X, y, features, min_leaf, parent, candidates, bes
     best anyway: at or below ``_MIN_REDUCTION · max(parent SSE, 1)``, where
     squared subnormal sums can round to 0."""
     Xt = np.ascontiguousarray(X.T)
-    order = tree_module._presort(Xt)
-    divisors = tree_module._divisors(len(y))
-    got = tree_module._best_split(Xt, reference_centred(y), order, features, min_leaf, *divisors)
+    order = grow_module._presort(Xt)
+    divisors = grow_module._divisors(len(y))
+    got = grow_module._best_split(Xt, reference_centred(y), order, features, min_leaf, *divisors)
     if got is None:
-        assert best <= Fraction(tree_module._MIN_REDUCTION) * max(parent, Fraction(1))
+        assert best <= Fraction(grow_module._MIN_REDUCTION) * max(parent, Fraction(1))
         return got
-    first = next(c for c in candidates if c[0] >= best * (1 - Fraction(tree_module._TIE)))
+    first = next(c for c in candidates if c[0] >= best * (1 - Fraction(grow_module._TIE)))
     assert got[1:] == first[1:]
     assert got[0] == pytest.approx(float(first[0]), rel=1e-9)
     return got
@@ -300,7 +329,7 @@ def test_ensemble_fits_match_reference(monkeypatch):
         fitted[rows] = reference_tree_predict(tree, X)
         return tree, fitted
 
-    monkeypatch.setattr(tree_module, "_grow_tree", reference_grow_tree)
+    monkeypatch.setattr(grow_module, "_grow_tree", reference_grow_tree)
     for spec, predictor in zip(specs, fitted):
         expected = models.fit(spec, X, y)
         assert len(predictor.trees) == len(expected.trees)
@@ -351,25 +380,72 @@ def test_row_space_growth_equals_gathered_rows(n, m, levels, fraction, depth, bo
         counts[rng.permutation(n)[: max(1, int(round(fraction * n)))]] = 1
     rows = np.repeat(np.arange(n), counts)
     Xt = np.ascontiguousarray(X.T)
-    order = tree_module._presort(Xt)
+    order = grow_module._presort(Xt)
     block = np.repeat(order.ravel(), counts.take(order).ravel()).reshape(m, rows.size)
-    tree, fitted = tree_module._grow_tree(Xt, y, rows, block, depth)
+    tree, fitted = grow_module._grow_tree(Xt, y, rows, block, depth)
     assert_same_tree(tree, build_tree(X[rows], y[rows], max_depth=depth))
     assert np.array_equal(fitted[rows], reference_tree_predict(tree, X[rows]))
 
 
+def mixed_data(seed, n):
+    """Three tied columns and three continuous ones."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.integers(0, 4, size=(n, 3)).astype(float), rng.normal(size=(n, 3))])
+    y = X @ rng.normal(size=6) + rng.normal(scale=0.5, size=n)
+    return X, y
+
+
+# A batch of 1000 lets up to 2^(max_depth - 2) >= 1000 subtrees wait at depth
+# 12 or more, but a 700-row tree never holds that many, so they grow depth first.
+@pytest.mark.parametrize(
+    "small, batch",
+    [(0, 1), (10**9, 1), (grow_module._SMALL_NODE, 1000)],
+    ids=["all-depth-first", "all-level-wise", "waiting-depth-first"],
+)
+@pytest.mark.parametrize(
+    "kind, hp",
+    [
+        ("decision_tree", {"max_depth": 13}),
+        ("decision_tree", {"max_depth": 12, "min_samples_split": 5, "min_samples_leaf": 3}),
+        ("gradient_boosting", {"n_estimators": 6, "max_depth": 5, "subsample": 0.75}),
+        ("gradient_boosting", {"n_estimators": 4, "max_depth": 12, "subsample": 1.0}),
+        ("random_forest", {"n_estimators": 3, "max_depth": 14, "feature_subsample": 1.0}),
+        ("random_forest", {"n_estimators": 3, "max_depth": 12, "feature_subsample": 0.6, "min_samples_leaf": 2}),
+        ("random_forest", {"n_estimators": 2, "max_depth": 13, "feature_subsample": 0.6, "bootstrap": False}),
+    ],
+)
+def test_schedule_does_not_change_the_tree(monkeypatch, kind, hp, small, batch):
+    # The default build grows large nodes depth first and small subtrees a
+    # level at a time. Growing every node one way or the other, or the
+    # waiting subtrees depth first after the rest, must give the same
+    # arrays.
+    X, y = mixed_data(16, 700)
+    spec = models.ModelSpec(kind, hp, 4)
+    default = models.fit(spec, X, y)
+    monkeypatch.setattr(grow_module, "_SMALL_NODE", small)
+    monkeypatch.setattr(grow_module, "_MIN_BATCH", batch)
+    scheduled = models.fit(spec, X, y)
+    if kind == "decision_tree":
+        assert_same_tree(default.tree, scheduled.tree)
+        assert default.tree.n_nodes > 200
+        return
+    for a, b in zip(default.trees, scheduled.trees, strict=True):
+        assert_same_tree(a, b)
+
+
 @pytest.mark.parametrize("tied", [False, True])
-@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "subsampled_forest"])
 def test_truncation_equals_direct_fit(kind, tied):
     X, y = random_data(14, 260, 4, tied=tied)
     for split in (2, 10):
         for leaf in (1, 5):
             hp = {"min_samples_split": split, "min_samples_leaf": leaf}
-            if kind == "random_forest":
-                hp.update(n_estimators=3, feature_subsample=1.0)
-            deep = models.fit(models.ModelSpec(kind, dict(hp, max_depth=12), 2), X, y)
+            if kind != "decision_tree":
+                hp.update(n_estimators=3, feature_subsample=1.0 if kind == "random_forest" else 0.6)
+            model = "random_forest" if kind == "subsampled_forest" else kind
+            deep = models.fit(models.ModelSpec(model, dict(hp, max_depth=12), 2), X, y)
             for depth in range(1, 13):
-                direct = models.fit(models.ModelSpec(kind, dict(hp, max_depth=depth), 2), X, y)
+                direct = models.fit(models.ModelSpec(model, dict(hp, max_depth=depth), 2), X, y)
                 if kind == "decision_tree":
                     pairs = [(deep.tree, direct.tree)]
                 else:
@@ -395,12 +471,12 @@ def test_truncation_equals_direct_fit(kind, tied):
 def test_one_presort_per_ensemble_fit(monkeypatch, spec):
     X, y = random_data(15, 120, 3, tied=True)
     calls = []
-    real = tree_module._presort
+    real = grow_module._presort
 
     def counting(Xt):
         calls.append(Xt.shape)
         return real(Xt)
 
-    monkeypatch.setattr(tree_module, "_presort", counting)
+    monkeypatch.setattr(grow_module, "_presort", counting)
     models.fit(spec, X, y)
     assert calls == [(3, 120)]
