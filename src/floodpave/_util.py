@@ -1,9 +1,11 @@
-"""Small shared helpers: atomic file writes, stage-scoped seeding and typed config values."""
+"""Small shared helpers: atomic file writes, indented JSON, stage-scoped seeding and typed config values."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
+import json
 import math
 import os
 import tempfile
@@ -16,19 +18,116 @@ import numpy as np
 from .errors import SchemaError
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file plus rename so readers never see partial output."""
+@contextlib.contextmanager
+def atomic_file(path):
+    """A text file to write ``path`` through: a temp file renamed into place
+    when the block ends, and removed if it raises, so readers never see
+    partial output."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through ``atomic_file``."""
+    with atomic_file(path) as fh:
+        fh.write(text)
+
+
+def json_default(obj):
+    """The JSON form of a numpy array or scalar, for ``json_chunks``' ``default``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def json_chunks(obj, sort_keys: bool = False, default=json_default):
+    """Yield the text of ``json.dumps(obj, indent=2, sort_keys=sort_keys, default=default)``.
+
+    The chunks join to the stdlib's bytes, but the stdlib drops to its
+    pure-Python encoder under ``indent`` and makes a chunk per number.
+    Here an array of numbers (ints, floats and bools) is one call of the
+    C encoder, whose ``", "`` separators become a newline and the
+    indent: no JSON number, ``true`` or ``false`` contains ``", "``.
+    Containers, strings and other scalars are written as the stdlib
+    writes them. ``default`` is called, as there, on any other value,
+    when the writer reaches it, so a caller can pass objects that
+    become large lists one at a time. Keys must be strings; any other
+    key raises TypeError. Circular references are not detected.
+    """
+    return _chunks(obj, "\n", sort_keys, default)
+
+
+def _scalar(obj) -> str | None:
+    """The JSON text of a string, None, bool, int or float; None for anything else."""
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    return None
+
+
+def _chunks(obj, newline: str, sort_keys: bool, default):
+    """``json_chunks`` of ``obj``, whose own line starts after ``newline``."""
+    text = _scalar(obj)
+    if text is not None:
+        yield text
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = newline + "  "
+        if all(issubclass(kind, (int, float)) for kind in set(map(type, obj))):
+            yield "[" + inner
+            yield json.dumps(obj)[1:-1].replace(", ", "," + inner)
+        else:
+            separator = "[" + inner
+            for item in obj:
+                yield separator
+                yield from _chunks(item, inner, sort_keys, default)
+                separator = "," + inner
+        yield newline + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in sorted(obj.items()) if sort_keys else obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield separator + json.encoder.encode_basestring_ascii(key) + ": "
+            yield from _chunks(value, inner, sort_keys, default)
+            separator = "," + inner
+        yield newline + "}"
+    else:
+        yield from _chunks(default(obj), newline, sort_keys, default)
 
 
 def stage_seed(root_seed: int, label: str, index: int | None = None) -> np.random.SeedSequence:

@@ -62,7 +62,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import models
-from ._util import stage_rng, stage_seed, write_text_atomic
+from ._util import json_chunks, stage_rng, stage_seed, write_text_atomic
 from .config import INSTANCE_FORMS, ExplainConfig, RunConfig, _parse_instances
 from .dataset import (
     DataTable,
@@ -114,16 +114,8 @@ def _out_path(config: RunConfig, name: str) -> str:
     return os.path.join(config.out_dir, name)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _dump_json(obj, path) -> None:
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n")
+    write_text_atomic(path, "".join(json_chunks(obj, sort_keys=True)) + "\n")
 
 
 def _dump_csv(rows, path) -> None:

@@ -2,16 +2,25 @@
 
 Floats are serialized through Python's shortest round-trip repr, so a
 saved model reproduces its predictions bit-for-bit after loading.
+
+A model file is the bytes of ``json.dumps(model_to_dict(predictor),
+indent=2)`` plus a newline: keys in ``to_dict`` order, two spaces of
+indent per level, one array element per line, ASCII only. ``save_model``
+writes them through ``_util.json_chunks`` into a temp file that is
+renamed into place, so a reader never sees a partial file. It builds
+each ensemble tree's dict only while writing that tree, so it holds one
+tree's numbers at a time and never the whole file's text.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
-from .._util import write_text_atomic
+from .._util import atomic_file, json_chunks, json_default
 from ..errors import SchemaError
 from .linear import LinearPredictor
-from .tree import BoostingPredictor, ForestPredictor, TreePredictor
+from .tree import BoostingPredictor, ForestPredictor, Tree, TreePredictor
 
 FORMAT_VERSION = 1
 
@@ -48,8 +57,18 @@ def model_from_dict(doc: dict):
         raise SchemaError(f"malformed model file: {type(exc).__name__} {exc}") from None
 
 
+def _tree_default(obj):
+    return obj.to_dict() if isinstance(obj, Tree) else json_default(obj)
+
+
 def save_model(predictor, path) -> None:
-    write_text_atomic(path, json.dumps(model_to_dict(predictor), indent=2) + "\n")
+    trees = getattr(predictor, "trees", None)
+    doc = model_to_dict(predictor if trees is None else dataclasses.replace(predictor, trees=()))
+    if trees is not None:
+        doc["trees"] = trees  # each Tree becomes its dict when the writer reaches it
+    with atomic_file(path) as fh:
+        fh.writelines(json_chunks(doc, default=_tree_default))
+        fh.write("\n")
 
 
 def load_model(path):

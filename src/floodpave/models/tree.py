@@ -87,10 +87,10 @@ class Tree:
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
-            "threshold": [float(v) for v in self.threshold],
+            "threshold": self.threshold.tolist(),
             "left": self.left.tolist(),
             "right": self.right.tolist(),
-            "value": [float(v) for v in self.value],
+            "value": self.value.tolist(),
         }
 
     @classmethod

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from statistics import NormalDist
 
 import numpy as np
 
-from ._util import stage_rng, write_text_atomic
+from ._util import json_chunks, stage_rng, write_text_atomic
 from .config import FLOOD, IRI, NOMINAL_SCALES, GroundTruth, SynthSpec
 from .dataset import (
     DataTable,
@@ -280,4 +279,4 @@ def events_csv_text(events: list[FloodEvent]) -> str:
 def write_dataset(table: DataTable, events, gt: GroundTruth, records_path, events_path, truth_path):
     write_text_atomic(records_path, records_csv_text(table))
     write_text_atomic(events_path, events_csv_text(events))
-    write_text_atomic(truth_path, json.dumps(gt.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_text_atomic(truth_path, "".join(json_chunks(gt.to_dict(), sort_keys=True)) + "\n")

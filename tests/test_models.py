@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from floodpave import models
 from floodpave.errors import InsufficientDataError, SchemaError, SingularDesignError, ZeroVarianceError
 from floodpave.models import ModelSpec, linear
+from floodpave.models.tree import ForestPredictor, Tree
 
 from conftest import manual_linear
 
@@ -372,16 +375,77 @@ class TestPersistence:
         ],
         ids=["forest-bootstrap", "forest-no-bootstrap", "boosting-subsample"],
     )
-    def test_ensemble_model_files_are_pinned(self, kind, hp, digest):
+    def test_ensemble_model_files_are_pinned(self, tmp_path, kind, hp, digest):
         # The bytes save_model writes for seeded ensemble fits: a change to
-        # how trees are grown must leave every model file as it was.
+        # how trees are grown or written must leave every model file as it was.
         rng = np.random.default_rng(19)
         tied = rng.integers(0, 4, size=(300, 2)).astype(float)
         x = np.column_stack([tied, rng.normal(size=(300, 3))])
         y = x @ np.array([0.8, -0.5, 1.0, 0.3, 0.0]) + rng.normal(scale=0.5, size=300)
         p = models.fit(ModelSpec(kind, hp, 7), x, y, feature_names=list("abcde"))
-        text = json.dumps(models.model_to_dict(p), indent=2) + "\n"
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        path = tmp_path / "model.json"
+        models.save_model(p, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", ["linear", "decision_tree", "random_forest", "gradient_boosting"])
+    def test_model_file_is_indented_json(self, tmp_path, kind):
+        # The layout models/io.py states: json.dumps(model_to_dict(p), indent=2) and a newline.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(80, 3))
+        hp = {} if kind == "linear" else {"max_depth": 3} if kind == "decision_tree" else {"n_estimators": 3}
+        p = models.fit(ModelSpec(kind, hp, 5), x, x[:, 0] - x[:, 2], feature_names=list("abc"))
+        path = tmp_path / "model.json"
+        models.save_model(p, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(models.model_to_dict(p), indent=2) + "\n"
+
+    def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        # A write that fails part-way through the trees leaves an existing
+        # model file as it was, makes no new one and leaves no temp file.
+        x = np.random.default_rng(6).normal(size=(60, 3))
+        p = models.fit(ModelSpec("random_forest", {"n_estimators": 4}, 6), x, x[:, 1], feature_names=list("abc"))
+        kept = tmp_path / "kept.json"
+        models.save_model(p, kept)
+        before = kept.read_bytes()
+        real, written = Tree.to_dict, []
+
+        def fails_at_third(tree):
+            written.append(tree)
+            if len(written) % 3 == 0:
+                raise OSError("device full")
+            return real(tree)
+
+        monkeypatch.setattr(Tree, "to_dict", fails_at_third)
+        for name in ("kept.json", "new.json"):
+            with pytest.raises(OSError, match="device full"):
+                models.save_model(p, tmp_path / name)
+        assert len(written) == 6
+        assert sorted(os.listdir(tmp_path)) == ["kept.json"]
+        assert kept.read_bytes() == before
+
+    def test_save_model_memory_is_a_fraction_of_the_file(self, tmp_path):
+        # save_model holds one tree's numbers at a time, never the whole
+        # file's text: on a 100k-node forest its tracemalloc peak stays
+        # at or below half the file's size.
+        rng = np.random.default_rng(8)
+        n, inner = 5001, np.arange(2500)
+        trees = []
+        for _ in range(20):
+            feature, left, right = np.full((3, n), -1)
+            feature[inner] = rng.integers(0, 5, size=inner.size)
+            left[inner], right[inner] = 2 * inner + 1, 2 * inner + 2
+            trees.append(Tree(feature, rng.normal(size=n), left, right, rng.normal(size=n)))
+        p = ForestPredictor(ModelSpec("random_forest", {}, 0), tuple("abcde"), tuple(trees))
+        path = tmp_path / "forest.json"
+        tracemalloc.start()
+        try:
+            models.save_model(p, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(t.n_nodes for t in trees) >= 100_000
+        assert peak <= os.path.getsize(path) / 2
+        X = rng.normal(size=(50, 5))
+        assert np.array_equal(models.load_model(path).predict(X), p.predict(X))
 
     @pytest.mark.parametrize(
         "key, value, message",
