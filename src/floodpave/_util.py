@@ -72,24 +72,8 @@ def json_chunks(obj, sort_keys: bool = False, default=json_default):
 
 def _scalar(obj) -> str | None:
     """The JSON text of a string, None, bool, int or float; None for anything else."""
-    if isinstance(obj, str):
-        return json.encoder.encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
+    if obj is None or isinstance(obj, (str, int, float)):
+        return json.dumps(obj)
     return None
 
 
@@ -122,7 +106,7 @@ def _chunks(obj, newline: str, sort_keys: bool, default):
         for key, value in sorted(obj.items()) if sort_keys else obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            yield separator + json.encoder.encode_basestring_ascii(key) + ": "
+            yield separator + json.dumps(key) + ": "
             yield from _chunks(value, inner, sort_keys, default)
             separator = "," + inner
         yield newline + "}"
