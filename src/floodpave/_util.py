@@ -70,18 +70,10 @@ def json_chunks(obj, sort_keys: bool = False, default=json_default):
     return _chunks(obj, "\n", sort_keys, default)
 
 
-def _scalar(obj) -> str | None:
-    """The JSON text of a string, None, bool, int or float; None for anything else."""
-    if obj is None or isinstance(obj, (str, int, float)):
-        return json.dumps(obj)
-    return None
-
-
 def _chunks(obj, newline: str, sort_keys: bool, default):
     """``json_chunks`` of ``obj``, whose own line starts after ``newline``."""
-    text = _scalar(obj)
-    if text is not None:
-        yield text
+    if obj is None or isinstance(obj, (str, int, float)):
+        yield json.dumps(obj)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"
