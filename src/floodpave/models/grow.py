@@ -18,8 +18,8 @@ one vectorized pass with the same per-feature arithmetic. Splits,
 thresholds and ties are therefore those of sorting at every node.
 
 Nodes of at least ``_SMALL_NODE`` rows grow depth first, one
-``_best_split`` call each. Smaller nodes with a split level left
-wait; when the depth-first pass ends, all of a tree's waiting
+``_best_split`` call each. Smaller nodes with two or more split levels
+left wait; when the depth-first pass ends, all of a tree's waiting
 subtrees grow together a level at a time (the depth-wise growth of
 XGBoost, arXiv:1603.02754): one ``_best_splits`` pass scores a whole
 level's nodes, and one stable ``compress`` moves their rows to the next
@@ -56,7 +56,7 @@ from .tree import LEAF, BoostingPredictor, ForestPredictor, Tree, TreePredictor
 _MIN_REDUCTION = 1e-12
 # Candidate splits whose SSE reductions are this close, relative to the best, tie.
 _TIE = 1e-9
-# Nodes of fewer rows, with a split level left, grow a level at a
+# Nodes of fewer rows, with two or more split levels left, grow a level at a
 # time after the depth-first pass (see ``_grow_tree``).
 _SMALL_NODE = 128
 # Fewest waiting subtrees that grow a level at a time; fewer grow depth first,
@@ -235,7 +235,7 @@ def _grow_tree(
     ``tree.predict`` of that row; other entries are unset.
 
     Nodes of at least ``_SMALL_NODE`` rows grow depth first. A smaller
-    node with a split level left waits. When the depth-first
+    node with two or more split levels left waits. When the depth-first
     pass ends, at least ``_MIN_BATCH`` waiting subtrees grow together, a
     level at a time (``_Grower.grow_levels``); fewer grow depth first.
     Every node splits as it would alone, so the tree does not depend on
@@ -288,9 +288,9 @@ class _Grower:
         self.threshold, self.value = np.zeros((2, size))
         self.n_nodes = 0
         # (node, idx, order, depth, key) of each waiting subtree, or None when
-        # none may wait: a tree holds at most 2^(max_depth - 1) of them, and
+        # none may wait: a tree holds at most 2^(max_depth - 2) of them, and
         # fewer than _MIN_BATCH would only be grown depth first after the rest
-        self.deferred = [] if max_depth >= 1 and 1 << (max_depth - 1) >= _MIN_BATCH else None
+        self.deferred = [] if max_depth >= 2 and 1 << (max_depth - 2) >= _MIN_BATCH else None
         self.renumber = False
 
     def may_split(self, n, depth):
@@ -321,8 +321,8 @@ class _Grower:
         (features, n) per-feature sorted rows or None when the node cannot
         split, and ``key`` its subset key in a one-element array, or None
         without subsets. ``node`` is its id, or None to take the next.
-        While ``deferred`` is a list, a small node with a split level left
-        only gets its id and waits there.
+        While ``deferred`` is a list, a small node with two or more split
+        levels left only gets its id and waits there.
         """
         if node is None:
             node = self.n_nodes
@@ -330,7 +330,7 @@ class _Grower:
         if (
             order is not None
             and idx.size < _SMALL_NODE
-            and depth + 1 <= self.max_depth
+            and depth + 2 <= self.max_depth
             and self.deferred is not None
         ):
             self.deferred.append((node, idx, order, depth, key))

@@ -412,8 +412,6 @@ def mixed_data(seed, n):
         ("random_forest", {"n_estimators": 3, "max_depth": 14, "feature_subsample": 1.0}),
         ("random_forest", {"n_estimators": 3, "max_depth": 12, "feature_subsample": 0.6, "min_samples_leaf": 2}),
         ("random_forest", {"n_estimators": 2, "max_depth": 13, "feature_subsample": 0.6, "bootstrap": False}),
-        # some of these trees' waiting subtrees have one split level left
-        ("random_forest", {"n_estimators": 3, "max_depth": 5, "feature_subsample": 0.6}),
     ],
 )
 def test_schedule_does_not_change_the_tree(monkeypatch, kind, hp, small, batch):
