@@ -14,7 +14,6 @@ tree's numbers at a time and never the whole file's text.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from .._util import atomic_file, json_chunks, json_default
@@ -34,9 +33,9 @@ _CLASSES = {
 }
 
 
-def model_to_dict(predictor) -> dict:
+def model_to_dict(predictor, **to_dict_args) -> dict:
     doc = {"format_version": FORMAT_VERSION}
-    doc.update(predictor.to_dict())
+    doc.update(predictor.to_dict(**to_dict_args))
     return doc
 
 
@@ -57,15 +56,18 @@ def model_from_dict(doc: dict):
         raise SchemaError(f"malformed model file: {type(exc).__name__} {exc}") from None
 
 
+def _same(tree):
+    return tree
+
+
 def _tree_default(obj):
     return obj.to_dict() if isinstance(obj, Tree) else json_default(obj)
 
 
 def save_model(predictor, path) -> None:
-    trees = getattr(predictor, "trees", None)
-    doc = model_to_dict(predictor if trees is None else dataclasses.replace(predictor, trees=()))
-    if trees is not None:
-        doc["trees"] = trees  # each Tree becomes its dict when the writer reaches it
+    # an ensemble's trees stay Trees, each expanded when the writer reaches it
+    lazy = {"tree": _same} if isinstance(predictor, (ForestPredictor, BoostingPredictor)) else {}
+    doc = model_to_dict(predictor, **lazy)
     with atomic_file(path) as fh:
         fh.writelines(json_chunks(doc, default=_tree_default))
         fh.write("\n")

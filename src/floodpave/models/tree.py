@@ -296,11 +296,12 @@ class ForestPredictor:
         X = _check_dims(X, self.feature_names)
         return self._stacked.predict(X, initial=0.0) / len(self.trees)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, tree=Tree.to_dict) -> dict:
+        """The model file's fields; ``tree`` maps each tree to its entry."""
         return {
             "spec": self.spec.to_dict(),
             "feature_names": list(self.feature_names),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [tree(t) for t in self.trees],
         }
 
     @classmethod
@@ -343,13 +344,14 @@ class BoostingPredictor:
             mses.append(float(np.mean((y - out) ** 2)))
         return np.array(mses)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, tree=Tree.to_dict) -> dict:
+        """The model file's fields; ``tree`` maps each tree to its entry."""
         return {
             "spec": self.spec.to_dict(),
             "feature_names": list(self.feature_names),
             "init_value": float(self.init_value),
             "learning_rate": float(self.learning_rate),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [tree(t) for t in self.trees],
         }
 
     @classmethod
