@@ -22,13 +22,16 @@ from .errors import SchemaError
 def atomic_file(path):
     """A text file to write ``path`` through: a temp file renamed into place
     when the block ends, and removed if it raises, so readers never see
-    partial output."""
+    partial output. The file gets ``open``'s mode, not ``mkstemp``'s 0600."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

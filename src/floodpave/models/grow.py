@@ -39,8 +39,8 @@ block is the root order with each row repeated by its count (dropped at
 0), the copies of a row side by side. That is the stable argsort of the
 gathered rows, so the tree equals one grown on them bit for bit. A
 boosting stage takes the update of its fitted rows from the leaves the
-build put them in, and walks only the rows its subsample left out down
-its own arrays (``_leaf_values``).
+build put them in, and predicts only the rows its subsample left out,
+through a one-tree ``_Stacked`` built for the stage.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import itertools
 import numpy as np
 
 from .spec import ModelSpec
-from .tree import LEAF, BoostingPredictor, ForestPredictor, Tree, TreePredictor
+from .tree import LEAF, BoostingPredictor, ForestPredictor, Tree, TreePredictor, _Stacked, levels
 
 # Relative SSE-reduction floor below which a split is considered noise.
 _MIN_REDUCTION = 1e-12
@@ -515,44 +515,21 @@ class _Grower:
 
 
 def _preorder(feature, left, right):
-    """Each node's id when the tree under node 0 is numbered in preorder."""
+    """Each node's id when the tree under node 0 is numbered in preorder.
+
+    Subtree sizes sum up the ``levels`` walk's split nodes; ids then go down it.
+    """
     split = feature != LEAF
-    levels = []  # each level's split nodes
-    level = np.zeros(1, dtype=np.intp)
-    while True:
-        level = level[split.take(level)]
-        if level.size == 0:
-            break
-        levels.append(level)
-        level = np.concatenate([left.take(level), right.take(level)])
+    walk = [level.compress(split.take(level)) for level in levels(feature, left, right)]
     size = np.ones(feature.size, dtype=np.intp)  # of each node's subtree
-    for level in reversed(levels):
+    for level in reversed(walk):
         size[level] += size.take(left.take(level)) + size.take(right.take(level))
     new = np.zeros(feature.size, dtype=np.intp)
-    for level in levels:
+    for level in walk:
         first = left.take(level)
         new[first] = new.take(level) + 1
         new[right.take(level)] = new.take(level) + 1 + size.take(first)
     return new
-
-
-def _leaf_values(tree, Xt, rows, max_depth):
-    """The value of the leaf each of ``rows`` (column ids of ``Xt``) reaches in ``tree``.
-
-    A row goes right exactly when ``x > threshold``, as in ``tree._Stacked``.
-    Here a leaf is its own child, so every row takes ``max_depth`` steps
-    through the tree's own arrays, and no stacked copy is built.
-    """
-    leaf = tree.feature == LEAF
-    own = np.arange(tree.n_nodes)
-    offset = np.where(leaf, 0, tree.feature) * Xt.shape[1]
-    left = np.where(leaf, own, tree.left)
-    right = np.where(leaf, own, tree.right)
-    node = np.zeros(rows.size, dtype=np.intp)
-    for _ in range(max_depth):
-        goes = Xt.take(offset.take(node) + rows) > tree.threshold.take(node)
-        node = np.where(goes, right.take(node), left.take(node))
-    return tree.value.take(node)
 
 
 def fit_decision_tree(spec: ModelSpec, X, y, feature_names) -> TreePredictor:
@@ -620,7 +597,7 @@ def fit_gradient_boosting(spec: ModelSpec, X, y, feature_names) -> BoostingPredi
         # the rows the subsample left out go through the tree.
         tree, fitted = _grow_tree(Xt, residual, rows, block, hp["max_depth"])
         if rows.size < n:
-            fitted[~kept] = _leaf_values(tree, Xt, np.flatnonzero(~kept), hp["max_depth"])
+            fitted[~kept] = _Stacked((tree,)).predict(X[~kept])
         current += lr * fitted
         trees.append(tree)
     return BoostingPredictor(spec, tuple(feature_names), init, lr, tuple(trees))

@@ -6,6 +6,10 @@ boosting model, and write and read their model files. Growing trees and
 fitting the models is ``grow``'s, which a command that only predicts
 never loads.
 
+``levels`` is the one breadth-first walk over a tree's flat arrays:
+truncation, the model-file check, the stacked renumbering below,
+``grow``'s preorder numbering and SHAP's leaf boxes all go through it.
+
 Prediction walks all of a predictor's trees at once (Hummingbird's tree
 traversal, Nakandala et al., OSDI 2020). ``_Stacked`` renumbers the
 trees breadth first into one set of flat arrays in which a split node's
@@ -62,14 +66,12 @@ class Tree:
         below it, and ``build_tree`` numbers nodes in preorder.
         """
         keep = np.zeros(self.n_nodes, dtype=bool)
-        level = np.zeros(1, dtype=np.int64)
-        for _ in range(max_depth):
-            keep[level] = True
-            level = level[self.feature[level] != LEAF]
-            level = np.concatenate([self.left[level], self.right[level]])
-        keep[level] = True
         feature = self.feature.copy()
-        feature[level] = LEAF
+        for depth, level in enumerate(levels(self.feature, self.left, self.right)):
+            keep[level] = True
+            if depth == max_depth:
+                feature[level] = LEAF
+                break
         feature = feature[keep]
         split = feature != LEAF
         new_id = np.cumsum(keep) - 1
@@ -132,18 +134,28 @@ class Tree:
             if ((child < 0) | (child >= n)).any():
                 raise SchemaError(f"tree child index out of range for {n} nodes")
         seen = np.zeros(n, dtype=bool)
-        level = np.zeros(1, dtype=np.int64)
         n_seen = 0
-        while level.size:
+        for level in levels(feature, left, right):
             seen[level] = True
             if np.count_nonzero(seen) != n_seen + level.size:
                 raise SchemaError("tree node reached more than once from the root")
             n_seen += level.size
-            level = level[split[level]]
-            level = np.concatenate([left[level], right[level]])
         if n_seen < n:
             raise SchemaError("tree node not reached from the root")
         return cls(feature, threshold, left, right, value)
+
+
+def levels(feature, left, right, roots=(0,)):
+    """Yield each level's node ids breadth first from ``roots``, a split node's two children adjacent.
+
+    Children are not checked: on arrays that are not a tree the walk may
+    not end, so ``Tree.from_dict`` checks each level as it comes.
+    """
+    level = np.asarray(roots, dtype=np.intp)
+    while level.size:
+        yield level
+        level = level.compress(feature.take(level) != LEAF)
+        level = np.stack([left.take(level), right.take(level)], axis=1).ravel()
 
 
 def _tree_sum(values, initial):
@@ -179,14 +191,8 @@ class _Stacked:
         split = feature != LEAF
         left = np.where(split, np.concatenate([t.left for t in trees]) + shift, 0)
         right = np.where(split, np.concatenate([t.right for t in trees]) + shift, 0)
-        level, levels = offsets, [offsets]
-        while True:
-            level = level[split.take(level)]
-            if level.size == 0:
-                break
-            level = np.stack([left.take(level), right.take(level)], axis=1).ravel()
-            levels.append(level)
-        old = np.concatenate(levels)  # the old id of each new node
+        walk = list(levels(feature, left, right, offsets))
+        old = np.concatenate(walk)  # the old id of each new node
         new = np.empty_like(old)
         new[old] = np.arange(old.size)
         leaf = ~split.take(old)
@@ -195,7 +201,7 @@ class _Stacked:
         self.threshold = np.where(leaf, np.nan, np.concatenate([t.threshold for t in trees]).take(old))
         self.value = np.concatenate([t.value for t in trees]).take(old) * scale
         self.n_trees = len(trees)
-        self.depth = len(levels) - 1
+        self.depth = len(walk) - 1
 
     def predict(self, X, initial=None) -> np.ndarray:
         """Per row, ``initial`` plus the trees' leaf values in tree order.

@@ -30,7 +30,7 @@ from ._util import stage_rng
 from .config import ShapConfig
 from .dataset import DataTable
 from .models import BoostingPredictor, ForestPredictor, TreePredictor
-from .models.tree import LEAF
+from .models.tree import LEAF, levels
 
 MAX_EXACT_FEATURES = 20
 
@@ -202,19 +202,20 @@ def _tree_terms(predictor):
 
 
 def _leaf_boxes(tree, n_features: int):
-    """Per leaf: bounds (lo, hi) such that a row reaches it iff lo < x <= hi on every feature."""
+    """Per leaf: bounds (lo, hi) such that a row reaches it iff lo < x <= hi on every feature.
+
+    Down the ``levels`` walk each split cuts its children's boxes at its threshold.
+    """
     lo = np.full((tree.n_nodes, n_features), -np.inf)
     hi = np.full((tree.n_nodes, n_features), np.inf)
-    frontier = np.array([0])
-    while frontier.size:
-        split = frontier[tree.feature[frontier] != LEAF]
+    for level in levels(tree.feature, tree.left, tree.right):
+        split = level[tree.feature[level] != LEAF]
         f, t = tree.feature[split], tree.threshold[split]
         left, right = tree.left[split], tree.right[split]
         lo[left] = lo[right] = lo[split]
         hi[left] = hi[right] = hi[split]
         hi[left, f] = np.minimum(hi[split, f], t)
         lo[right, f] = np.maximum(lo[split, f], t)
-        frontier = np.concatenate([left, right])
     leaves = np.nonzero(tree.feature == LEAF)[0]
     return lo[leaves], hi[leaves], tree.value[leaves]
 

@@ -2,15 +2,17 @@ import hashlib
 import json
 import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from floodpave import models
+from floodpave._util import write_text_atomic
 from floodpave.errors import InsufficientDataError, SchemaError, SingularDesignError, ZeroVarianceError
 from floodpave.models import ModelSpec, linear
-from floodpave.models.tree import ForestPredictor, Tree
+from floodpave.models.tree import LEAF, ForestPredictor, Tree, levels
 
 from conftest import manual_linear
 
@@ -205,6 +207,53 @@ class TestTrees:
             assert np.array_equal(a.predict(x), b.predict(x))
             c = models.fit(ModelSpec(kind, hp, 43), x, y)
             assert not np.array_equal(a.predict(x), c.predict(x))
+
+
+def hand_tree(children, n):
+    """An ``n``-node tree dict whose node i splits feature 0 at i into ``children[i]``; other nodes are leaves."""
+    feature, left, right = np.full((3, n), LEAF)
+    for node, (lo, hi) in children.items():
+        feature[node], left[node], right[node] = 0, lo, hi
+    return {
+        "feature": feature.tolist(),
+        "threshold": [float(i) for i in range(n)],
+        "left": left.tolist(),
+        "right": right.tolist(),
+        "value": [10.0 * i for i in range(n)],
+    }
+
+
+class TestTreeArrays:
+    def test_levels_walks_breadth_first_with_children_adjacent(self):
+        # Preorder ids: 0 splits into 1 and 4, 1 into 2 and 3, 4 into 5 and 6.
+        tree = Tree.from_dict(hand_tree({0: (1, 4), 1: (2, 3), 4: (5, 6)}, 7), 1)
+        walk = [level.tolist() for level in levels(tree.feature, tree.left, tree.right)]
+        assert walk == [[0], [1, 4], [2, 3, 5, 6]]
+        assert [level.tolist() for level in levels(tree.feature, tree.left, tree.right, roots=(4, 1))] == [
+            [4, 1],
+            [5, 6, 2, 3],
+        ]
+        stump = tree.truncate(0)
+        assert stump.feature.tolist() == [LEAF] and stump.left.tolist() == [LEAF] and stump.right.tolist() == [LEAF]
+        assert stump.value.tolist() == [0.0]
+        cut = tree.truncate(1)
+        assert cut.feature.tolist() == [0, LEAF, LEAF]
+        assert (cut.left.tolist(), cut.right.tolist()) == ([1, LEAF, LEAF], [2, LEAF, LEAF])
+        assert cut.value.tolist() == [0.0, 10.0, 40.0]
+
+    @pytest.mark.parametrize(
+        "children, n, message",
+        [
+            ({0: (1, 2), 1: (3, 0)}, 5, "tree node reached more than once from the root"),
+            ({0: (1, 2), 1: (3, 4), 2: (4, 5)}, 6, "tree node reached more than once from the root"),
+            ({0: (1, 1)}, 3, "tree node reached more than once from the root"),
+            ({0: (1, 2)}, 4, "tree node not reached from the root"),
+        ],
+        ids=["child-points-at-grandparent", "split-nodes-share-a-child", "left-equals-right", "unreached-node"],
+    )
+    def test_from_dict_refuses_a_malformed_walk(self, children, n, message):
+        with pytest.raises(SchemaError, match=message):
+            Tree.from_dict(hand_tree(children, n), 1)
 
 
 class TestFitValidation:
@@ -421,6 +470,20 @@ class TestPersistence:
         assert len(written) == 6
         assert sorted(os.listdir(tmp_path)) == ["kept.json"]
         assert kept.read_bytes() == before
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_take_the_umask(self, tmp_path, umask, mode):
+        # Reports and model files get the mode open() would give them.
+        x = np.random.default_rng(4).normal(size=(30, 3))
+        p = models.fit(ModelSpec("decision_tree", {"max_depth": 2}, 4), x, x[:, 0], feature_names=list("abc"))
+        old = os.umask(umask)
+        try:
+            write_text_atomic(tmp_path / "report.txt", "text\n")
+            models.save_model(p, tmp_path / "model.json")
+        finally:
+            os.umask(old)
+        for name in ("report.txt", "model.json"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
 
     def test_save_model_memory_is_a_fraction_of_the_file(self, tmp_path):
         # save_model holds one tree's numbers at a time, never the whole
