@@ -154,8 +154,10 @@ def levels(feature, left, right, roots=(0,)):
     level = np.asarray(roots, dtype=np.intp)
     while level.size:
         yield level
-        level = level.compress(feature.take(level) != LEAF)
-        level = np.stack([left.take(level), right.take(level)], axis=1).ravel()
+        split = level.compress(feature.take(level) != LEAF)
+        level = np.empty(2 * split.size, dtype=np.intp)
+        level[0::2] = left.take(split)
+        level[1::2] = right.take(split)
 
 
 def _tree_sum(values, initial):
