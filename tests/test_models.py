@@ -471,7 +471,7 @@ class TestPersistence:
         assert sorted(os.listdir(tmp_path)) == ["kept.json"]
         assert kept.read_bytes() == before
 
-    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
     def test_written_files_take_the_umask(self, tmp_path, umask, mode):
         # Reports and model files get the mode open() would give them.
         x = np.random.default_rng(4).normal(size=(30, 3))
