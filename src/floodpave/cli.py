@@ -36,16 +36,20 @@ mean, and whether it was scored on its own fit or on an `n_estimators`
 prefix or a depth truncation of another candidate's fit.
 
 `explain` draws one LIME neighborhood per run and shares it between
-the instances, in one thread. `--workers` (config key `workers`) sizes
-only the thread pool of SHAP in `explain`.
+the instances, in one thread. Exact SHAP of a shipped model kind (Tree
+SHAP, or the linear closed form) also runs in one thread. `--workers`
+(config key `workers`) sizes only the thread pool of SHAP's
+predict-based paths: sampled mode, and exact mode for a predictor that
+is not a shipped kind.
 
 Each command imports only the modules it runs. Importing this module
 loads the typed config (`config`), the records loader (`dataset`) and
 the model kinds (`models.spec`), and nothing else of the package: the
 `floodpave` and `floodpave.models` packages resolve their names on
 first use, and `synth`, `floods`, `deterioration`, `shapley`, `lime`,
-the model fitting and IO code, and `concurrent.futures` (only for SHAP
-with `workers` > 1) are imported inside the commands that use them. So
+the model fitting and IO code, and `concurrent.futures` (only for SHAP's
+predict-based paths with `workers` > 1) are imported inside the commands
+that use them. So
 `describe` loads no model, explainer, flood or generator code.
 """
 
@@ -568,7 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="root seed for all stages")
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument(
-        "--workers", type=int, help="worker threads for explain's SHAP pool; train and LIME run in one thread"
+        "--workers", type=int,
+        help="worker threads for explain's sampled-mode SHAP; exact SHAP of a shipped kind, train and LIME run in one thread",
     )
     parser.add_argument("--quiet", action="store_true", default=None, help="suppress progress lines and warnings")
     parser.add_argument("--records", dest="records_csv", help="section-year records CSV")

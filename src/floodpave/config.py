@@ -238,10 +238,12 @@ class RunConfig:
     """A run's whole config: the JSON config file with the flags merged over it.
 
     Root keys: records_csv, events_csv, out_dir, seed (>= 0; the root of
-    every stage's seed), workers (>= 1; the threads of SHAP in `explain`),
-    quiet, test_fraction (in (0, 1)), cv_folds (>= 2), model_kinds (a
-    non-empty list of MODEL_KINDS), grids (kind -> {hyperparameter:
-    [values]}, replacing that kind's default grid). Sections: synth
+    every stage's seed), workers (>= 1; the threads of SHAP's
+    predict-based paths in `explain`: sampled mode, and exact mode for a
+    predictor that is not a shipped kind), quiet, test_fraction (in (0,
+    1)), cv_folds (>= 2), model_kinds (a non-empty list of MODEL_KINDS),
+    grids (kind -> {hyperparameter: [values]}, replacing that kind's
+    default grid). Sections: synth
     (`SynthSpec`, its ground_truth a `GroundTruth`), lime (`LimeConfig`),
     shap (`ShapConfig`) and explain (`ExplainConfig`); a section has
     no `seed`, which comes from the root. `from_sources` parses it all

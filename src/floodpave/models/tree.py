@@ -9,6 +9,8 @@ never loads.
 ``levels`` is the one breadth-first walk over a tree's flat arrays:
 truncation, the model-file check, the stacked renumbering below,
 ``grow``'s preorder numbering and SHAP's leaf boxes all go through it.
+``joined`` lays a predictor's trees end to end, so that the stacked
+renumbering and SHAP's leaf boxes walk every tree in one pass.
 
 Prediction walks all of a predictor's trees at once (Hummingbird's tree
 traversal, Nakandala et al., OSDI 2020). ``_Stacked`` renumbers the
@@ -160,6 +162,24 @@ def levels(feature, left, right, roots=(0,)):
         level[1::2] = right.take(split)
 
 
+def joined(trees):
+    """The trees' five arrays end to end, and each tree's root in them.
+
+    Each tree's child ids are shifted by its root, so ``levels(feature,
+    left, right, roots)`` walks every tree at once; leaves keep ``LEAF``.
+    """
+    sizes = np.array([t.n_nodes for t in trees], dtype=np.intp)
+    roots = np.cumsum(sizes) - sizes
+    shift = np.repeat(roots, sizes)
+    feature = np.concatenate([t.feature for t in trees])
+    split = feature != LEAF
+    left = np.where(split, np.concatenate([t.left for t in trees]) + shift, LEAF)
+    right = np.where(split, np.concatenate([t.right for t in trees]) + shift, LEAF)
+    threshold = np.concatenate([t.threshold for t in trees])
+    value = np.concatenate([t.value for t in trees])
+    return feature, threshold, left, right, value, roots
+
+
 def _tree_sum(values, initial):
     """``initial`` plus each column of ``values`` summed down its rows, in row order.
 
@@ -186,22 +206,17 @@ class _Stacked:
     """
 
     def __init__(self, trees, scale: float = 1.0):
-        sizes = np.array([t.n_nodes for t in trees], dtype=np.intp)
-        offsets = np.cumsum(sizes) - sizes
-        shift = np.repeat(offsets, sizes)
-        feature = np.concatenate([t.feature for t in trees])
-        split = feature != LEAF
-        left = np.where(split, np.concatenate([t.left for t in trees]) + shift, 0)
-        right = np.where(split, np.concatenate([t.right for t in trees]) + shift, 0)
-        walk = list(levels(feature, left, right, offsets))
+        feature, threshold, left, right, value, roots = joined(trees)
+        walk = list(levels(feature, left, right, roots))
         old = np.concatenate(walk)  # the old id of each new node
         new = np.empty_like(old)
         new[old] = np.arange(old.size)
-        leaf = ~split.take(old)
+        leaf = feature.take(old) == LEAF
+        # a leaf's LEAF child takes new[-1]; np.where drops it
         self.first_child = np.where(leaf, np.arange(old.size), new.take(left.take(old)))
         self.feature = np.where(leaf, 0, feature.take(old))
-        self.threshold = np.where(leaf, np.nan, np.concatenate([t.threshold for t in trees]).take(old))
-        self.value = np.concatenate([t.value for t in trees]).take(old) * scale
+        self.threshold = np.where(leaf, np.nan, threshold.take(old))
+        self.value = value.take(old) * scale
         self.n_trees = len(trees)
         self.depth = len(walk) - 1
 

@@ -9,14 +9,21 @@ evaluates each distinct prefix coalition once: at most min(2^M, p*M + 1)
 coalitions per instance. Exact mode takes the cheapest exact route:
 
 - tree, forest and boosting predictors use interventional Tree SHAP
-  (Lundberg et al., Nature MI 2020), which reads each leaf's box off the
-  flat tree arrays and attributes leaf by leaf, with no model calls;
-- any other predictor, linear ones included, enumerates all 2^M
-  coalitions once (memoized across features) through ``exact_shapley``.
+  (Lundberg et al., Nature MI 2020). It reads every leaf's box off the
+  trees' flat arrays in one walk, reduces the background to each leaf's
+  distinct outside-masks with their row counts, and attributes each
+  instance over those (leaf, mask, count) triples, with no model calls;
+- linear, ridge and lasso predictors use the closed form
+  phi_j = coef_j * (x_j - mean b_j) / sigma_j, all instances at once;
+- any other predictor enumerates all 2^M coalitions once (memoized
+  across features) through ``exact_shapley``.
 
-``exact_shapley`` is always the 2^M enumeration; the tests hold Tree
-SHAP to it, so it is the oracle as well as the fallback. Instances and
-background rows must be finite: the leaf-box test cannot place -inf.
+Only the predict-based paths, sampled mode and ``exact_shapley``, run in
+``shapley_values``'s thread pool. An instance's phi never depends on the
+other instances explained with it. ``exact_shapley`` is always the 2^M
+enumeration; the tests hold Tree SHAP and the linear closed form to it,
+so it is the oracle as well as the fallback. Instances and background
+rows must be finite: the leaf-box test cannot place -inf.
 """
 
 from __future__ import annotations
@@ -29,14 +36,15 @@ import numpy as np
 from ._util import stage_rng
 from .config import ShapConfig
 from .dataset import DataTable
-from .models import BoostingPredictor, ForestPredictor, TreePredictor
-from .models.tree import LEAF, levels
+from .models import BoostingPredictor, ForestPredictor, LinearPredictor, TreePredictor
+from .models.tree import LEAF, joined, levels
 
 MAX_EXACT_FEATURES = 20
 
 # Keep batched predict calls below this many composite rows.
 _CHUNK_ROWS = 200_000
-# Keep each Tree SHAP step below this many (background row, leaf) pairs.
+# Keep each Tree SHAP step below this many (leaf, background row) or (leaf, instance)
+# pairs, or (leaf, mask, count) triples.
 _CHUNK_PAIRS = 50_000
 
 
@@ -189,48 +197,84 @@ def sampled_shapley(predictor, x, background, config: ShapConfig, index: int | N
     return shapley_from_permutations(predictor, x, background, perms, config)
 
 
-def _tree_terms(predictor):
-    """(Tree, weight) pairs whose weighted sum is the predictor up to a constant, else None."""
+def _tree_ensemble(predictor):
+    """(trees, weight) whose leaf values times weight sum to the predictor up to a constant, else None."""
     if isinstance(predictor, TreePredictor):
-        return [(predictor.tree, 1.0)]
+        return (predictor.tree,), 1.0
     if isinstance(predictor, ForestPredictor):
-        return [(tree, 1.0 / len(predictor.trees)) for tree in predictor.trees]
+        return predictor.trees, 1.0 / len(predictor.trees)
     if isinstance(predictor, BoostingPredictor):
         # init_value is the same for every coalition, so it adds no attribution.
-        return [(tree, predictor.learning_rate) for tree in predictor.trees]
+        return predictor.trees, predictor.learning_rate
     return None
 
 
-def _leaf_boxes(tree, n_features: int):
-    """Per leaf: bounds (lo, hi) such that a row reaches it iff lo < x <= hi on every feature.
+def _leaf_boxes(trees, n_features: int):
+    """Every leaf's value and bounds (lo, hi): a row reaches the leaf iff lo < x <= hi on every feature.
 
-    Down the ``levels`` walk each split cuts its children's boxes at its threshold.
+    One ``levels`` walk over all the trees at once carries the boxes of a
+    level's nodes; a split cuts its children's boxes at its threshold, and
+    the walk puts each split's left child just before its right one.
     """
-    lo = np.full((tree.n_nodes, n_features), -np.inf)
-    hi = np.full((tree.n_nodes, n_features), np.inf)
-    for level in levels(tree.feature, tree.left, tree.right):
-        split = level[tree.feature[level] != LEAF]
-        f, t = tree.feature[split], tree.threshold[split]
-        left, right = tree.left[split], tree.right[split]
-        lo[left] = lo[right] = lo[split]
-        hi[left] = hi[right] = hi[split]
-        hi[left, f] = np.minimum(hi[split, f], t)
-        lo[right, f] = np.maximum(lo[split, f], t)
-    leaves = np.nonzero(tree.feature == LEAF)[0]
-    return lo[leaves], hi[leaves], tree.value[leaves]
+    feature, threshold, left, right, value, roots = joined(trees)
+    lo = np.full((roots.size, n_features), -np.inf)
+    hi = np.full((roots.size, n_features), np.inf)
+    leaves, los, his = [], [], []
+    for level in levels(feature, left, right, roots):
+        f = feature[level]
+        leaf = f == LEAF
+        leaves.append(level[leaf])
+        los.append(lo[leaf])
+        his.append(hi[leaf])
+        split = ~leaf
+        f, t = f[split], threshold[level[split]]
+        lo, hi = np.repeat(lo[split], 2, axis=0), np.repeat(hi[split], 2, axis=0)
+        left_row, right_row = np.arange(0, 2 * f.size, 2), np.arange(1, 2 * f.size, 2)
+        hi[left_row, f] = np.minimum(hi[left_row, f], t)
+        lo[right_row, f] = np.maximum(lo[right_row, f], t)
+    return value[np.concatenate(leaves)], np.concatenate(los), np.concatenate(his)
 
 
-def _outside_masks(rows, lo, hi):
-    """(rows, leaves) bitmask of the features on which each row is outside each leaf's box."""
-    out = np.zeros((rows.shape[0], lo.shape[0]), dtype=np.int32)
+def _outside_masks(lo, hi, rows):
+    """(leaves, rows) bitmask of the features on which each row is outside each leaf's box.
+
+    A feature is tested only at the leaves whose box bounds it.
+    """
+    out = np.zeros((lo.shape[0], rows.shape[0]), dtype=np.int32)
     for j in range(lo.shape[1]):
-        col = rows[:, j : j + 1]
-        out |= (~((lo[:, j] < col) & (col <= hi[:, j]))).astype(np.int32) << j
+        bounded = np.flatnonzero((lo[:, j] > -np.inf) | (hi[:, j] < np.inf))
+        col = rows[:, j]
+        outside = col <= lo[bounded, j : j + 1]
+        outside |= col > hi[bounded, j : j + 1]
+        out[bounded] |= outside * np.int32(1 << j)
     return out
 
 
-def _tree_shap(terms, background: np.ndarray, n_features: int):
-    """Interventional Tree SHAP: a function from one instance to its exact phi.
+def _distinct_masks(lo, hi, background):
+    """(leaf, mask, count) triples: each leaf's distinct background outside-masks, and how many rows have each.
+
+    Leaves go in chunks of at most ``_CHUNK_PAIRS`` (leaf, background
+    row) pairs, so no (leaves, rows) array is held. Triples come leaf by
+    leaf, masks ascending within a leaf.
+    """
+    n_bg = background.shape[0]
+    per_chunk = max(1, _CHUNK_PAIRS // n_bg)
+    leaf, mask, count = [], [], []
+    for start in range(0, lo.shape[0], per_chunk):
+        part = slice(start, start + per_chunk)
+        out = _outside_masks(lo[part], hi[part], background)
+        out.sort(axis=1)
+        first = np.ones(out.shape, dtype=bool)  # a mask's first row in its leaf's sorted row
+        np.not_equal(out[:, 1:], out[:, :-1], out=first[:, 1:])
+        at = np.flatnonzero(first)
+        leaf.append((start + at // n_bg).astype(np.int32))
+        mask.append(out.ravel()[at])
+        count.append(np.diff(at, append=out.size).astype(np.int32))
+    return np.concatenate(leaf), np.concatenate(mask), np.concatenate(count)
+
+
+def _tree_shap(trees, weight: float, background: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Interventional Tree SHAP: the exact phi of each row of X.
 
     For an instance x, a background row b and a leaf with value v, let A
     be the features where x is inside the leaf's box and b is not, and B
@@ -240,63 +284,75 @@ def _tree_shap(terms, background: np.ndarray, n_features: int):
     gains v*(a-1)!c!/(a+c)! and each j in B loses v*a!(c-1)!/(a+c)!.
     Summed over leaves and averaged over b, that is exactly the Shapley
     value of the 2^M game that ``exact_shapley`` enumerates.
+
+    b enters only through its outside-mask at the leaf, so the background
+    is first reduced to each leaf's distinct masks with their counts
+    (the precomputation of Fast TreeSHAP, Yang, arXiv:2109.09847), and a
+    mask's terms are weighted by its count. A row's phi depends on that
+    row and these triples alone, never on the other rows of X.
     """
-    m = n_features
+    n, m = X.shape
+    phi = np.zeros((n, m))
+    if not trees:
+        return phi
     size = np.zeros(1 << m, dtype=np.uint8)  # popcount of every feature-set bitmask
     for j in range(m):
         size[1 << j : 2 << j] = size[: 1 << j] + 1
     fact = [math.factorial(k) for k in range(2 * m + 1)]
-    gain = np.zeros((m + 1, m + 1))  # [a, c], for each feature in A
-    loss = np.zeros((m + 1, m + 1))  # [a, c], for each feature in B
+    # Each feature in A gains, and each feature in B loses, this share of v; flat index a*(m+1) + c.
+    gain = np.zeros((m + 1, m + 1))
+    loss = np.zeros((m + 1, m + 1))
     for a in range(m + 1):
         for c in range(m + 1):
             if a:
                 gain[a, c] = fact[a - 1] * fact[c] / fact[a + c]
             if c:
-                loss[a, c] = fact[a] * fact[c - 1] / fact[a + c]
+                loss[a, c] = -fact[a] * fact[c - 1] / fact[a + c]
+    gain, loss = gain.ravel(), loss.ravel()
 
-    # Leaf table of every tree, and the background's masks, once per call.
-    boxes = [_leaf_boxes(tree, m) for tree, _ in terms]
-    if not boxes:
-        return lambda x: np.zeros(m)
-    lo = np.concatenate([box[0] for box in boxes])
-    hi = np.concatenate([box[1] for box in boxes])
-    value = np.concatenate([weight * box[2] for (_, weight), box in zip(terms, boxes)])
-    n_bg = background.shape[0]
-    leaves_per_chunk = max(1, _CHUNK_PAIRS // n_bg)
-    chunks = [slice(s, s + leaves_per_chunk) for s in range(0, len(value), leaves_per_chunk)]
-    bg_out = np.empty((n_bg, len(value)), dtype=np.int32)
-    for part in chunks:
-        bg_out[:, part] = _outside_masks(background, lo[part], hi[part])
-
-    def phi(x: np.ndarray) -> np.ndarray:
-        x_out_all = _outside_masks(x[None], lo, hi)[0]
-        totals = np.zeros(1 << m)  # summed weight per feature set
-        for part in chunks:
-            b_out, x_out = bg_out[:, part], x_out_all[part]
-            # Pairs where every feature is inside for x or for b; then A = b_out, B = x_out.
-            row, leaf = np.nonzero((b_out & x_out) == 0)
-            set_a, set_b = b_out[row, leaf], x_out[leaf]
-            a, c, v = size[set_a], size[set_b], value[part][leaf]
-            keys = np.concatenate([set_a, set_b])
-            weights = np.concatenate([v * gain[a, c], -v * loss[a, c]])
-            totals += np.bincount(keys, weights=weights, minlength=1 << m)
-        # Spread each feature set's weight over its features.
-        sets = np.nonzero(totals)[0]
-        members = (sets[:, None] >> np.arange(m)) & 1
-        return (members.T @ totals[sets]) / n_bg
-
+    value, lo, hi = _leaf_boxes(trees, m)
+    leaf, set_a, count = _distinct_masks(lo, hi, background)
+    mass = value.take(leaf)  # a triple's weighted leaf value times its row count
+    mass *= weight
+    mass *= count
+    row_a = size.take(set_a) * np.uint16(m + 1)
+    chunks = [slice(s, s + _CHUNK_PAIRS) for s in range(0, leaf.size, _CHUNK_PAIRS)]
+    rows_per_chunk = max(1, _CHUNK_PAIRS // value.size)
+    for start in range(0, n, rows_per_chunk):
+        x_masks = _outside_masks(lo, hi, X[start : start + rows_per_chunk])
+        for i, x_out in enumerate(x_masks.T, start):
+            totals = np.zeros(1 << m)  # summed weight per feature set
+            for part in chunks:
+                # Triples where every feature is inside for x or for b; then A = b's mask, B = x's.
+                x_leaf = x_out.take(leaf[part])
+                hit = np.flatnonzero((set_a[part] & x_leaf) == 0)
+                a_set, b_set = set_a[part].take(hit), x_leaf.take(hit)
+                share = row_a[part].take(hit) + size.take(b_set)
+                v = mass[part].take(hit)
+                keys = np.concatenate([a_set, b_set])
+                weights = np.concatenate([v * gain.take(share), v * loss.take(share)])
+                totals += np.bincount(keys, weights=weights, minlength=1 << m)
+            # Spread each feature set's weight over its features.
+            sets = np.nonzero(totals)[0]
+            members = (sets[:, None] >> np.arange(m)) & 1
+            phi[i] = (members.T @ totals[sets]) / background.shape[0]
     return phi
 
 
-def _exact_explainer(predictor, background: np.ndarray, config: ShapConfig, n_features: int):
-    """A function from one instance to its exact phi, by predictor type."""
-    _check_exact_size(n_features)
-    base_bg = _apply_baseline(background, config)
-    terms = _tree_terms(predictor)
-    if terms is not None:
-        return _tree_shap(terms, base_bg, n_features)
-    return lambda x: exact_shapley(predictor, x, background, config)
+def _exact_phi(predictor, X: np.ndarray, base_bg: np.ndarray):
+    """The exact phi of every row of X for a shipped model kind; None for any other predictor.
+
+    Tree kinds get Tree SHAP. Linear kinds get the interventional closed
+    form phi_j = coef_j * (x_j - mean b_j) / sigma_j (Lundberg & Lee,
+    arXiv:1705.07874), with coef and sigma in the standardized space
+    that ``LinearPredictor`` stores, elementwise over all rows at once.
+    """
+    ensemble = _tree_ensemble(predictor)
+    if ensemble is not None:
+        return _tree_shap(*ensemble, base_bg, X)
+    if isinstance(predictor, LinearPredictor):
+        return predictor.coef * (X - base_bg.mean(axis=0)) / predictor.sigma
+    return None
 
 
 def shapley_values(
@@ -306,10 +362,14 @@ def shapley_values(
     config: ShapConfig,
     n_workers: int = 1,
 ) -> ShapValues:
-    """Attribute every row of X; rows are independent and may run concurrently.
+    """Attribute every row of X; a row's phi never depends on the other rows.
 
-    Sampled mode gives each instance its own seed-derived permutation
-    stream, so results do not depend on worker count or ordering.
+    Exact mode for a shipped model kind is Tree SHAP or the linear closed
+    form, computed here in one thread. Only the predict-based paths,
+    sampled mode and ``exact_shapley`` for any other predictor, take one
+    row per task and may run them on ``n_workers`` threads. Sampled mode
+    gives each instance its own seed-derived permutation stream, so
+    results do not depend on worker count or ordering.
     """
     X = np.asarray(X, dtype=float)
     background = np.asarray(background, dtype=float)
@@ -320,12 +380,16 @@ def shapley_values(
             raise ValueError(f"{name}: missing or infinite values; filter rows first")
     base_bg = _apply_baseline(background, config)
     base_value = float(np.mean(predictor.predict(base_bg)))
+    feature_names = tuple(predictor.feature_names)
 
     if config.mode == "exact":
-        explain = _exact_explainer(predictor, background, config, X.shape[1])
+        _check_exact_size(X.shape[1])
+        phi = _exact_phi(predictor, X, base_bg)
+        if phi is not None:
+            return ShapValues(base_value, phi, feature_names)
 
         def one(i: int) -> np.ndarray:
-            return explain(X[i])
+            return exact_shapley(predictor, X[i], background, config)
 
     else:
 
@@ -341,7 +405,7 @@ def shapley_values(
     else:
         rows = [one(i) for i in indices]
     phi = np.vstack(rows) if rows else np.empty((0, X.shape[1]))
-    return ShapValues(base_value, phi, tuple(predictor.feature_names))
+    return ShapValues(base_value, phi, feature_names)
 
 
 def summarize(values: ShapValues, table: DataTable) -> GlobalImportance:

@@ -275,6 +275,20 @@ def tied_data(seed, n=200, m=4):
     return X, y
 
 
+def continuous_data(seed, n=200, m=4):
+    """``tied_data`` with a little noise on every cell, so no column is constant."""
+    X, y = tied_data(seed, n, m)
+    return X + np.random.default_rng(seed).normal(scale=0.1, size=X.shape), y
+
+
+TREE_FITS = [
+    ("decision_tree", {"max_depth": 6}),
+    ("random_forest", {"n_estimators": 4, "max_depth": 5, "feature_subsample": 0.5}),
+    ("gradient_boosting", {"n_estimators": 15, "max_depth": 3, "subsample": 0.75}),
+]
+LINEAR_FITS = [("linear", {}), ("ridge", {"alpha": 3.0}), ("lasso", {"alpha": 0.5})]
+
+
 def hand_tree(feature, threshold, left, right, value, m):
     tree = models.Tree(feature, threshold, left, right, value)
     names = tuple(f"x{j}" for j in range(m))
@@ -290,14 +304,7 @@ def assert_matches_enumeration(predictor, X, bg, config=ShapConfig()):
 class TestExactDispatch:
     """Tree SHAP against the 2^M enumeration."""
 
-    @pytest.mark.parametrize(
-        "kind, hp",
-        [
-            ("decision_tree", {"max_depth": 6}),
-            ("random_forest", {"n_estimators": 4, "max_depth": 5, "feature_subsample": 0.5}),
-            ("gradient_boosting", {"n_estimators": 15, "max_depth": 3, "subsample": 0.75}),
-        ],
-    )
+    @pytest.mark.parametrize("kind, hp", TREE_FITS)
     @pytest.mark.parametrize("baseline", ["interventional", "mean_impute"])
     def test_fitted_tree_models(self, kind, hp, baseline):
         X, y = tied_data(13)
@@ -399,6 +406,17 @@ class TestExactDispatch:
         monkeypatch.setattr(shapley, "exact_shapley", refuse)
         shapley.shapley_values(predictor, X[:2], X[10:20], ShapConfig())
 
+    @pytest.mark.parametrize("kind, hp", LINEAR_FITS)
+    def test_linear_models_do_not_enumerate(self, monkeypatch, kind, hp):
+        X, y = continuous_data(18)
+        predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_shapley called for a linear model")
+
+        monkeypatch.setattr(shapley, "exact_shapley", refuse)
+        shapley.shapley_values(predictor, X[:2], X[10:20], ShapConfig())
+
     def test_missing_instance_values_rejected(self):
         X, y = tied_data(20)
         predictor = models.fit(models.ModelSpec("decision_tree", {"max_depth": 3}, 0), X, y)
@@ -433,3 +451,89 @@ class TestExactDispatch:
         for i in range(3):
             row = sampled_shapley(ProductModelThree(), X[i], bg, cfg, index=i)
             assert np.array_equal(values.phi[i], row)
+
+
+class TestLinearClosedForm:
+    """phi_j = coef_j * (x_j - mean b_j) / sigma_j against the 2^M enumeration."""
+
+    @pytest.mark.parametrize("kind, hp", LINEAR_FITS)
+    @pytest.mark.parametrize("baseline", ["interventional", "mean_impute"])
+    def test_fitted_linear_models(self, kind, hp, baseline):
+        X, y = continuous_data(30)
+        predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y)
+        assert_matches_enumeration(predictor, X[:8], X[100:140], ShapConfig(baseline=baseline))
+
+    @pytest.mark.parametrize("kind, hp", LINEAR_FITS)
+    def test_fit_after_train_drops_a_constant_column(self, kind, hp):
+        from floodpave import cli
+
+        X, y = continuous_data(31, m=5)
+        X[:, 3] = 2.5
+        names = [f"x{j}" for j in range(5)]
+        kept = cli._varying_columns(DataTable(tuple(names), X), names)
+        assert kept == ["x0", "x1", "x2", "x4"]
+        X = X[:, [0, 1, 2, 4]]
+        predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y, feature_names=kept)
+        assert_matches_enumeration(predictor, X[:8], X[100:140])
+
+    @pytest.mark.parametrize("kind, hp", LINEAR_FITS)
+    def test_efficiency_to_a_tolerance(self, kind, hp):
+        # predict can round a row differently with the batch it is in, so
+        # base + sum(phi) meets f(x) to a tolerance, not bit for bit.
+        X, y = continuous_data(32)
+        predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y)
+        values = shapley.shapley_values(predictor, X[:30], X[100:140], ShapConfig())
+        gaps = values.base_value + values.phi.sum(axis=1) - predictor.predict(X[:30])
+        assert np.max(np.abs(gaps)) < 1e-10
+
+
+@pytest.mark.parametrize("chunk_pairs", [None, 45])
+@pytest.mark.parametrize("kind, hp", TREE_FITS + [("linear", {})])
+def test_phi_does_not_depend_on_the_other_instances(monkeypatch, kind, hp, chunk_pairs):
+    X, y = continuous_data(33)
+    predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y)
+    if chunk_pairs is not None:
+        monkeypatch.setattr(shapley, "_CHUNK_PAIRS", chunk_pairs)
+    bg = X[100:140]
+    batch = shapley.shapley_values(predictor, X[:50], bg, ShapConfig()).phi
+    for i in (0, 1, 17, 49):
+        alone = shapley.shapley_values(predictor, X[i : i + 1], bg, ShapConfig()).phi
+        assert np.array_equal(alone[0], batch[i])
+
+
+class TestBackgroundCompression:
+    """Tree SHAP's (leaf, mask, count) triples."""
+
+    @pytest.mark.parametrize("kind, hp", TREE_FITS)
+    def test_tiled_background_gives_the_same_phi(self, kind, hp):
+        X, y = tied_data(34)
+        predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y)
+        bg = X[100:130]
+        once = shapley.shapley_values(predictor, X[:8], bg, ShapConfig()).phi
+        tiled = shapley.shapley_values(predictor, X[:8], np.tile(bg, (3, 1)), ShapConfig()).phi
+        assert np.max(np.abs(tiled - once)) < 1e-12
+
+    @pytest.mark.parametrize("chunk_pairs", [None, 10])
+    def test_one_triple_per_distinct_mask_per_leaf(self, monkeypatch, chunk_pairs):
+        # x0 <= 1 -> (x1 <= 1 -> 1 | 2) | 3; the walk meets leaf 4 first, then 2 and 3.
+        predictor = hand_tree(
+            feature=[0, 1, -1, -1, -1],
+            threshold=[1.0, 1.0, 0.0, 0.0, 0.0],
+            left=[1, 2, -1, -1, -1],
+            right=[4, 3, -1, -1, -1],
+            value=[0.0, 0.0, 1.0, 2.0, 3.0],
+            m=2,
+        )
+        bg = np.array([[0.0, 0.0]] * 3 + [[2.0, 0.0]] * 2 + [[0.0, 2.0]] + [[2.0, 2.0]] * 4)
+        if chunk_pairs is not None:
+            monkeypatch.setattr(shapley, "_CHUNK_PAIRS", chunk_pairs)  # one leaf per chunk
+        value, lo, hi = shapley._leaf_boxes((predictor.tree,), 2)
+        assert value.tolist() == [3.0, 1.0, 2.0]
+        triples = list(zip(*(a.tolist() for a in shapley._distinct_masks(lo, hi, bg))))
+        assert triples == [
+            (0, 0, 6), (0, 1, 4),
+            (1, 0, 3), (1, 1, 2), (1, 2, 1), (1, 3, 4),
+            (2, 0, 1), (2, 1, 4), (2, 2, 3), (2, 3, 2),
+        ]
+        assert sum(count for _, _, count in triples) == len(bg) * len(value)
+        assert_matches_enumeration(predictor, bg, bg)
