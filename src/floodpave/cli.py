@@ -13,11 +13,13 @@ Exit codes:
     module cannot parse, a config file that is not a JSON object, an
     unknown config key, model kind or explainer name, a config value or
     flag of the wrong type, out of its range or a non-finite number, a
-    grid that does not expand to valid model specs, a malformed
-    `--instances` selector, two instances that would write one LIME
-    file). Every command checks the whole config, each section included,
-    and refuses its errors before it reads any input file. A leading UTF-8
-    byte-order mark in a records, events or config file is ignored.
+    grid that does not expand to valid model specs or to none, a model
+    file that is not UTF-8 JSON or whose format_version is missing or
+    unsupported, a malformed `--instances` selector, two instances that
+    would write one LIME file). Every command checks the whole config,
+    each section included, and refuses its errors before it reads any
+    input file. A leading UTF-8 byte-order mark in a records, events,
+    config or model file is ignored.
   4 I/O error
   5 empty result or insufficient data (including a records file with no
     data row, named in the message, and `explain` on a model with no
@@ -95,15 +97,6 @@ EXIT_NUMERICAL = 6
 
 # Largest |base + sum(phi) - f(x)| that `explain` accepts without a warning.
 SHAP_EFFICIENCY_TOLERANCE = 1e-8
-
-MODEL_DISPLAY_NAMES = {
-    "linear": "Linear Regression (LR)",
-    "ridge": "Ridge Regression (Ridge)",
-    "lasso": "Lasso Regression (Lasso)",
-    "decision_tree": "Decision Tree (DT)",
-    "random_forest": "Random Forest (RF)",
-    "gradient_boosting": "Gradient Boosting (GBR)",
-}
 
 
 def _say(config: RunConfig, message: str) -> None:
@@ -384,7 +377,7 @@ def cmd_train(config: RunConfig) -> int:
         results.append(
             {
                 "kind": kind,
-                "display": MODEL_DISPLAY_NAMES[kind],
+                "display": models.KINDS[kind].display,
                 "hyperparameters": dict(best_spec.hyperparameters),
                 "mse": metrics.mse,
                 "mae": metrics.mae,

@@ -3,6 +3,9 @@
 Kinds: linear, ridge, lasso, decision_tree, random_forest,
 gradient_boosting. Linear-family models standardize features on the
 training set internally; tree-family models consume raw features.
+Each kind's facts, among them the fitter that `fit` dispatches to and
+the predictor class that `io` reads its model files with, are its entry
+in `spec.KINDS`.
 
 Importing the package loads only `spec`; every other name, and the
 fitter `fit` dispatches to, is imported from its submodule on first use.
@@ -14,9 +17,10 @@ import importlib
 
 import numpy as np
 
-from .spec import MODEL_KINDS, ModelSpec, default_grid, expand_grid
+from .spec import KINDS, MODEL_KINDS, ModelSpec, default_grid, expand_grid
 
 __all__ = [
+    "KINDS",
     "MODEL_KINDS",
     "ModelSpec",
     "default_grid",
@@ -75,16 +79,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_FITTERS = {
-    "linear": "fit_linear_family",
-    "ridge": "fit_linear_family",
-    "lasso": "fit_linear_family",
-    "decision_tree": "fit_decision_tree",
-    "random_forest": "fit_random_forest",
-    "gradient_boosting": "fit_gradient_boosting",
-}
-
-
 def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names=None):
     """Train one model; returns an immutable predictor.
 
@@ -105,4 +99,4 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names=None):
         raise ValueError("fit input contains missing or non-finite values; filter rows first")
     if feature_names is None:
         feature_names = tuple(f"x{j}" for j in range(X.shape[1]))
-    return __getattr__(_FITTERS[spec.kind])(spec, X, y, feature_names)
+    return __getattr__(KINDS[spec.kind].fitter)(spec, X, y, feature_names)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spec import ModelSpec, expand_grid
+from .spec import KINDS, ModelSpec, expand_grid
 
 
 @dataclass(frozen=True)
@@ -42,35 +42,18 @@ def kfold_indices(n: int, k: int, seed: int):
     return folds, assignments
 
 
-# Kinds whose fit with n_estimators=k is exactly the first k trees of a
-# larger fit: tree i draws from child i of the spec seed's SeedSequence
-# whatever the ensemble size, and boosting stage i sees only stages < i.
-_PREFIX_KINDS = ("random_forest", "gradient_boosting")
-
-
-def _depth_nested(spec: ModelSpec) -> bool:
-    """Whether a fit at ``max_depth`` d is a deeper fit's trees cut at depth d.
-
-    True for decision trees and forests: a node's split never depends on
-    the depth limit below it, a bootstrap is drawn before its tree grows,
-    and a forest node's feature subset depends only on its path from the
-    root (see ``grow._Grower.candidates``). Boosting fits each stage to the
-    residuals of the earlier, depth-dependent stages.
-    """
-    return spec.kind in ("decision_tree", "random_forest")
-
-
 def _shared_fit_groups(candidates: list[ModelSpec]) -> list[list[int]]:
     """Candidate indices grouped by the hyperparameters a shared fit cannot vary.
 
-    Ensemble kinds leave ``n_estimators`` out of the key, and depth-nested
-    specs leave out ``max_depth``; other candidates share a fit only with
-    their duplicates.
+    ``KINDS[kind].prefix`` leaves ``n_estimators`` out of the key, and
+    ``depth_nested`` leaves out ``max_depth``; other candidates share a
+    fit only with their duplicates.
     """
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(candidates):
-        varied = {"n_estimators"} if spec.kind in _PREFIX_KINDS else set()
-        if _depth_nested(spec):
+        kind = KINDS[spec.kind]
+        varied = {"n_estimators"} if kind.prefix else set()
+        if kind.depth_nested:
             varied.add("max_depth")
         key = tuple((k, v) for k, v in spec.hyperparameters.items() if k not in varied)
         groups.setdefault(key, []).append(i)
@@ -84,11 +67,11 @@ def _fit_size(spec: ModelSpec) -> tuple:
 
 def _cut(predictor, spec: ModelSpec):
     """``predictor``'s first ``n_estimators`` trees, cut at ``spec``'s ``max_depth``."""
-    hp = spec.hyperparameters
-    if spec.kind == "decision_tree":
+    hp, kind = spec.hyperparameters, KINDS[spec.kind]
+    if not kind.prefix:  # a single tree, nested by depth alone
         return replace(predictor, spec=spec, tree=predictor.tree.truncate(hp["max_depth"]))
     trees = predictor.trees[: hp["n_estimators"]]
-    if _depth_nested(spec) and hp["max_depth"] < predictor.spec.hyperparameters["max_depth"]:
+    if kind.depth_nested and hp["max_depth"] < predictor.spec.hyperparameters["max_depth"]:
         trees = tuple(tree.truncate(hp["max_depth"]) for tree in trees)
     return replace(predictor, spec=spec, trees=trees)
 

@@ -16,21 +16,14 @@ from __future__ import annotations
 
 import json
 
+from .. import models
 from .._util import atomic_file, json_chunks, json_default
+from ..dataset import not_utf8
 from ..errors import SchemaError
-from .linear import LinearPredictor
-from .tree import BoostingPredictor, ForestPredictor, Tree, TreePredictor
+from .spec import KINDS
+from .tree import BoostingPredictor, ForestPredictor, Tree
 
 FORMAT_VERSION = 1
-
-_CLASSES = {
-    "linear": LinearPredictor,
-    "ridge": LinearPredictor,
-    "lasso": LinearPredictor,
-    "decision_tree": TreePredictor,
-    "random_forest": ForestPredictor,
-    "gradient_boosting": BoostingPredictor,
-}
 
 
 def model_to_dict(predictor, **to_dict_args) -> dict:
@@ -43,14 +36,15 @@ def model_from_dict(doc: dict):
     """The predictor ``model_to_dict`` wrote; a missing or refused entry is a SchemaError."""
     if not isinstance(doc, dict):
         raise SchemaError("a model file must hold a JSON object")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
+    if "format_version" not in doc:
+        raise SchemaError("model file has no format_version")
+    if doc["format_version"] != FORMAT_VERSION:
+        raise SchemaError(f"unsupported model format_version {doc['format_version']!r}; expected {FORMAT_VERSION}")
     try:
         kind = doc["spec"]["kind"]
-        if kind not in _CLASSES:
+        if kind not in KINDS:
             raise SchemaError(f"unknown model kind {kind!r}")
-        return _CLASSES[kind].from_dict(doc)
+        return getattr(models, KINDS[kind].predictor).from_dict(doc)
     except (KeyError, TypeError) as exc:
         # TypeError: an entry of the wrong JSON type, such as a number where an object belongs
         raise SchemaError(f"malformed model file: {type(exc).__name__} {exc}") from None
@@ -74,5 +68,19 @@ def save_model(predictor, path) -> None:
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    """The predictor saved at ``path``.
+
+    A file that is not UTF-8 JSON, or that ``model_from_dict`` refuses, is a
+    SchemaError that names the path. A leading byte-order mark is ignored.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return model_from_dict(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None

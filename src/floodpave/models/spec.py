@@ -1,4 +1,11 @@
-"""Model identification: kinds, hyperparameters, shipped default grids and grid expansion.
+"""Model identification: the table of kinds, specs, shipped default grids and grid expansion.
+
+``KINDS`` holds every per-kind fact in one frozen entry per kind: the
+report name, the `models` names of the fitter and the predictor class,
+the accepted hyperparameters and their defaults, the shipped grid, and
+whether cross-validation may share one fit across ``n_estimators``
+(``prefix``) or ``max_depth`` (``depth_nested``). ``MODEL_KINDS`` is its
+keys, in the paper's order.
 
 Also the checks every predictor shares: feature names read from a model
 file, and the shape and NaN check of a predict input.
@@ -8,42 +15,72 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .._util import _typed
 from ..errors import SchemaError
 
-MODEL_KINDS = (
-    "linear",
-    "ridge",
-    "lasso",
-    "decision_tree",
-    "random_forest",
-    "gradient_boosting",
-)
 
-# Allowed hyperparameter keys and their defaults, per kind.
-_HYPERPARAMETERS: dict[str, dict] = {
-    "linear": {},
-    "ridge": {"alpha": 1.0},
-    "lasso": {"alpha": 1.0},
-    "decision_tree": {"max_depth": 10, "min_samples_split": 2, "min_samples_leaf": 1},
-    "random_forest": {
-        "n_estimators": 100,
-        "max_depth": 10,
-        "min_samples_split": 2,
-        "min_samples_leaf": 1,
-        "feature_subsample": 1.0,
-        "bootstrap": True,
-    },
-    "gradient_boosting": {
-        "learning_rate": 0.1,
-        "n_estimators": 100,
-        "max_depth": 3,
-        "subsample": 1.0,
-    },
-}
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the package knows about one model kind."""
+
+    display: str  # the name in train's reports
+    fitter: str  # the `models` name of the function that fits it
+    predictor: str  # the `models` name of the class that predicts and persists it
+    hyperparameters: MappingProxyType  # the accepted keys, in model-file order, and their defaults
+    grid: MappingProxyType  # the shipped grid that `train` searches
+    # A fit with n_estimators k is exactly the first k trees of a larger fit:
+    # tree i draws from child i of the spec seed's SeedSequence whatever the
+    # ensemble size, and boosting stage i sees only stages < i.
+    prefix: bool = False
+    # A fit at max_depth d is a deeper fit's trees cut at depth d: a node's
+    # split never depends on the depth limit below it, a bootstrap is drawn
+    # before its tree grows, and a forest node's feature subset depends only
+    # on its path from the root (see grow._Grower.candidates). Boosting fits
+    # each stage to the residuals of the earlier, depth-dependent stages.
+    depth_nested: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "hyperparameters", MappingProxyType(self.hyperparameters))
+        object.__setattr__(self, "grid", MappingProxyType({k: tuple(v) for k, v in self.grid.items()}))
+
+
+_ALPHAS = [0.001, 0.01, 0.1, 1.0, 10.0, 100.0]  # np.logspace(-3, 2, 6) bit for bit
+
+# In the paper's order, by which `train` seeds each kind. The tree-family
+# grids step coarsely, so that a full six-model search stays tractable.
+KINDS = MappingProxyType(
+    {
+        "linear": _Kind("Linear Regression (LR)", "fit_linear_family", "LinearPredictor", {}, {}),
+        "ridge": _Kind("Ridge Regression (Ridge)", "fit_linear_family", "LinearPredictor", {"alpha": 1.0}, {"alpha": _ALPHAS}),
+        "lasso": _Kind("Lasso Regression (Lasso)", "fit_linear_family", "LinearPredictor", {"alpha": 1.0}, {"alpha": _ALPHAS}),
+        "decision_tree": _Kind(
+            "Decision Tree (DT)", "fit_decision_tree", "TreePredictor",
+            {"max_depth": 10, "min_samples_split": 2, "min_samples_leaf": 1},
+            {"max_depth": [2, 5, 10, 15, 20], "min_samples_split": [2, 5, 10], "min_samples_leaf": [1, 3, 5]},
+            depth_nested=True,
+        ),
+        "random_forest": _Kind(
+            "Random Forest (RF)", "fit_random_forest", "ForestPredictor",
+            {"n_estimators": 100, "max_depth": 10, "min_samples_split": 2, "min_samples_leaf": 1,
+             "feature_subsample": 1.0, "bootstrap": True},
+            {"n_estimators": [50, 100, 200], "max_depth": [5, 10, 15, 20], "min_samples_split": [2, 5, 10]},
+            prefix=True,
+            depth_nested=True,
+        ),
+        "gradient_boosting": _Kind(
+            "Gradient Boosting (GBR)", "fit_gradient_boosting", "BoostingPredictor",
+            {"learning_rate": 0.1, "n_estimators": 100, "max_depth": 3, "subsample": 1.0},
+            {"learning_rate": [0.001, 0.01, 0.1], "n_estimators": [100, 300, 500], "max_depth": [3, 5, 10],
+             "subsample": [0.5, 0.75, 1.0]},
+            prefix=True,
+        ),
+    }
+)
+MODEL_KINDS = tuple(KINDS)
 
 
 def _check_range(kind: str, params: dict) -> None:
@@ -91,7 +128,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        allowed = _HYPERPARAMETERS[self.kind]
+        allowed = KINDS[self.kind].hyperparameters
         unknown = set(self.hyperparameters) - set(allowed)
         if unknown:
             raise ValueError(f"{self.kind}: unknown hyperparameter(s) {sorted(unknown)}")
@@ -120,45 +157,26 @@ class ModelSpec:
 
 
 def default_grid(kind: str) -> dict:
-    """Shipped hyperparameter grids.
-
-    Alpha spans 1e-3..1e2 log-spaced; tree-family ranges are stepped
-    coarsely so a full six-model search stays tractable at desk scale.
-    """
-    if kind in ("ridge", "lasso"):
-        return {"alpha": [float(a) for a in np.logspace(-3, 2, 6)]}
-    if kind == "decision_tree":
-        return {
-            "max_depth": [2, 5, 10, 15, 20],
-            "min_samples_split": [2, 5, 10],
-            "min_samples_leaf": [1, 3, 5],
-        }
-    if kind == "random_forest":
-        return {
-            "n_estimators": [50, 100, 200],
-            "max_depth": [5, 10, 15, 20],
-            "min_samples_split": [2, 5, 10],
-        }
-    if kind == "gradient_boosting":
-        return {
-            "learning_rate": [0.001, 0.01, 0.1],
-            "n_estimators": [100, 300, 500],
-            "max_depth": [3, 5, 10],
-            "subsample": [0.5, 0.75, 1.0],
-        }
-    if kind == "linear":
-        return {}
-    raise ValueError(f"unknown model kind {kind!r}")
+    """A copy of ``kind``'s shipped hyperparameter grid."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return {key: list(values) for key, values in KINDS[kind].grid.items()}
 
 
 def expand_grid(kind: str, grid: dict, seed: int) -> list[ModelSpec]:
-    """Cartesian product of a {hyperparameter: values} grid, in key order."""
+    """Cartesian product of a {hyperparameter: values} grid, in key order.
+
+    An empty grid is the one spec of a kind with no hyperparameters; a
+    grid whose product is empty (a key with no values) is a ValueError.
+    """
     if not grid:
-        if kind == "linear":
+        if not KINDS[kind].hyperparameters:
             return [ModelSpec(kind, {}, seed)]
         raise ValueError("empty hyperparameter grid")
     keys = list(grid)
-    combos = itertools.product(*(grid[k] for k in keys))
+    combos = list(itertools.product(*(grid[k] for k in keys)))
+    if not combos:
+        raise ValueError(f"{kind}: no values for {[k for k in keys if not len(grid[k])]}")
     return [ModelSpec(kind, dict(zip(keys, combo)), seed) for combo in combos]
 
 

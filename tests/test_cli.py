@@ -345,12 +345,22 @@ class TestTrain:
         assert main(["--config", cfg, "--quiet", "train"]) == EXIT_OK
         with open(tmp_path / "o" / "model_comparison.csv") as fh:
             rows = list(csv.reader(fh))
+        # The paper's names, in MODEL_KINDS order.
+        names = [
+            "Linear Regression (LR)",
+            "Ridge Regression (Ridge)",
+            "Lasso Regression (Lasso)",
+            "Decision Tree (DT)",
+            "Random Forest (RF)",
+            "Gradient Boosting (GBR)",
+        ]
+        assert [row[0] for row in rows] == ["Model"] + names
         assert rows[0] == ["Model", "MSE", "MAE", "R2"]
-        assert len(rows) == 7  # header + six models
         summary = json.loads((tmp_path / "o" / "train_summary.json").read_text())
-        assert {r["kind"] for r in summary["results"]} == set(
-            ("linear", "ridge", "lasso", "decision_tree", "random_forest", "gradient_boosting")
-        )
+        assert [r["kind"] for r in summary["results"]] == [
+            "linear", "ridge", "lasso", "decision_tree", "random_forest", "gradient_boosting"
+        ]
+        assert [r["display"] for r in summary["results"]] == names
         for r in summary["results"]:
             assert (tmp_path / "o" / r["model_file"]).exists()
         assert summary["dropped_constant_columns"] == []
@@ -468,6 +478,7 @@ class TestTrain:
                 {"grids": {"random_forest": {"bootstrap": ["false"]}}}, [],
                 "grids.random_forest: random_forest.bootstrap must be a boolean",
             ),
+            ({"grids": {"ridge": {"alpha": []}}}, [], "grids.ridge: ridge: no values for ['alpha']"),
         ],
     )
     def test_config_typo_is_refused_before_reading(self, tmp_path, capsys, config, flags, offending):
@@ -1118,6 +1129,28 @@ class TestMalformedModelFile:
         )
         assert main(["--config", cfg, "--quiet", "explain"]) == EXIT_SCHEMA
         assert "model sigma must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"format_version": 1, "spec": "\xff"}', "not UTF-8 text (byte 0xff cannot be decoded)"),
+            (b'{"format_version": 1,', "not valid JSON"),
+            (b'{"spec": {"kind": "linear"}}', "model file has no format_version"),
+            (b'{"format_version": 999}', "unsupported model format_version 999"),
+        ],
+        ids=["not-utf8", "not-json", "no-format-version", "unsupported-format-version"],
+    )
+    def test_unreadable_file_is_refused_with_exit_3(self, boosting_file, tmp_path, capsys, content, message):
+        _, records, _ = boosting_file
+        model = tmp_path / "model.json"
+        model.write_bytes(content)
+        cfg = write_config(
+            tmp_path, records_csv=records, out_dir=str(tmp_path / "o"),
+            explain={"model_path": str(model), "instances": "sample:2"},
+        )
+        assert main(["--config", cfg, "--quiet", "explain"]) == EXIT_SCHEMA
+        assert f"error: {model}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_intact_file_explains(self, boosting_file):
         tmp_path, records, doc = boosting_file

@@ -531,5 +531,12 @@ class TestPersistence:
     def test_version_guard(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"format_version": 999, "spec": {"kind": "linear"}}))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(SchemaError, match="version"):
             models.load_model(path)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        p = manual_linear([1.0, -2.0, 0.5])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(models.model_to_dict(p)), encoding="utf-8-sig")
+        X = np.random.default_rng(0).normal(size=(5, 3))
+        assert np.array_equal(models.load_model(path).predict(X), p.predict(X))
