@@ -8,22 +8,25 @@ Exit codes:
   0 success
   2 usage error (argparse)
   3 schema error (missing/unknown columns, model/data mismatch, a YEAR or
-    FLOOD_YEAR cell that is not a finite number, a records, events or
-    config file that is not UTF-8 text, a records or events file the csv
-    module cannot parse, a config file that is not a JSON object, an
-    unknown config key, model kind or explainer name, a config value or
-    flag of the wrong type, out of its range or a non-finite number, a
-    grid that does not expand to valid model specs or to none, a model
-    file that is not UTF-8 JSON or whose format_version is missing or
-    unsupported, a malformed `--instances` selector, two instances that
-    would write one LIME file). Every command checks the whole config,
-    each section included, and refuses its errors before it reads any
-    input file. A leading UTF-8 byte-order mark in a records, events,
-    config or model file is ignored.
+    FLOOD_YEAR cell that is not an integral number, such as 2014.5 or
+    inf, a records, events or config file that is not UTF-8 text, a
+    records or events file the csv module cannot parse, a config file
+    that is not a JSON object, an unknown config key, model kind or
+    explainer name, a model kind listed twice, a config value or flag of
+    the wrong type, out of its range or a non-finite number, a grid that
+    does not expand to valid model specs or to none, a model file that
+    is not UTF-8 JSON or whose format_version is missing or unsupported,
+    a malformed `--instances` selector, two instances that would write
+    one LIME file). Every command checks the whole config, each section
+    included, and refuses its errors before it reads any input file. A
+    leading UTF-8 byte-order mark in a records, events, config or model
+    file is ignored.
   4 I/O error
   5 empty result or insufficient data (including a records file with no
-    data row, named in the message, and `explain` on a model with no
-    features, both refused before any file is written)
+    data row, named in the message, `explain` on a model with no
+    features, and `train` with more CV folds than training rows while a
+    requested kind is grid-searched, all refused before any file is
+    written)
   6 numerical failure (singular design, zero variance)
 
 `describe`, `train` and `explain` refuse a records file holding ±inf in
@@ -226,7 +229,7 @@ def cmd_describe(config: RunConfig) -> int:
 
 def cmd_flood_analysis(config: RunConfig) -> int:
     from . import deterioration
-    from .floods import apply_maintenance_exclusion, extract_windows, iri_by_section, load_events_csv, tag_flooded
+    from .floods import apply_maintenance_exclusion, extract_windows, load_events_csv, tag_flooded
 
     table = _load_records(config)
     events = load_events_csv(config.events_csv)
@@ -234,9 +237,7 @@ def cmd_flood_analysis(config: RunConfig) -> int:
     for warning in warnings:
         _say(config, f"[flood-analysis] warning: {warning}")
 
-    by_section = iri_by_section(tagged)
-    flooded_raw, summary_f = extract_windows(tagged, events, "flooded", by_section)
-    control_raw, summary_nf = extract_windows(tagged, events, "nonflooded", by_section)
+    (flooded_raw, summary_f), (control_raw, summary_nf) = extract_windows(tagged, events)
     flooded = apply_maintenance_exclusion(flooded_raw)
     control = apply_maintenance_exclusion(control_raw)
 
@@ -247,23 +248,14 @@ def cmd_flood_analysis(config: RunConfig) -> int:
     report = {
         "warnings": warnings,
         "extraction": {
-            "flooded": {"candidates": summary_f.candidates, "extracted": summary_f.extracted, "dropped": summary_f.dropped},
-            "nonflooded": {"candidates": summary_nf.candidates, "extracted": summary_nf.extracted, "dropped": summary_nf.dropped},
+            "flooded": _summary_fields(summary_f),
+            "nonflooded": _summary_fields(summary_nf),
             "maintenance_excluded_flooded": len(flooded_raw) - len(flooded),
             "maintenance_excluded_nonflooded": len(control_raw) - len(control),
         },
-        "pre_post_deltas": {"mean": deltas.mean, "std_dev": deltas.std_dev, "count": deltas.count},
-        "rate_comparison": {
-            "before_rate": rates.before_rate,
-            "after_rate": rates.after_rate,
-            "count": rates.count,
-        },
-        "flooded_vs_nonflooded": {
-            "mean_diff": paired.mean_diff,
-            "min_diff": paired.min_diff,
-            "max_diff": paired.max_diff,
-            "count": paired.count,
-        },
+        "pre_post_deltas": _summary_fields(deltas),
+        "rate_comparison": _summary_fields(rates),
+        "flooded_vs_nonflooded": _summary_fields(paired),
     }
     _dump_json(report, _out_path(config, "flood_summary.json"))
     write_text_atomic(_out_path(config, "flood_summary.txt"), _flood_text_report(report))
@@ -292,6 +284,11 @@ def cmd_flood_analysis(config: RunConfig) -> int:
         return EXIT_EMPTY
     _say(config, f"[flood-analysis] {deltas.count} windows -> {config.out_dir}")
     return EXIT_OK
+
+
+def _summary_fields(result) -> dict:
+    """A result dataclass's fields by name, leaving out its ``per_*`` tables."""
+    return {f.name: getattr(result, f.name) for f in fields(result) if not f.name.startswith("per_")}
 
 
 def _flood_text_report(report: dict) -> str:
@@ -341,6 +338,11 @@ def cmd_train(config: RunConfig) -> int:
     if TARGET_COLUMN not in complete.column_names:
         raise SchemaError(f"training requires a {TARGET_COLUMN} column")
     train, test = train_test_split(complete, config.test_fraction, config.seed)
+    grids = {kind: config.grids.get(kind, models.default_grid(kind)) for kind in config.model_kinds}
+    if any(grids.values()) and train.n_rows < config.cv_folds:
+        raise InsufficientDataError(
+            f"cv_folds {config.cv_folds} exceeds the {train.n_rows} training rows of the grid search"
+        )
     varying = _varying_columns(train, features)
     dropped = [c for c in features if c not in varying]
     if dropped:
@@ -355,7 +357,7 @@ def cmd_train(config: RunConfig) -> int:
     cv_rows = []
     best_by_mse = None
     for kind in config.model_kinds:
-        grid = config.grids.get(kind, models.default_grid(kind))
+        grid = grids[kind]
         seed = int(stage_seed(config.seed, "train", models.MODEL_KINDS.index(kind)).generate_state(1)[0])
         if grid:
             cv = models.grid_search_cv(kind, grid, X_train, y_train, config.cv_folds, seed)

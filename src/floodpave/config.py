@@ -241,7 +241,7 @@ class RunConfig:
     every stage's seed), workers (>= 1; the threads of SHAP's
     predict-based paths in `explain`: sampled mode, and exact mode for a
     predictor that is not a shipped kind), quiet, test_fraction (in (0,
-    1)), cv_folds (>= 2), model_kinds (a non-empty list of MODEL_KINDS),
+    1)), cv_folds (>= 2), model_kinds (a non-empty list of distinct MODEL_KINDS),
     grids (kind -> {hyperparameter: [values]}, replacing that kind's
     default grid). Sections: synth
     (`SynthSpec`, its ground_truth a `GroundTruth`), lime (`LimeConfig`),
@@ -278,6 +278,9 @@ class RunConfig:
         unknown = [k for k in self.model_kinds if k not in MODEL_KINDS]
         if unknown:
             raise ValueError(f"unknown model kind(s) {unknown}; choose from {list(MODEL_KINDS)}")
+        repeated = sorted({k for k in self.model_kinds if self.model_kinds.count(k) > 1})
+        if repeated:
+            raise ValueError(f"model kind(s) {repeated} listed more than once in model_kinds")
         for kind, grid in self.grids.items():
             if kind not in MODEL_KINDS:
                 raise ValueError(f"unknown model kind {kind!r} in grids; choose from {list(MODEL_KINDS)}")

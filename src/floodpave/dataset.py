@@ -185,6 +185,21 @@ def csv_error(path, line_num: int, exc: csv.Error) -> SchemaError:
     return SchemaError(f"{path}: line {line_num}: {exc}")
 
 
+def parse_year(path, column: str, cell: str) -> int:
+    """The year in a `column` cell of file `path`: an integral number, such as 2014 or 2014.0.
+
+    Any other cell, fractional, non-finite or not a number, is a
+    SchemaError naming the file, the column and the cell.
+    """
+    try:
+        year = float(cell)
+    except ValueError:
+        year = math.nan
+    if not year.is_integer():
+        raise SchemaError(f"{path}: unparseable {column} value {cell.strip()!r}")
+    return int(year)
+
+
 # Rows parsed per block. A block's cell strings are the loader's only
 # transient per-row memory: on a 10k-row records file a load adds 2.6 MiB
 # to RSS with 256-row blocks and 11.0 MiB with 4096-row ones, while
@@ -274,10 +289,7 @@ class _BlockLoader:
 
     def _year(self, cell: str) -> int:
         """The year of a YEAR cell not seen before."""
-        try:
-            year = int(float(cell))
-        except (ValueError, OverflowError):
-            raise SchemaError(f"{self.path}: unparseable YEAR value {cell.strip()!r}") from None
+        year = parse_year(self.path, YEAR_COLUMN, cell)
         year = self.years[cell] = self.years.setdefault(year, year)
         return year
 

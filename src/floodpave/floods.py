@@ -1,10 +1,14 @@
 """Join flood events to section-year records and extract IRI analysis windows.
 
-A window holds a section's IRI one year before and one year after its
-route's flood year, plus the optional three-years-before value used by
-the deterioration-rate comparison. Sections whose IRI improved across a
-window are assumed to have been maintained and are dropped before any
-statistic is computed.
+Events are grouped by (route, flood year). Each observed section of a
+group's route is decided once: flooded if any event of the group covers
+it, a same-route control otherwise, so the two cohorts partition each
+route-year's sections. A window holds a section's IRI one year before
+and one year after the flood year, plus the optional three-years-before
+value used by the deterioration-rate comparison. Sections whose IRI
+improved across a window are assumed to have been maintained;
+`apply_maintenance_exclusion` drops them as a separate step, before any
+statistic is computed, so the unexcluded windows stay available.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .dataset import DataTable, ROUTE_COLUMN, SECTION_COLUMN, YEAR_COLUMN, csv_error, not_utf8
+from .dataset import DataTable, csv_error, not_utf8, parse_year
 from .errors import SchemaError
 
 IRI_COLUMN = "TX_IRI_AVERAGE_SCORE"
@@ -105,16 +109,10 @@ def load_events_csv(path) -> list[FloodEvent]:
                 row = {k.strip(): (v or "").strip() for k, v in row.items() if k is not None}
                 if not row.get("ROUTE_NAME"):
                     continue
-                try:
-                    year = int(float(row["FLOOD_YEAR"]))
-                except (KeyError, ValueError, OverflowError):
-                    raise SchemaError(
-                        f"{path}: unparseable FLOOD_YEAR {row.get('FLOOD_YEAR')!r}"
-                    ) from None
                 events.append(
                     FloodEvent(
                         route_name=row["ROUTE_NAME"],
-                        flood_year=year,
+                        flood_year=parse_year(path, "FLOOD_YEAR", row["FLOOD_YEAR"]),
                         start_marker=row.get("START_MARKER") or None,
                         end_marker=row.get("END_MARKER") or None,
                     )
@@ -129,12 +127,20 @@ def load_events_csv(path) -> list[FloodEvent]:
         raise OSError(f"cannot read {path}: {exc}") from exc
 
 
+def _events_by_route_year(events: list[FloodEvent]) -> dict[tuple[str, int], list[FloodEvent]]:
+    """The events grouped by (route, flood year), groups in order of first appearance."""
+    groups: dict[tuple[str, int], list[FloodEvent]] = {}
+    for ev in events:
+        groups.setdefault((ev.route_name, ev.flood_year), []).append(ev)
+    return groups
+
+
 def tag_flooded(table: DataTable, events: list[FloodEvent]):
     """Set the Flood column to 1 exactly where a row matches an event.
 
     A row matches an event of its own route and year whose marker range
-    covers its section (``FloodEvent.covers_section``). Events are indexed
-    by (route, year), so each row tests only the events of its bucket.
+    covers its section (``FloodEvent.covers_section``). Events are grouped
+    by (route, year), so each row tests only the events of its group.
 
     Returns ``(tagged_table, warnings)``. Events naming a route absent
     from the table produce one warning string each rather than failing.
@@ -151,83 +157,55 @@ def tag_flooded(table: DataTable, events: list[FloodEvent]):
         if ev.route_name not in routes_present
     ]
 
-    buckets: dict[tuple[str, int], list[FloodEvent]] = {}
-    for ev in events:
-        buckets.setdefault((ev.route_name, ev.flood_year), []).append(ev)
+    groups = _events_by_route_year(events)
     flood = np.zeros(table.n_rows)
     for i, (route, section, year) in enumerate(table.row_keys):
-        bucket = buckets.get((route, year))
-        if bucket and any(ev.covers_section(section) for ev in bucket):
+        group = groups.get((route, year))
+        if group and any(ev.covers_section(section) for ev in group):
             flood[i] = 1.0
     return table.replace_column(FLOOD_COLUMN, flood), warnings
 
 
-def iri_by_section(table: DataTable):
-    """(route, section) -> {year: iri}, skipping missing IRI values."""
-    iri = table.col(IRI_COLUMN)
-    out: dict[tuple[str, str], dict[int, float]] = {}
-    for i, (route, section, year) in enumerate(table.row_keys):
-        if math.isnan(iri[i]):
-            continue
-        out.setdefault((route, section), {})[year] = float(iri[i])
-    return out
+def extract_windows(table: DataTable, events: list[FloodEvent]):
+    """Each event route-year's observed sections, split once into flooded and control windows.
 
+    For each (route, flood year) of the events, in order of first
+    appearance, each section of the route with an IRI observation is a
+    candidate of exactly one cohort, in section order: flooded if any
+    event of that route-year covers it, otherwise a same-route control.
+    The decision comes from the events, not the Flood column. A window
+    requires IRI at flood_year-1 and flood_year+1; the flood_year-3 value
+    is attached when available. A candidate lacking a mandatory year is
+    dropped and counted in its cohort's summary.
 
-def extract_windows(table: DataTable, events: list[FloodEvent], include: str = "flooded", by_section=None):
-    """Build one SectionWindow per qualifying (section, flood year) pair.
-
-    ``include="flooded"`` selects sections covered by an event's marker
-    range; ``include="nonflooded"`` selects the remaining sections on the
-    same route, windowed around the same flood year (the same-route
-    control cohort). A window requires IRI observations at flood_year-1
-    and flood_year+1; the flood_year-3 value is attached when available.
-    Sections lacking a mandatory year are dropped silently and counted
-    in the returned summary. ``by_section`` is ``iri_by_section(table)``,
-    which two cohorts of one table can share; None builds it here.
-
-    Returns ``(windows, summary)``.
+    Returns ``((flooded, flooded_summary), (control, control_summary))``.
     """
-    if include not in ("flooded", "nonflooded"):
-        raise ValueError(f"include must be 'flooded' or 'nonflooded', got {include!r}")
-    if by_section is None:
-        by_section = iri_by_section(table)
-
+    iri = table.col(IRI_COLUMN)
+    by_section: dict[tuple[str, str], dict[int, float]] = {}
+    for i, (route, section, year) in enumerate(table.row_keys):
+        if not math.isnan(iri[i]):
+            by_section.setdefault((route, section), {})[year] = float(iri[i])
     sections_by_route: dict[str, list[str]] = {}
-    for route, section in by_section:
+    for route, section in sorted(by_section):
         sections_by_route.setdefault(route, []).append(section)
 
-    seen: set[tuple[str, str, int]] = set()
-    windows: list[SectionWindow] = []
-    dropped = 0
-    for ev in events:
-        for section in sorted(sections_by_route.get(ev.route_name, [])):
-            covered = ev.covers_section(section)
-            if (include == "flooded") != covered:
-                continue
-            pair = (ev.route_name, section, ev.flood_year)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            years = by_section[(ev.route_name, section)]
-            minus1 = years.get(ev.flood_year - 1)
-            plus1 = years.get(ev.flood_year + 1)
-            if minus1 is None or plus1 is None:
-                dropped += 1
-                continue
-            windows.append(
-                SectionWindow(
-                    route_name=ev.route_name,
-                    section_id=section,
-                    flood_year=ev.flood_year,
-                    iri_minus1=minus1,
-                    iri_plus1=plus1,
-                    iri_minus3=years.get(ev.flood_year - 3),
+    windows: dict[bool, list[SectionWindow]] = {True: [], False: []}  # keyed by "flooded"
+    candidates = {True: 0, False: 0}
+    for (route, flood_year), group in _events_by_route_year(events).items():
+        for section in sections_by_route.get(route, ()):
+            flooded = any(ev.covers_section(section) for ev in group)
+            candidates[flooded] += 1
+            years = by_section[(route, section)]
+            minus1 = years.get(flood_year - 1)
+            plus1 = years.get(flood_year + 1)
+            if minus1 is not None and plus1 is not None:
+                windows[flooded].append(
+                    SectionWindow(route, section, flood_year, minus1, plus1, years.get(flood_year - 3))
                 )
-            )
-    summary = ExtractionSummary(
-        candidates=len(seen), extracted=len(windows), dropped=dropped
+    return tuple(
+        (windows[f], ExtractionSummary(candidates[f], len(windows[f]), candidates[f] - len(windows[f])))
+        for f in (True, False)
     )
-    return windows, summary
 
 
 def apply_maintenance_exclusion(windows: list[SectionWindow]) -> list[SectionWindow]:

@@ -314,7 +314,7 @@ def test_pipeline_construction(tmp_path):
 
         # module-level: mean delta is exactly bump + 2 years of drift
         tagged, _ = tag_flooded(table, events)
-        windows, _ = extract_windows(tagged, events)
+        (windows, _), _ = extract_windows(tagged, events)
         summary = deterioration.pre_post_deltas(apply_maintenance_exclusion(windows))
         assert summary.mean == pytest.approx(gt.flood_bump + 2 * gt.drift, abs=1e-9)
 

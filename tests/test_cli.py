@@ -226,16 +226,22 @@ class TestFloodAnalysis:
         assert (tmp_path / "o" / "rates.csv").exists()
         assert (tmp_path / "o" / "flooded_vs_nonflooded.csv").exists()
 
-    def test_builds_the_iri_index_once(self, tmp_path, monkeypatch):
-        from floodpave import floods
-
-        records, events = make_dataset(tmp_path, n_sections=40)
-        cfg = write_config(tmp_path, records_csv=records, events_csv=events, out_dir=str(tmp_path / "o"))
-        calls = []
-        real = floods.iri_by_section
-        monkeypatch.setattr(floods, "iri_by_section", lambda table: calls.append(1) or real(table))
-        assert main(["--config", cfg, "--quiet", "flood-analysis"]) == EXIT_OK
-        assert len(calls) == 1
+    def test_two_events_of_one_route_year_share_one_control_cohort(self, tmp_path):
+        # FM0101's 2014 events cover 0000 and 0003-0004; neither section is a control.
+        data, out = tmp_path / "data", tmp_path / "o"
+        cfg = write_config(tmp_path, synth={"n_sections": 40})
+        assert main(["--config", cfg, "--seed", "5", "--out", str(data), "--quiet", "synth-gen"]) == EXIT_OK
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "ROUTE_NAME,FLOOD_YEAR,START_MARKER,END_MARKER\n"
+            "FM0101,2014,0000,0000\nFM0101,2014,0003,0004\nFM0108,2013,,\nFM0101,2015,0002,0002\n",
+            encoding="utf-8",
+        )
+        argv = ["--config", cfg, "--records", str(data / "records.csv"), "--events", str(events)]
+        assert main(argv + ["--out", str(out), "--quiet", "flood-analysis"]) == EXIT_OK
+        extraction = json.loads((out / "flood_summary.json").read_text())["extraction"]
+        assert extraction["flooded"]["candidates"] == 14
+        assert extraction["nonflooded"]["candidates"] == 16
 
     def test_no_events_is_empty_result_status(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=20)
@@ -332,7 +338,7 @@ class TestKeyYears:
             tmp_path, records_csv=records, events_csv=events, out_dir=str(tmp_path / "o")
         )
         assert main(["--config", cfg, "flood-analysis"]) == EXIT_SCHEMA
-        assert "unparseable FLOOD_YEAR '-inf'" in capsys.readouterr().err
+        assert "unparseable FLOOD_YEAR value '-inf'" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -479,6 +485,7 @@ class TestTrain:
                 "grids.random_forest: random_forest.bootstrap must be a boolean",
             ),
             ({"grids": {"ridge": {"alpha": []}}}, [], "grids.ridge: ridge: no values for ['alpha']"),
+            ({}, ["--kinds", "ridge,ridge"], "model kind(s) ['ridge'] listed more than once"),
         ],
     )
     def test_config_typo_is_refused_before_reading(self, tmp_path, capsys, config, flags, offending):
@@ -503,6 +510,14 @@ class TestTrain:
             assert main(["--config", cfg, "--quiet", "train", "--kinds", "ridge"]) == EXIT_OK
             runs[name] = hash_tree(tmp_path / name)
         assert runs["int"] == runs["float"]
+
+    def test_more_folds_than_training_rows_is_refused_before_fitting(self, tmp_path, capsys):
+        records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, records_csv=records, out_dir=str(out), cv_folds=300)
+        assert main(["--config", cfg, "train", "--kinds", "linear,ridge"]) == EXIT_EMPTY
+        assert "cv_folds 300 exceeds the 256 training rows" in capsys.readouterr().err
+        assert not out.exists() or not list(out.glob("model_*.json"))
 
     def test_infinite_feature_cell_is_refused(self, tmp_path, capsys):
         records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)

@@ -12,7 +12,6 @@ from floodpave.floods import (
     SectionWindow,
     apply_maintenance_exclusion,
     extract_windows,
-    iri_by_section,
     load_events_csv,
     tag_flooded,
 )
@@ -141,17 +140,67 @@ def test_tag_flooded_matches_nested_loop(rows, events, repeats):
     ]
 
 
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["FM1", "SH2", "IH3"]),
+            SECTION_IDS,
+            st.integers(2010, 2014),
+            st.sampled_from([np.nan, 1.0, 2.0, 3.0]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    events=st.lists(
+        st.builds(
+            FloodEvent,
+            st.sampled_from(["FM1", "SH2", "ZZ9"]),
+            st.integers(2010, 2014),
+            MARKERS,
+            MARKERS,
+        ),
+        max_size=12,
+    ),
+)
+def test_extract_windows_matches_nested_loop(rows, events):
+    # Each (event route-year, observed section) pair against one cohort,
+    # decided by testing every event of that route-year.
+    iri: dict[tuple[str, str], dict[int, float]] = {}
+    for r, s, y, v in rows:
+        if not np.isnan(v):
+            iri.setdefault((r, s), {})[y] = v
+    expected = {True: set(), False: set()}
+    candidates = {True: 0, False: 0}
+    for route, year in {(ev.route_name, ev.flood_year) for ev in events}:
+        for (r, s), years in iri.items():
+            if r != route:
+                continue
+            flooded = any(
+                ev.route_name == route and ev.flood_year == year and ev.covers_section(s) for ev in events
+            )
+            candidates[flooded] += 1
+            if year - 1 in years and year + 1 in years:
+                expected[flooded].add(SectionWindow(r, s, year, years[year - 1], years[year + 1], years.get(year - 3)))
+
+    cohorts = dict(zip((True, False), extract_windows(panel_table(rows), events)))
+    for flooded, (windows, summary) in cohorts.items():
+        assert len(windows) == len(set(windows)) and set(windows) == expected[flooded]
+        assert summary.candidates == candidates[flooded]
+        assert summary.extracted == len(windows)
+        assert summary.extracted + summary.dropped == summary.candidates
+
+
 class TestExtractWindows:
     def test_pre_post_pair(self):
         t = panel_table([("A", "1", 2013, 100.0), ("A", "1", 2015, 110.0)])
-        windows, summary = extract_windows(t, [FloodEvent("A", 2014)])
+        (windows, summary), _ = extract_windows(t, [FloodEvent("A", 2014)])
         assert summary.extracted == 1 and summary.dropped == 0
         w = windows[0]
         assert (w.iri_minus1, w.iri_plus1, w.iri_minus3) == (100.0, 110.0, None)
 
     def test_missing_post_year_dropped_and_counted(self):
         t = panel_table([("A", "1", 2013, 100.0)])
-        windows, summary = extract_windows(t, [FloodEvent("A", 2014)])
+        (windows, summary), _ = extract_windows(t, [FloodEvent("A", 2014)])
         assert windows == []
         assert summary.dropped == 1
 
@@ -164,7 +213,7 @@ class TestExtractWindows:
             ("A", "2", 2015, 70.0),
             ("B", "1", 2013, 55.0),
         ]
-        windows, summary = extract_windows(panel_table(entries), [FloodEvent("A", 2014)])
+        (windows, summary), _ = extract_windows(panel_table(entries), [FloodEvent("A", 2014)])
         by_section = {w.section_id: w for w in windows}
         assert by_section["1"].iri_minus3 == 80.0
         assert by_section["2"].iri_minus3 is None
@@ -175,32 +224,36 @@ class TestExtractWindows:
             [("A", s, y, 100.0) for s in ("1", "2", "3") for y in (2013, 2015)]
         )
         events = [FloodEvent("A", 2014), FloodEvent("A", 2014)]  # duplicate event
-        windows, _ = extract_windows(t, events)
+        (windows, _), _ = extract_windows(t, events)
         assert len(windows) <= 3
 
     def test_nonflooded_cohort_is_complement(self):
         t = panel_table([("A", s, y, 100.0) for s in ("0001", "0002") for y in (2013, 2015)])
         ev = FloodEvent("A", 2014, start_marker="0001", end_marker="0001")
-        flooded, _ = extract_windows(t, [ev], include="flooded")
-        control, _ = extract_windows(t, [ev], include="nonflooded")
+        (flooded, _), (control, _) = extract_windows(t, [ev])
         assert [w.section_id for w in flooded] == ["0001"]
         assert [w.section_id for w in control] == ["0002"]
 
-    def test_cohorts_share_one_index(self):
-        t = panel_table(
-            [("A", s, y, 100.0 + y % 7 + len(s)) for s in ("0001", "0002", "0003") for y in (2011, 2013, 2015)]
-            + [("A", "0004", 2013, 90.0), ("B", "0001", 2013, 80.0)]
-        )
-        events = [FloodEvent("A", 2014, start_marker="0002", end_marker="0003"), FloodEvent("B", 2014)]
-        index = iri_by_section(t)
-        for include in ("flooded", "nonflooded"):
-            assert extract_windows(t, events, include, index) == extract_windows(t, events, include)
+    def test_section_flooded_by_one_event_is_no_control_for_another(self):
+        t = panel_table([("A", s, y, 100.0) for s in ("0001", "0002", "0003") for y in (2013, 2015)])
+        events = [FloodEvent("A", 2014, "0001", "0001"), FloodEvent("A", 2014, "0003", "0003")]
+        (flooded, f_summary), (control, c_summary) = extract_windows(t, events)
+        assert [w.section_id for w in flooded] == ["0001", "0003"]
+        assert [w.section_id for w in control] == ["0002"]
+        assert (f_summary.candidates, c_summary.candidates) == (2, 1)
+
+    def test_missing_flood_year_row_is_still_flooded(self):
+        # The cohort comes from the events, not from a tagged flood-year row.
+        t = panel_table([("A", s, y, 100.0) for s in ("0001", "0002") for y in (2013, 2015)])
+        (flooded, _), (control, _) = extract_windows(t, [FloodEvent("A", 2014, "0001", "0001")])
+        assert [w.section_id for w in flooded] == ["0001"]
+        assert [w.section_id for w in control] == ["0002"]
 
     def test_missing_iri_is_not_an_observation(self):
         keys = (("A", "1", 2013), ("A", "1", 2015))
         vals = np.array([[np.nan, 0.0], [110.0, 0.0]])
         t = DataTable(COLS, vals, {}, keys)
-        windows, summary = extract_windows(t, [FloodEvent("A", 2014)])
+        (windows, summary), _ = extract_windows(t, [FloodEvent("A", 2014)])
         assert windows == [] and summary.dropped == 1
 
 
@@ -282,8 +335,20 @@ class TestEventsCsv:
     def test_non_finite_year_is_schema_error(self, tmp_path, year):
         path = tmp_path / "events.csv"
         path.write_text(f"ROUTE_NAME,FLOOD_YEAR\nFM1,2014\nFM2,{year}\n", encoding="utf-8")
-        with pytest.raises(SchemaError, match=f"unparseable FLOOD_YEAR {year!r}"):
+        with pytest.raises(SchemaError, match=f"unparseable FLOOD_YEAR value {year!r}"):
             load_events_csv(path)
+
+    @pytest.mark.parametrize("year", ["2014.5", "2014.9", "-0.5"])
+    def test_fractional_year_is_schema_error(self, tmp_path, year):
+        path = tmp_path / "events.csv"
+        path.write_text(f"ROUTE_NAME,FLOOD_YEAR\nFM1,2014\nFM2,{year}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: unparseable FLOOD_YEAR value {year!r}")):
+            load_events_csv(path)
+
+    def test_integral_float_year_loads(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("ROUTE_NAME,FLOOD_YEAR\nFM1,2014.0\nFM2, 2015 \n", encoding="utf-8")
+        assert load_events_csv(path) == [FloodEvent("FM1", 2014), FloodEvent("FM2", 2015)]
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 `reference_load_csv` is the earlier implementation: it reads every cell
 through a per-row helper and parses one cell at a time. The only changes
-are that a YEAR cell of ±inf raises SchemaError rather than OverflowError,
+are that a YEAR cell of ±inf, or of a fractional number, raises
+SchemaError rather than OverflowError or reading as its integer part,
 which is the current contract, and that, like `load_csv`, it no longer
 takes a set of columns to read as categorical. The block-wise loader must give the same
 table, bit for bit, or the same exception with the same message, at its
@@ -17,6 +18,7 @@ to numpy and parses cell by cell only a block that numpy refuses.
 import csv
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -65,9 +67,12 @@ def reference_load_csv(path, schema):
     for row in raw_rows:
         year_text = cell(row, YEAR_COLUMN)
         try:
-            year = int(float(year_text))
-        except (ValueError, OverflowError):
-            raise SchemaError(f"{path}: unparseable YEAR value {year_text!r}") from None
+            year = float(year_text)
+        except ValueError:
+            year = math.nan
+        if not year.is_integer():
+            raise SchemaError(f"{path}: unparseable YEAR value {year_text!r}")
+        year = int(year)
         row_keys.append((cell(row, ROUTE_COLUMN), cell(row, SECTION_COLUMN), year))
 
     categorical = set()
@@ -284,3 +289,16 @@ def test_bad_year_is_schema_error(tmp_path, year):
     path = write(tmp_path, f"ROUTE_NAME,SECTION_ID,YEAR,a\nR,1,2014,1\nR,2,{year},2\n")
     with pytest.raises(SchemaError, match=f"unparseable YEAR value {year!r}"):
         load_csv(path, ["a"])
+
+
+@pytest.mark.parametrize("year", ["2014.5", "2010.6", "2.0145e3"])
+def test_fractional_year_is_schema_error(tmp_path, year):
+    path = write(tmp_path, f"ROUTE_NAME,SECTION_ID,YEAR,a\nR,1,2014,1\nR,2,{year},2\n")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: unparseable YEAR value {year!r}")):
+        load_csv(path, ["a"])
+
+
+@pytest.mark.parametrize("year", ["2014.0", " 2014 ", "2.014e3"])
+def test_integral_year_loads(tmp_path, year):
+    path = write(tmp_path, f"ROUTE_NAME,SECTION_ID,YEAR,a\nR,1,{year},1\n")
+    assert load_csv(path, ["a"]).row_keys == (("R", "1", 2014),)

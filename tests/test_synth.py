@@ -82,8 +82,7 @@ class TestGenerate:
     def test_flood_bump_visible_in_window_deltas(self):
         table, events, gt = make_flood_bump_data(n_sections=100, seed=8)
         tagged, _ = tag_flooded(table, events)
-        flooded, _ = extract_windows(tagged, events, include="flooded")
-        control, _ = extract_windows(tagged, events, include="nonflooded")
+        (flooded, _), (control, _) = extract_windows(tagged, events)
         flooded = apply_maintenance_exclusion(flooded)
         control = apply_maintenance_exclusion(control)
         paired = deterioration.flooded_vs_nonflooded(flooded, control)
