@@ -113,8 +113,8 @@ def stage_seed(root_seed: int, label: str, index: int | None = None) -> np.rando
     """Derive a per-stage seed stream from one root seed.
 
     The label keys the pipeline stage and the optional index keys a unit
-    of work inside it (a fold, an explained instance), so partial
-    re-runs consume exactly the same streams as a full run.
+    of work inside it (a model kind in `train`), so partial re-runs
+    consume exactly the same streams as a full run.
     """
     entropy = [root_seed & 0xFFFFFFFF, zlib.crc32(label.encode("utf-8"))]
     if index is not None:
@@ -122,8 +122,8 @@ def stage_seed(root_seed: int, label: str, index: int | None = None) -> np.rando
     return np.random.SeedSequence(entropy)
 
 
-def stage_rng(root_seed: int, label: str, index: int | None = None) -> np.random.Generator:
-    return np.random.default_rng(stage_seed(root_seed, label, index))
+def stage_rng(root_seed: int, label: str) -> np.random.Generator:
+    return np.random.default_rng(stage_seed(root_seed, label))
 
 
 @functools.cache

@@ -40,22 +40,18 @@ of each kind, with its hyperparameters, the MSE of every fold, their
 mean, and whether it was scored on its own fit or on an `n_estimators`
 prefix or a depth truncation of another candidate's fit.
 
-`explain` draws one LIME neighborhood per run and shares it between
-the instances, in one thread. Exact SHAP of a shipped model kind (Tree
-SHAP, or the linear closed form) also runs in one thread. `--workers`
-(config key `workers`) sizes only the thread pool of SHAP's
-predict-based paths: sampled mode, and exact mode for a predictor that
-is not a shipped kind.
+`explain` gives every instance its exact Shapley values (Tree SHAP, or
+the linear closed form) and draws one LIME neighborhood per run, shared
+between the instances. Every command runs in one thread; `--workers`
+(config key `workers`) is still range-checked but read by no command.
 
 Each command imports only the modules it runs. Importing this module
 loads the typed config (`config`), the records loader (`dataset`) and
 the model kinds (`models.spec`), and nothing else of the package: the
 `floodpave` and `floodpave.models` packages resolve their names on
-first use, and `synth`, `floods`, `deterioration`, `shapley`, `lime`,
-the model fitting and IO code, and `concurrent.futures` (only for SHAP's
-predict-based paths with `workers` > 1) are imported inside the commands
-that use them. So
-`describe` loads no model, explainer, flood or generator code.
+first use, and `synth`, `floods`, `deterioration`, `shapley`, `lime` and
+the model fitting and IO code are imported inside the commands that use
+them. So `describe` loads no model, explainer, flood or generator code.
 """
 
 from __future__ import annotations
@@ -452,7 +448,6 @@ def _lime_files(keys) -> list[str]:
 
 
 def cmd_explain(config: RunConfig) -> int:
-    shap_cfg = replace(config.shap, seed=config.seed)
     model_path = config.explain.model_path
     if not model_path:
         raise SchemaError("explain requires explain.model_path (or --model-path)")
@@ -483,11 +478,9 @@ def cmd_explain(config: RunConfig) -> int:
         from . import shapley
 
         background = shapley.draw_background(
-            train, features, shap_cfg.background_size, config.seed
+            train, features, config.shap.background_size, config.seed
         )
-        values = shapley.shapley_values(
-            predictor, X, background, shap_cfg, n_workers=config.workers
-        )
+        values = shapley.shapley_values(predictor, X, background)
         _dump_csv(
             [["route", "section_id", "year"] + features + ["base_value"]]
             + [
@@ -526,7 +519,7 @@ def cmd_explain(config: RunConfig) -> int:
             scaled = 0.0 if hi == lo else (value - lo) / (hi - lo)
             rows.append([feature, _fmt(phi), _fmt(value), _fmt(scaled)])
         _dump_csv(rows, _out_path(config, "shap_beeswarm.csv"))
-        _say(config, f"[explain] SHAP ({shap_cfg.mode}) over {len(keys)} instance(s)")
+        _say(config, f"[explain] SHAP over {len(keys)} instance(s)")
 
     if "lime" in config.explain.explainers:
         from . import lime
@@ -568,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument(
         "--workers", type=int,
-        help="worker threads for explain's sampled-mode SHAP; exact SHAP of a shipped kind, train and LIME run in one thread",
+        help="accepted and ignored: every command runs in one thread (must be >= 1)",
     )
     parser.add_argument("--quiet", action="store_true", default=None, help="suppress progress lines and warnings")
     parser.add_argument("--records", dest="records_csv", help="section-year records CSV")

@@ -163,21 +163,16 @@ class LimeConfig:
 
 @dataclass(frozen=True)
 class ShapConfig:
-    mode: str = "exact"  # "exact" | "sampled"
+    mode: str = "exact"  # the only mode, as every attribution is exact; configs may still name it
     background_size: int = 100
-    n_permutations: int = 2000
-    seed: int = 0
-    baseline: str = "interventional"  # "interventional" | "mean_impute"
 
     def __post_init__(self):
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.baseline not in ("interventional", "mean_impute"):
-            raise ValueError(f"unknown baseline {self.baseline!r}")
+        if self.mode == "sampled":
+            raise ValueError("mode 'sampled' was removed: every attribution is exact")
+        if self.mode != "exact":
+            raise ValueError(f"mode must be 'exact', got {self.mode!r}")
         if self.background_size < 1:
             raise ValueError("background_size must be >= 1")
-        if self.n_permutations < 1:
-            raise ValueError("n_permutations must be >= 1")
 
 
 EXPLAINERS = ("shap", "lime")
@@ -238,10 +233,10 @@ class RunConfig:
     """A run's whole config: the JSON config file with the flags merged over it.
 
     Root keys: records_csv, events_csv, out_dir, seed (>= 0; the root of
-    every stage's seed), workers (>= 1; the threads of SHAP's
-    predict-based paths in `explain`: sampled mode, and exact mode for a
-    predictor that is not a shipped kind), quiet, test_fraction (in (0,
-    1)), cv_folds (>= 2), model_kinds (a non-empty list of distinct MODEL_KINDS),
+    every stage's seed), workers (>= 1; read by no command, since every
+    command runs in one thread, and kept so that configs and scripts
+    naming it keep parsing), quiet, test_fraction (in (0, 1)), cv_folds
+    (>= 2), model_kinds (a non-empty list of distinct MODEL_KINDS),
     grids (kind -> {hyperparameter: [values]}, replacing that kind's
     default grid). Sections: synth
     (`SynthSpec`, its ground_truth a `GroundTruth`), lime (`LimeConfig`),

@@ -3,7 +3,7 @@
 Three analyses over maintenance-filtered section windows: the pooled
 two-year IRI delta, the before/after deterioration-rate comparison
 (needs the three-year look-back), and the flooded vs non-flooded
-same-route comparison.
+same-route, same-year comparison.
 """
 
 from __future__ import annotations
@@ -90,22 +90,22 @@ def flooded_vs_nonflooded(
     flooded_windows: list[SectionWindow],
     nonflooded_windows: list[SectionWindow],
 ) -> PairedRouteDiff:
-    """Per-section delta difference against the same route's non-flooded mean.
+    """Per-section delta difference against the mean of its route-year's controls.
 
-    Flooded sections on routes without any non-flooded window are
-    skipped. No overlapping routes at all yields an empty result and a
-    logged warning.
+    A flooded window and its controls span the same years. Flooded
+    sections whose route-year has no non-flooded window are skipped. No
+    overlap at all yields an empty result and a logged warning.
     """
-    nf_by_route: dict[str, list[float]] = {}
+    nf_by_route_year: dict[tuple[str, int], list[float]] = {}
     for w in nonflooded_windows:
-        nf_by_route.setdefault(w.route_name, []).append(w.delta)
-    nf_mean = {route: float(np.mean(ds)) for route, ds in nf_by_route.items()}
+        nf_by_route_year.setdefault((w.route_name, w.flood_year), []).append(w.delta)
+    nf_mean = {key: float(np.mean(ds)) for key, ds in nf_by_route_year.items()}
 
     diffs = []
     for w in flooded_windows:
-        if w.route_name not in nf_mean:
-            continue
-        diffs.append((w.key, w.delta - nf_mean[w.route_name]))
+        control = nf_mean.get((w.route_name, w.flood_year))
+        if control is not None:
+            diffs.append((w.key, w.delta - control))
     if not diffs:
         log.warning("flooded vs non-flooded comparison: no overlapping routes")
         return PairedRouteDiff((), None, None, None, 0)

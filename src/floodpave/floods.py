@@ -142,9 +142,11 @@ def tag_flooded(table: DataTable, events: list[FloodEvent]):
     covers its section (``FloodEvent.covers_section``). Events are grouped
     by (route, year), so each row tests only the events of its group.
 
-    Returns ``(tagged_table, warnings)``. Events naming a route absent
-    from the table produce one warning string each rather than failing.
-    Applying the same events twice yields an identical table.
+    Returns ``(tagged_table, warnings)``. An event naming a route absent
+    from the table, or whose START_MARKER sorts after its END_MARKER (a
+    range that covers no section when both ids are of one kind), gives
+    one warning string rather than failing. Applying the same events
+    twice yields an identical table.
     """
     if table.n_rows and not table.row_keys:
         raise SchemaError("table has no (route, section, year) row keys")
@@ -155,6 +157,12 @@ def tag_flooded(table: DataTable, events: list[FloodEvent]):
         f"flood event ({ev.route_name}, {ev.flood_year}) matches no route in the table"
         for ev in events
         if ev.route_name not in routes_present
+    ]
+    warnings += [
+        f"flood event ({ev.route_name}, {ev.flood_year}): START_MARKER {ev.start_marker!r} "
+        f"sorts after END_MARKER {ev.end_marker!r}; are they swapped?"
+        for ev in events
+        if None not in (ev.start_marker, ev.end_marker) and _section_order(ev.start_marker, ev.end_marker) > 0
     ]
 
     groups = _events_by_route_year(events)

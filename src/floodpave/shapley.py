@@ -1,12 +1,9 @@
-"""Shapley-value feature attribution for any fitted predictor.
+"""Exact Shapley-value feature attribution for any fitted predictor.
 
 The value of a coalition S is the interventional expectation of the
 model output with the explained instance's values on S and background
-rows everywhere else. Every path that calls ``predict`` gets coalition
-values from one evaluator, ``_coalition_values``. Sampled mode averages
-marginal contributions over p seeded uniform feature permutations and
-evaluates each distinct prefix coalition once: at most min(2^M, p*M + 1)
-coalitions per instance. Exact mode takes the cheapest exact route:
+rows everywhere else. ``shapley_values`` gives every instance its exact
+Shapley values by the cheapest exact route:
 
 - tree, forest and boosting predictors use interventional Tree SHAP
   (Lundberg et al., Nature MI 2020). It reads every leaf's box off the
@@ -15,15 +12,15 @@ coalitions per instance. Exact mode takes the cheapest exact route:
   instance over those (leaf, mask, count) triples, with no model calls;
 - linear, ridge and lasso predictors use the closed form
   phi_j = coef_j * (x_j - mean b_j) / sigma_j, all instances at once;
-- any other predictor enumerates all 2^M coalitions once (memoized
-  across features) through ``exact_shapley``.
+- any other predictor enumerates all 2^M coalitions once per instance
+  (memoized across features) through ``exact_shapley``, which takes its
+  coalition values from ``_coalition_values``.
 
-Only the predict-based paths, sampled mode and ``exact_shapley``, run in
-``shapley_values``'s thread pool. An instance's phi never depends on the
-other instances explained with it. ``exact_shapley`` is always the 2^M
-enumeration; the tests hold Tree SHAP and the linear closed form to it,
-so it is the oracle as well as the fallback. Instances and background
-rows must be finite: the leaf-box test cannot place -inf.
+An instance's phi never depends on the other instances explained with
+it. ``exact_shapley`` is always the 2^M enumeration; the tests hold Tree
+SHAP and the linear closed form to it, so it is the oracle as well as
+the fallback. Instances and background rows must be finite: the leaf-box
+test cannot place -inf.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import stage_rng
-from .config import ShapConfig
 from .dataset import DataTable
 from .models import BoostingPredictor, ForestPredictor, LinearPredictor, TreePredictor
 from .models.tree import LEAF, joined, levels
@@ -73,12 +69,6 @@ def draw_background(table: DataTable, feature_columns, size: int, seed: int) -> 
         return X
     idx = np.sort(rng.choice(n, size=size, replace=False))
     return X[idx]
-
-
-def _apply_baseline(background: np.ndarray, config: ShapConfig) -> np.ndarray:
-    if config.baseline == "mean_impute":
-        return background.mean(axis=0, keepdims=True)
-    return background
 
 
 def _coalition_values(predict_fn, x, background, onoff):
@@ -121,22 +111,21 @@ def _shapley_weights(n_features: int) -> np.ndarray:
 def _check_exact_size(n_features: int) -> None:
     if n_features > MAX_EXACT_FEATURES:
         raise ValueError(
-            f"exact mode enumerates 2^{n_features} coalitions; limit is M <= {MAX_EXACT_FEATURES}. "
-            "Use mode='sampled'."
+            f"exact Shapley values range over 2^{n_features} coalitions; "
+            f"limit is M <= {MAX_EXACT_FEATURES} features"
         )
 
 
-def exact_shapley(predictor, x: np.ndarray, background: np.ndarray, config: ShapConfig) -> np.ndarray:
+def exact_shapley(predictor, x: np.ndarray, background: np.ndarray) -> np.ndarray:
     """Exact Shapley attribution by full coalition enumeration.
 
     Every coalition value is computed once and reused for all features.
-    Refuses feature counts above MAX_EXACT_FEATURES; use sampled mode
-    there instead.
+    Refuses feature counts above MAX_EXACT_FEATURES.
     """
     x = np.asarray(x, dtype=float)
     m = len(x)
     _check_exact_size(m)
-    background = _apply_baseline(np.asarray(background, dtype=float), config)
+    background = np.asarray(background, dtype=float)
     masks = np.arange(1 << m)
     onoff = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
     values = _coalition_values(predictor.predict, x, background, onoff)
@@ -149,52 +138,6 @@ def exact_shapley(predictor, x: np.ndarray, background: np.ndarray, config: Shap
         gain = values[without | (1 << j)] - values[without]
         phi[j] = float(np.sum(weights[sizes[without]] * gain))
     return phi
-
-
-def shapley_from_permutations(predictor, x, background, permutations, config: ShapConfig | None = None):
-    """Average marginal contributions along explicit feature orderings.
-
-    The estimator underneath sampled mode; handing it all M! orderings
-    reproduces the exact attribution. The empty coalition and the p*M
-    prefixes are deduplicated, so each distinct coalition is evaluated
-    once: min(2^M, p*M + 1) evaluations.
-    """
-    x = np.asarray(x, dtype=float)
-    m = len(x)
-    perms = np.asarray(permutations, dtype=np.int64)
-    if perms.ndim != 2 or perms.shape[1] != m:
-        raise ValueError(f"permutations must be (n, {m}), got {perms.shape}")
-    background = np.asarray(background, dtype=float)
-    if config is not None:
-        background = _apply_baseline(background, config)
-    p = len(perms)
-
-    # position[i, f] = step at which permutation i introduces feature f
-    position = np.empty((p, m), dtype=np.int64)
-    position[np.arange(p)[:, None], perms] = np.arange(m)
-    prefixes = position[:, None, :] <= np.arange(m)[None, :, None]  # (p, step, feature)
-    onoff = np.concatenate([np.zeros((1, m), dtype=bool), prefixes.reshape(p * m, m)])
-    coalitions, which = np.unique(onoff, axis=0, return_inverse=True)
-    # ravel: the inverse's shape differs across numpy 2.0.x releases
-    v = _coalition_values(predictor.predict, x, background, coalitions)[which.ravel()]
-
-    v_step = v[1:].reshape(p, m)
-    v_prev = np.concatenate([np.full((p, 1), v[0]), v_step[:, :-1]], axis=1)
-    phi = np.zeros(m)
-    np.add.at(phi, perms.ravel(), (v_step - v_prev).ravel())
-    return phi / p
-
-
-def sampled_shapley(predictor, x, background, config: ShapConfig, index: int | None = None) -> np.ndarray:
-    """Monte Carlo Shapley estimate over seeded uniform permutations.
-
-    ``index`` keys the permutation stream, so each explained instance of
-    a batch draws its own stream and the same one when explained alone.
-    """
-    x = np.asarray(x, dtype=float)
-    rng = stage_rng(config.seed, "sampled-shap", index)
-    perms = np.array([rng.permutation(len(x)) for _ in range(config.n_permutations)])
-    return shapley_from_permutations(predictor, x, background, perms, config)
 
 
 def _tree_ensemble(predictor):
@@ -339,7 +282,7 @@ def _tree_shap(trees, weight: float, background: np.ndarray, X: np.ndarray) -> n
     return phi
 
 
-def _exact_phi(predictor, X: np.ndarray, base_bg: np.ndarray):
+def _exact_phi(predictor, X: np.ndarray, background: np.ndarray):
     """The exact phi of every row of X for a shipped model kind; None for any other predictor.
 
     Tree kinds get Tree SHAP. Linear kinds get the interventional closed
@@ -349,27 +292,18 @@ def _exact_phi(predictor, X: np.ndarray, base_bg: np.ndarray):
     """
     ensemble = _tree_ensemble(predictor)
     if ensemble is not None:
-        return _tree_shap(*ensemble, base_bg, X)
+        return _tree_shap(*ensemble, background, X)
     if isinstance(predictor, LinearPredictor):
-        return predictor.coef * (X - base_bg.mean(axis=0)) / predictor.sigma
+        return predictor.coef * (X - background.mean(axis=0)) / predictor.sigma
     return None
 
 
-def shapley_values(
-    predictor,
-    X: np.ndarray,
-    background: np.ndarray,
-    config: ShapConfig,
-    n_workers: int = 1,
-) -> ShapValues:
-    """Attribute every row of X; a row's phi never depends on the other rows.
+def shapley_values(predictor, X: np.ndarray, background: np.ndarray) -> ShapValues:
+    """The exact phi of every row of X; a row's phi never depends on the other rows.
 
-    Exact mode for a shipped model kind is Tree SHAP or the linear closed
-    form, computed here in one thread. Only the predict-based paths,
-    sampled mode and ``exact_shapley`` for any other predictor, take one
-    row per task and may run them on ``n_workers`` threads. Sampled mode
-    gives each instance its own seed-derived permutation stream, so
-    results do not depend on worker count or ordering.
+    A shipped model kind gets Tree SHAP or the linear closed form over
+    all rows at once; any other predictor gets ``exact_shapley`` row by
+    row.
     """
     X = np.asarray(X, dtype=float)
     background = np.asarray(background, dtype=float)
@@ -378,34 +312,12 @@ def shapley_values(
     for name, rows in (("instances to explain", X), ("background", background)):
         if not np.isfinite(rows).all():
             raise ValueError(f"{name}: missing or infinite values; filter rows first")
-    base_bg = _apply_baseline(background, config)
-    base_value = float(np.mean(predictor.predict(base_bg)))
-    feature_names = tuple(predictor.feature_names)
-
-    if config.mode == "exact":
-        _check_exact_size(X.shape[1])
-        phi = _exact_phi(predictor, X, base_bg)
-        if phi is not None:
-            return ShapValues(base_value, phi, feature_names)
-
-        def one(i: int) -> np.ndarray:
-            return exact_shapley(predictor, X[i], background, config)
-
-    else:
-
-        def one(i: int) -> np.ndarray:
-            return sampled_shapley(predictor, X[i], background, config, index=i)
-
-    indices = range(X.shape[0])
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(one, indices))
-    else:
-        rows = [one(i) for i in indices]
-    phi = np.vstack(rows) if rows else np.empty((0, X.shape[1]))
-    return ShapValues(base_value, phi, feature_names)
+    _check_exact_size(X.shape[1])
+    base_value = float(np.mean(predictor.predict(background)))
+    phi = _exact_phi(predictor, X, background)
+    if phi is None:
+        phi = np.array([exact_shapley(predictor, x, background) for x in X]).reshape(X.shape)
+    return ShapValues(base_value, phi, tuple(predictor.feature_names))
 
 
 def summarize(values: ShapValues, table: DataTable) -> GlobalImportance:

@@ -24,7 +24,7 @@ from floodpave.dataset import (
 )
 from floodpave.floods import apply_maintenance_exclusion, extract_windows, tag_flooded
 from floodpave.lime import LimeConfig, fit_local_surrogate, kernel_weight, training_stats
-from floodpave.shapley import ShapConfig, exact_shapley, sampled_shapley
+from floodpave.shapley import exact_shapley
 
 from conftest import make_flood_bump_data, manual_linear
 
@@ -76,9 +76,8 @@ def test_shapley_efficiency(synthetic8):
         X, boost, bg = synthetic8["X"], synthetic8["boost"], synthetic8["background"]
         rng = np.random.default_rng(0)
         idx = rng.choice(X.shape[0], size=100, replace=False)
-        cfg = ShapConfig(mode="exact", background_size=100, seed=0)
         start = time.time()
-        values = shapley.shapley_values(boost, X[idx], bg, cfg)
+        values = shapley.shapley_values(boost, X[idx], bg)
         elapsed = time.time() - start
         fx = boost.predict(X[idx])
         gaps = np.abs(values.base_value + values.phi.sum(axis=1) - fx)
@@ -92,10 +91,9 @@ def test_shapley_linear_oracle():
         predictor = manual_linear(w, intercept=12.0)
         rng = np.random.default_rng(1)
         background = rng.normal(size=(60, 8))
-        cfg = ShapConfig(mode="exact")
         for _ in range(10):
             x = rng.normal(size=8)
-            phi = exact_shapley(predictor, x, background, cfg)
+            phi = exact_shapley(predictor, x, background)
             expected = w * (x - background.mean(axis=0))
             assert np.max(np.abs(phi - expected)) < 1e-8
 
@@ -105,27 +103,14 @@ def test_shapley_dummy_and_symmetry():
         rng = np.random.default_rng(2)
         dummy = manual_linear([1.0, 0.0, -2.0])
         bg = rng.normal(size=(40, 3))
-        phi = exact_shapley(dummy, rng.normal(size=3), bg, ShapConfig())
+        phi = exact_shapley(dummy, rng.normal(size=3), bg)
         assert phi[1] == 0.0
 
         sym = manual_linear([1.0, 1.0])
         col = rng.normal(size=40)
         bg2 = np.column_stack([col, col])
-        phi2 = exact_shapley(sym, np.array([3.3, 3.3]), bg2, ShapConfig())
+        phi2 = exact_shapley(sym, np.array([3.3, 3.3]), bg2)
         assert abs(phi2[0] - phi2[1]) < 1e-10
-
-
-def test_sampled_vs_exact(synthetic8):
-    with _outcome("shapley-sampled-vs-exact (MAD < 5% of range, 2000 perms, M=8)"):
-        X, boost, bg = synthetic8["X"], synthetic8["boost"], synthetic8["background"]
-        cfg_exact = ShapConfig(mode="exact", seed=0)
-        cfg_sampled = ShapConfig(mode="sampled", n_permutations=2000, seed=7)
-        for i in (5, 41):
-            x = X[i]
-            exact = exact_shapley(boost, x, bg, cfg_exact)
-            sampled = sampled_shapley(boost, x, bg, cfg_sampled)
-            span = exact.max() - exact.min()
-            assert np.mean(np.abs(sampled - exact)) < 0.05 * span
 
 
 def test_hand_enumerated_two_feature_case():
@@ -137,7 +122,7 @@ def test_hand_enumerated_two_feature_case():
             def predict(self, Z):
                 return Z[:, 0] * Z[:, 1]
 
-        phi = exact_shapley(Product(), np.array([1.0, 1.0]), np.zeros((1, 2)), ShapConfig())
+        phi = exact_shapley(Product(), np.array([1.0, 1.0]), np.zeros((1, 2)))
         assert phi.tolist() == [0.5, 0.5]
 
 
@@ -398,7 +383,7 @@ def test_command_determinism(tmp_path):
                 "model_path": str(out / "model_gradient_boosting.json"),
                 "instances": "sample:2",
             }
-            stage["shap"] = {"mode": "sampled", "n_permutations": 50, "background_size": 30}
+            stage["shap"] = {"mode": "exact", "background_size": 30}
             stage["lime"] = {"n_samples": 400}
             cfg3 = tmp_path / f"explain_{run}.json"
             cfg3.write_text(json.dumps(stage))
@@ -419,8 +404,7 @@ def test_shap_global_ranking(synthetic8):
         train = synthetic8["train"]
         rng = np.random.default_rng(3)
         idx = np.sort(rng.choice(X.shape[0], size=60, replace=False))
-        cfg = ShapConfig(mode="sampled", n_permutations=200, seed=3)
-        values = shapley.shapley_values(boost, X[idx], bg, cfg)
+        values = shapley.shapley_values(boost, X[idx], bg)
         explained = train.subset(idx)
         importance = shapley.summarize(values, explained)
         assert importance.ranking[0] == "TX_IRI_AVERAGE_SCORE"

@@ -226,22 +226,59 @@ class TestFloodAnalysis:
         assert (tmp_path / "o" / "rates.csv").exists()
         assert (tmp_path / "o" / "flooded_vs_nonflooded.csv").exists()
 
-    def test_two_events_of_one_route_year_share_one_control_cohort(self, tmp_path):
-        # FM0101's 2014 events cover 0000 and 0003-0004; neither section is a control.
+    FOUR_EVENTS = (
+        "ROUTE_NAME,FLOOD_YEAR,START_MARKER,END_MARKER\n"
+        "FM0101,2014,0000,0000\nFM0101,2014,0003,0004\nFM0108,2013,,\nFM0101,2015,0002,0002\n"
+    )
+
+    @staticmethod
+    def forty_sections(tmp_path, events_text):
+        """`flood-analysis` of a 40-section `synth-gen` panel (data seed 5) under `events_text`.
+
+        Returns the records and events paths and the output directory.
+        """
         data, out = tmp_path / "data", tmp_path / "o"
         cfg = write_config(tmp_path, synth={"n_sections": 40})
         assert main(["--config", cfg, "--seed", "5", "--out", str(data), "--quiet", "synth-gen"]) == EXIT_OK
         events = tmp_path / "events.csv"
-        events.write_text(
-            "ROUTE_NAME,FLOOD_YEAR,START_MARKER,END_MARKER\n"
-            "FM0101,2014,0000,0000\nFM0101,2014,0003,0004\nFM0108,2013,,\nFM0101,2015,0002,0002\n",
-            encoding="utf-8",
-        )
+        events.write_text(events_text, encoding="utf-8")
         argv = ["--config", cfg, "--records", str(data / "records.csv"), "--events", str(events)]
         assert main(argv + ["--out", str(out), "--quiet", "flood-analysis"]) == EXIT_OK
+        return str(data / "records.csv"), str(events), out
+
+    def test_two_events_of_one_route_year_share_one_control_cohort(self, tmp_path):
+        # FM0101's 2014 events cover 0000 and 0003-0004; neither section is a control.
+        _, _, out = self.forty_sections(tmp_path, self.FOUR_EVENTS)
         extraction = json.loads((out / "flood_summary.json").read_text())["extraction"]
         assert extraction["flooded"]["candidates"] == 14
         assert extraction["nonflooded"]["candidates"] == 16
+
+    def test_flooded_windows_take_the_controls_of_their_own_year(self, tmp_path):
+        # FM0101 floods in 2014 and in 2015, so its controls are windowed around either year.
+        from floodpave.dataset import FEATURE_COLUMNS, load_csv
+        from floodpave.floods import apply_maintenance_exclusion, extract_windows, load_events_csv
+
+        records, events, out = self.forty_sections(tmp_path, self.FOUR_EVENTS)
+        cohorts = extract_windows(load_csv(records, FEATURE_COLUMNS), load_events_csv(events))
+        flooded, control = (apply_maintenance_exclusion(windows) for windows, _ in cohorts)
+        controls = {}
+        for w in control:
+            controls.setdefault((w.route_name, w.flood_year), []).append(w.delta)
+        compared = [w for w in flooded if (w.route_name, w.flood_year) in controls]
+        with open(out / "flooded_vs_nonflooded.csv", newline="") as fh:
+            written = list(csv.reader(fh))[1:]
+        assert [row[:3] for row in written] == [[w.route_name, w.section_id, str(w.flood_year)] for w in compared]
+        assert {(w.route_name, w.flood_year) for w in compared} >= {("FM0101", 2014), ("FM0101", 2015)}
+        expected = [w.delta - np.mean(controls[(w.route_name, w.flood_year)]) for w in compared]
+        assert [float(row[3]) for row in written] == pytest.approx(expected, abs=1e-12)
+
+    def test_swapped_markers_reach_the_summary_warnings(self, tmp_path):
+        _, _, out = self.forty_sections(tmp_path, self.FOUR_EVENTS + "FM0101,2014,0005,0002\n")
+        report = json.loads((out / "flood_summary.json").read_text())
+        assert report["warnings"] == [
+            "flood event (FM0101, 2014): START_MARKER '0005' sorts after END_MARKER '0002'; are they swapped?"
+        ]
+        assert report["extraction"]["flooded"]["candidates"] == 14
 
     def test_no_events_is_empty_result_status(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=20)
@@ -770,7 +807,7 @@ class TestExplain:
     @pytest.mark.parametrize(
         "section, offending",
         [
-            ({"explain": {"explainers": ["shapp"]}, "shap": {"n_permutations": 5}}, "shapp"),
+            ({"explain": {"explainers": ["shapp"]}, "shap": {"background_size": 5}}, "shapp"),
             ({"explain": {"explainers": []}}, "non-empty"),
             ({"explain": {"instance": "all"}}, "instance"),
             ({"shap": {"n_permutation": 5}}, "n_permutation"),
@@ -861,7 +898,7 @@ class TestDeterminism:
             cfg2 = write_config(
                 tmp_path, name=f"cfg2_{run}.json",
                 records_csv=records, events_csv=events, out_dir=str(out), seed=33,
-                shap={"mode": "sampled", "n_permutations": 60, "background_size": 30},
+                shap={"mode": "exact", "background_size": 30},
                 lime={"n_samples": 500},
                 explain={"model_path": str(out / "model_gradient_boosting.json"),
                          "instances": "sample:2"},
@@ -951,11 +988,14 @@ class TestStartup:
         assert self.MODEL_CODE <= loaded
 
         model = os.path.join(out, "model_decision_tree.json")
-        loaded = self.loaded_after(argv + ["explain", "--model-path", model, "--instances", "sample:2"])
+        explain = ["explain", "--model-path", model, "--instances", "sample:2"]
+        loaded = self.loaded_after(argv + explain)
         assert loaded & (self.THREADS | self.NUMPY_MA) == set()
         assert self.EXPLAINERS <= loaded
         # explain predicts with a tree model but grows none
         assert "floodpave.models.tree" in loaded and "floodpave.models.grow" not in loaded
+        # --workers is range-checked and read by no command
+        assert self.loaded_after(argv + ["--workers", "2"] + explain) & self.THREADS == set()
 
     def test_quiet_silences_log_warnings(self, tmp_path):
         # In a subprocess: in-process, pytest's log capture hides what
@@ -1014,6 +1054,9 @@ class TestConfigHandling:
             ({"lime": {"bogus": 1}}, ["describe"], "unknown lime config key(s) ['bogus']"),
             ({}, ["explain", "--instances", "sample:x"], "bad instance selector 'sample:x'"),
             ({}, ["explain", "--instances", "key:a,b,x"], "bad instance selector 'key:a,b,x'"),
+            ({"shap": {"n_permutations": 200}}, ["explain"], "unknown shap config key(s) ['n_permutations']"),
+            ({"shap": {"baseline": "mean_impute"}}, ["explain"], "unknown shap config key(s) ['baseline']"),
+            ({"shap": {"mode": "sampled"}}, ["explain"], "shap: mode 'sampled' was removed"),
         ],
     )
     def test_bad_value_is_refused_before_reading(self, tmp_path, capsys, config, argv, offending):
@@ -1024,6 +1067,12 @@ class TestConfigHandling:
         assert main(["--config", cfg] + argv) == EXIT_SCHEMA
         assert offending in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_inert_compatibility_keys_still_parse(self, tmp_path):
+        # bench/run.py writes this shap section and passes --workers 1 to every command.
+        cfg = write_config(tmp_path, shap={"mode": "exact", "background_size": 100})
+        config = cli.RunConfig.from_sources(cfg, {"workers": 1})
+        assert (config.shap.mode, config.shap.background_size, config.workers) == ("exact", 100, 1)
 
     def test_type_hints_resolved_once_per_class(self, tmp_path):
         from floodpave import _util

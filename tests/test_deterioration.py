@@ -119,6 +119,13 @@ class TestFloodedVsNonflooded:
         assert p.count == 1
         assert p.per_section[0][0][0] == "A"
 
+    def test_controls_come_from_the_same_flood_year(self):
+        flooded = [SectionWindow("A", "1", 2014, 100, 110), SectionWindow("A", "2", 2015, 100, 120),
+                   SectionWindow("A", "3", 2016, 100, 130)]  # no 2016 control
+        control = [SectionWindow("A", "c", 2014, 100, 104), SectionWindow("A", "c", 2015, 100, 108)]
+        p = flooded_vs_nonflooded(flooded, control)
+        assert p.per_section == ((("A", "1", 2014), 6.0), (("A", "2", 2015), 12.0))
+
     def test_no_overlap_empty_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
             p = flooded_vs_nonflooded([window("A", "1", 100, 110)], [window("B", "c", 100, 105)])

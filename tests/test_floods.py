@@ -10,6 +10,7 @@ from floodpave.errors import SchemaError
 from floodpave.floods import (
     FloodEvent,
     SectionWindow,
+    _section_order,
     apply_maintenance_exclusion,
     extract_windows,
     load_events_csv,
@@ -51,6 +52,16 @@ class TestTagFlooded:
         tagged, warnings = tag_flooded(t, [FloodEvent("ZZ", 2010)])
         assert len(warnings) == 1 and "ZZ" in warnings[0]
         assert tagged.equals(t.replace_column("Flood", [0.0]))
+
+    def test_swapped_markers_warn_and_flood_nothing(self):
+        t = panel_table([("FM0101", f"{i:04d}", 2014, 100.0) for i in range(8)])
+        tagged, warnings = tag_flooded(t, [FloodEvent("FM0101", 2014, "0005", "0002")])
+        assert warnings == [
+            "flood event (FM0101, 2014): START_MARKER '0005' sorts after END_MARKER '0002'; are they swapped?"
+        ]
+        assert tagged.col("Flood").tolist() == [0.0] * 8
+        in_order = [FloodEvent("FM0101", 2014, "0002", "0005"), FloodEvent("FM0101", 2014, "0003", "0003")]
+        assert tag_flooded(t, in_order)[1] == []
 
     def test_marker_range_limits_sections(self):
         t = panel_table([("A", s, 2012, 80.0) for s in ("0001", "0002", "0003", "0004")])
@@ -137,6 +148,11 @@ def test_tag_flooded_matches_nested_loop(rows, events, repeats):
         f"flood event ({ev.route_name}, {ev.flood_year}) matches no route in the table"
         for ev in events
         if ev.route_name not in {r for r, _, _ in rows}
+    ] + [
+        f"flood event ({ev.route_name}, {ev.flood_year}): START_MARKER {ev.start_marker!r} "
+        f"sorts after END_MARKER {ev.end_marker!r}; are they swapped?"
+        for ev in events
+        if None not in (ev.start_marker, ev.end_marker) and _section_order(ev.start_marker, ev.end_marker) > 0
     ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from floodpave import models, shapley
 from floodpave.dataset import DataTable
-from floodpave.shapley import ShapConfig, exact_shapley, sampled_shapley, value_function
+from floodpave.shapley import exact_shapley, value_function
 
 from conftest import CountingPredictor, manual_linear
 
@@ -50,9 +50,7 @@ class TestValueFunction:
 
 class TestExactShapley:
     def test_hand_enumerated_product_case(self):
-        phi = exact_shapley(
-            ProductModel(), np.array([1.0, 1.0]), np.zeros((1, 2)), ShapConfig()
-        )
+        phi = exact_shapley(ProductModel(), np.array([1.0, 1.0]), np.zeros((1, 2)))
         assert phi.tolist() == [0.5, 0.5]
 
     def test_linear_closed_form(self):
@@ -62,7 +60,7 @@ class TestExactShapley:
         bg = rng.normal(size=(40, 4))
         for _ in range(5):
             x = rng.normal(size=4)
-            phi = exact_shapley(p, x, bg, ShapConfig())
+            phi = exact_shapley(p, x, bg)
             expected = w * (x - bg.mean(axis=0))
             assert np.max(np.abs(phi - expected)) < 1e-8
 
@@ -71,7 +69,7 @@ class TestExactShapley:
         p = manual_linear(w)
         rng = np.random.default_rng(4)
         bg = rng.normal(size=(25, 3))
-        phi = exact_shapley(p, rng.normal(size=3), bg, ShapConfig())
+        phi = exact_shapley(p, rng.normal(size=3), bg)
         assert phi[1] == 0.0
 
     def test_dummy_feature_in_tree_exactly_zero(self):
@@ -81,7 +79,7 @@ class TestExactShapley:
         y = np.where(x[:, 0] > 0, 5.0, -5.0)
         tree = models.fit(models.ModelSpec("decision_tree", {"max_depth": 3}, 0), x, y)
         bg = rng.normal(size=(30, 3))
-        phi = exact_shapley(tree, np.array([1.0, 0.0, 9.9]), bg, ShapConfig())
+        phi = exact_shapley(tree, np.array([1.0, 0.0, 9.9]), bg)
         assert phi[2] == 0.0
 
     def test_symmetry_of_exchangeable_features(self):
@@ -89,7 +87,7 @@ class TestExactShapley:
         rng = np.random.default_rng(6)
         col = rng.normal(size=30)
         bg = np.column_stack([col, col])
-        phi = exact_shapley(p, np.array([2.0, 2.0]), bg, ShapConfig())
+        phi = exact_shapley(p, np.array([2.0, 2.0]), bg)
         assert abs(phi[0] - phi[1]) < 1e-10
 
     def test_efficiency(self):
@@ -98,112 +96,23 @@ class TestExactShapley:
         bg = rng.normal(size=(15, 2))
         for _ in range(5):
             x = rng.normal(size=2)
-            phi = exact_shapley(p, x, bg, ShapConfig())
+            phi = exact_shapley(p, x, bg)
             base = float(np.mean(p.predict(bg)))
             fx = float(p.predict(x[None])[0])
             assert abs(base + phi.sum() - fx) < 1e-8
 
     def test_feature_cap(self):
         p = manual_linear(np.ones(21))
-        with pytest.raises(ValueError, match="sampled"):
-            exact_shapley(p, np.zeros(21), np.zeros((1, 21)), ShapConfig())
+        with pytest.raises(ValueError, match="limit is M <= 20"):
+            exact_shapley(p, np.zeros(21), np.zeros((1, 21)))
 
     def test_memoized_enumeration_cost(self):
         inner = manual_linear([1.0, -2.0, 0.5])
         counted = CountingPredictor(inner)
         bg = np.random.default_rng(8).normal(size=(10, 3))
-        exact_shapley(counted, np.ones(3), bg, ShapConfig())
+        exact_shapley(counted, np.ones(3), bg)
         # 2^M coalition evaluations, each over the full background
         assert counted.rows_predicted == (2**3) * 10
-
-    def test_mean_impute_baseline(self):
-        p = ProductModel()
-        bg = np.array([[1.0, 2.0], [3.0, 4.0]])
-        cfg = ShapConfig(baseline="mean_impute")
-        phi = exact_shapley(p, np.array([5.0, 6.0]), bg, cfg)
-        # baseline collapses to the single mean row (2, 3)
-        base = 2.0 * 3.0
-        fx = 30.0
-        assert phi.sum() == pytest.approx(fx - base, abs=1e-10)
-
-
-class TestSampledShapley:
-    def test_exhaustive_permutations_match_exact(self):
-        p = ProductModelThree()
-        rng = np.random.default_rng(9)
-        bg = rng.normal(size=(12, 3))
-        x = np.array([1.2, -0.7, 2.0])
-        exact = exact_shapley(p, x, bg, ShapConfig())
-        perms = np.array(list(itertools.permutations(range(3))))
-        via_perms = shapley.shapley_from_permutations(p, x, bg, perms)
-        assert np.max(np.abs(via_perms - exact)) < 1e-10
-
-    def test_linear_statistical_tolerance(self):
-        w = np.array([4.0, -2.0, 1.0, 0.3, -0.9])
-        p = manual_linear(w)
-        rng = np.random.default_rng(10)
-        bg = rng.normal(size=(30, 5))
-        x = rng.normal(size=5)
-        cfg = ShapConfig(mode="sampled", n_permutations=2000, seed=44)
-        phi = sampled_shapley(p, x, bg, cfg)
-        expected = w * (x - bg.mean(axis=0))
-        span = expected.max() - expected.min()
-        assert np.max(np.abs(phi - expected)) < 0.05 * span
-
-    def test_each_distinct_coalition_is_predicted_once(self):
-        counted = CountingPredictor(ProductModelThree())
-        bg = np.random.default_rng(23).normal(size=(7, 3))
-        perms = np.array(list(itertools.permutations(range(3))))
-        shapley.shapley_from_permutations(counted, np.ones(3), bg, perms)
-        # 19 prefixes (the empty one and 3 per ordering) are 2^3 distinct coalitions
-        assert counted.rows_predicted == (2**3) * 7
-
-    @pytest.mark.parametrize(
-        "kind, hp",
-        [
-            ("linear", {}),
-            ("decision_tree", {"max_depth": 6}),
-            ("random_forest", {"n_estimators": 4, "max_depth": 5, "feature_subsample": 0.5}),
-            ("gradient_boosting", {"n_estimators": 15, "max_depth": 3, "subsample": 0.75}),
-        ],
-    )
-    @pytest.mark.parametrize("baseline", ["interventional", "mean_impute"])
-    def test_matches_per_permutation_estimator(self, kind, hp, baseline):
-        X, y = tied_data(24, m=6)
-        X += np.random.default_rng(24).normal(scale=0.1, size=X.shape)
-        predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y)
-        cfg = ShapConfig(mode="sampled", n_permutations=200, seed=6, baseline=baseline)
-        bg = shapley._apply_baseline(X[100:140], cfg)
-        rng = np.random.default_rng(25)
-        perms = np.array([rng.permutation(6) for _ in range(200)])
-        for x in X[:3]:
-            got = shapley.shapley_from_permutations(predictor, x, X[100:140], perms, cfg)
-            assert np.array_equal(got, per_permutation_estimator(predictor, x, bg, perms))
-
-    def test_seed_determinism(self):
-        p = ProductModel()
-        bg = np.random.default_rng(11).normal(size=(10, 2))
-        cfg = ShapConfig(mode="sampled", n_permutations=50, seed=5)
-        a = sampled_shapley(p, np.ones(2), bg, cfg)
-        b = sampled_shapley(p, np.ones(2), bg, cfg)
-        assert np.array_equal(a, b)
-
-
-def per_permutation_estimator(predictor, x, background, perms):
-    """Sampled mode's estimator with no shared coalitions: predict every prefix of every ordering."""
-    m, n_bg = len(x), background.shape[0]
-    v_empty = float(np.mean(predictor.predict(background)))
-    phi = np.zeros(m)
-    for perm in perms:
-        rows = np.tile(background, (m, 1))
-        for step, feature in enumerate(perm):
-            rows[step * n_bg :, feature] = x[feature]  # prefix `step` and every later one
-        prev = v_empty
-        for feature, v in zip(perm, predictor.predict(rows).reshape(m, n_bg).mean(axis=1)):
-            phi[feature] += v - prev
-            prev = v
-    return phi / len(perms)
-
 
 class ProductModelThree:
     feature_names = ("a", "b", "c")
@@ -216,16 +125,6 @@ class TestBatchAndSummary:
     def _tiny_table(self, vals, names=("a", "b")):
         keys = tuple(("R", str(i), 2000) for i in range(len(vals)))
         return DataTable(tuple(names), np.asarray(vals, dtype=float), {}, keys)
-
-    def test_worker_count_does_not_change_values(self):
-        p = ProductModel()
-        rng = np.random.default_rng(12)
-        bg = rng.normal(size=(10, 2))
-        X = rng.normal(size=(6, 2))
-        cfg = ShapConfig(mode="sampled", n_permutations=40, seed=3)
-        serial = shapley.shapley_values(p, X, bg, cfg, n_workers=1)
-        threaded = shapley.shapley_values(p, X, bg, cfg, n_workers=4)
-        assert np.array_equal(serial.phi, threaded.phi)
 
     def test_all_zero_phi_ranks_alphabetically(self):
         vals = shapley.ShapValues(0.0, np.zeros((3, 2)), ("b", "a"))
@@ -262,8 +161,7 @@ class TestBatchAndSummary:
         flood_idx = feats.index("Flood")
         rows = np.nonzero(X[:, flood_idx] == 1.0)[0][:5]
         bg = shapley.draw_background(train, feats, 60, 0)
-        cfg = ShapConfig(mode="sampled", n_permutations=150, seed=2)
-        vals = shapley.shapley_values(flood_bump_boosting, X[rows], bg, cfg)
+        vals = shapley.shapley_values(flood_bump_boosting, X[rows], bg)
         assert np.all(vals.phi[:, flood_idx] > 0.0)
 
 
@@ -295,9 +193,9 @@ def hand_tree(feature, threshold, left, right, value, m):
     return models.TreePredictor(models.ModelSpec("decision_tree", {}, 0), names, tree)
 
 
-def assert_matches_enumeration(predictor, X, bg, config=ShapConfig()):
-    values = shapley.shapley_values(predictor, X, bg, config)
-    oracle = np.vstack([exact_shapley(predictor, x, bg, config) for x in X])
+def assert_matches_enumeration(predictor, X, bg):
+    values = shapley.shapley_values(predictor, X, bg)
+    oracle = np.vstack([exact_shapley(predictor, x, bg) for x in X])
     assert np.max(np.abs(values.phi - oracle)) < 1e-10
 
 
@@ -305,11 +203,10 @@ class TestExactDispatch:
     """Tree SHAP against the 2^M enumeration."""
 
     @pytest.mark.parametrize("kind, hp", TREE_FITS)
-    @pytest.mark.parametrize("baseline", ["interventional", "mean_impute"])
-    def test_fitted_tree_models(self, kind, hp, baseline):
+    def test_fitted_tree_models(self, kind, hp):
         X, y = tied_data(13)
         predictor = models.fit(models.ModelSpec(kind, hp, 3), X, y)
-        assert_matches_enumeration(predictor, X[:8], X[100:130], ShapConfig(baseline=baseline))
+        assert_matches_enumeration(predictor, X[:8], X[100:130])
 
     @pytest.mark.parametrize("chunk_pairs", [1, 45])
     def test_leaf_chunks(self, monkeypatch, chunk_pairs):
@@ -354,7 +251,7 @@ class TestExactDispatch:
 
     def test_single_leaf_tree(self):
         predictor = hand_tree([-1], [0.0], [-1], [-1], [7.5], m=2)
-        values = shapley.shapley_values(predictor, np.ones((3, 2)), np.zeros((4, 2)), ShapConfig())
+        values = shapley.shapley_values(predictor, np.ones((3, 2)), np.zeros((4, 2)))
         assert values.phi.tolist() == [[0.0, 0.0]] * 3
         assert values.base_value == 7.5
 
@@ -392,8 +289,8 @@ class TestExactDispatch:
         rng = np.random.default_rng(17)
         X = rng.normal(size=(4, 3))
         bg = rng.normal(size=(9, 3))
-        values = shapley.shapley_values(ProductModelThree(), X, bg, ShapConfig())
-        oracle = np.vstack([exact_shapley(ProductModelThree(), x, bg, ShapConfig()) for x in X])
+        values = shapley.shapley_values(ProductModelThree(), X, bg)
+        oracle = np.vstack([exact_shapley(ProductModelThree(), x, bg) for x in X])
         assert np.array_equal(values.phi, oracle)
 
     def test_tree_models_do_not_enumerate(self, monkeypatch):
@@ -404,7 +301,7 @@ class TestExactDispatch:
             raise AssertionError("exact_shapley called for a tree model")
 
         monkeypatch.setattr(shapley, "exact_shapley", refuse)
-        shapley.shapley_values(predictor, X[:2], X[10:20], ShapConfig())
+        shapley.shapley_values(predictor, X[:2], X[10:20])
 
     @pytest.mark.parametrize("kind, hp", LINEAR_FITS)
     def test_linear_models_do_not_enumerate(self, monkeypatch, kind, hp):
@@ -415,7 +312,7 @@ class TestExactDispatch:
             raise AssertionError("exact_shapley called for a linear model")
 
         monkeypatch.setattr(shapley, "exact_shapley", refuse)
-        shapley.shapley_values(predictor, X[:2], X[10:20], ShapConfig())
+        shapley.shapley_values(predictor, X[:2], X[10:20])
 
     def test_missing_instance_values_rejected(self):
         X, y = tied_data(20)
@@ -423,7 +320,7 @@ class TestExactDispatch:
         row = X[:1].copy()
         row[0, 1] = np.nan
         with pytest.raises(ValueError, match="missing"):
-            shapley.shapley_values(predictor, row, X[10:20], ShapConfig())
+            shapley.shapley_values(predictor, row, X[10:20])
 
     @pytest.mark.parametrize("where", ["instance", "background"])
     @pytest.mark.parametrize("cell", [-np.inf, np.inf])
@@ -435,33 +332,21 @@ class TestExactDispatch:
         rows, bg = X[:2].copy(), X[10:20].copy()
         (rows if where == "instance" else bg)[1, 2] = cell
         with pytest.raises(ValueError, match=f"{where}.*infinite"):
-            shapley.shapley_values(predictor, rows, bg, ShapConfig())
+            shapley.shapley_values(predictor, rows, bg)
 
     def test_feature_cap_applies_to_every_kind(self):
         predictor = hand_tree([-1], [0.0], [-1], [-1], [1.0], m=21)
-        with pytest.raises(ValueError, match="sampled"):
-            shapley.shapley_values(predictor, np.zeros((1, 21)), np.zeros((1, 21)), ShapConfig())
-
-    def test_sampled_rows_use_the_per_index_stream(self):
-        rng = np.random.default_rng(19)
-        X = rng.normal(size=(3, 3))
-        bg = rng.normal(size=(8, 3))
-        cfg = ShapConfig(mode="sampled", n_permutations=30, seed=4)
-        values = shapley.shapley_values(ProductModelThree(), X, bg, cfg)
-        for i in range(3):
-            row = sampled_shapley(ProductModelThree(), X[i], bg, cfg, index=i)
-            assert np.array_equal(values.phi[i], row)
-
+        with pytest.raises(ValueError, match="limit is M <= 20"):
+            shapley.shapley_values(predictor, np.zeros((1, 21)), np.zeros((1, 21)))
 
 class TestLinearClosedForm:
     """phi_j = coef_j * (x_j - mean b_j) / sigma_j against the 2^M enumeration."""
 
     @pytest.mark.parametrize("kind, hp", LINEAR_FITS)
-    @pytest.mark.parametrize("baseline", ["interventional", "mean_impute"])
-    def test_fitted_linear_models(self, kind, hp, baseline):
+    def test_fitted_linear_models(self, kind, hp):
         X, y = continuous_data(30)
         predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y)
-        assert_matches_enumeration(predictor, X[:8], X[100:140], ShapConfig(baseline=baseline))
+        assert_matches_enumeration(predictor, X[:8], X[100:140])
 
     @pytest.mark.parametrize("kind, hp", LINEAR_FITS)
     def test_fit_after_train_drops_a_constant_column(self, kind, hp):
@@ -482,7 +367,7 @@ class TestLinearClosedForm:
         # base + sum(phi) meets f(x) to a tolerance, not bit for bit.
         X, y = continuous_data(32)
         predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y)
-        values = shapley.shapley_values(predictor, X[:30], X[100:140], ShapConfig())
+        values = shapley.shapley_values(predictor, X[:30], X[100:140])
         gaps = values.base_value + values.phi.sum(axis=1) - predictor.predict(X[:30])
         assert np.max(np.abs(gaps)) < 1e-10
 
@@ -495,9 +380,9 @@ def test_phi_does_not_depend_on_the_other_instances(monkeypatch, kind, hp, chunk
     if chunk_pairs is not None:
         monkeypatch.setattr(shapley, "_CHUNK_PAIRS", chunk_pairs)
     bg = X[100:140]
-    batch = shapley.shapley_values(predictor, X[:50], bg, ShapConfig()).phi
+    batch = shapley.shapley_values(predictor, X[:50], bg).phi
     for i in (0, 1, 17, 49):
-        alone = shapley.shapley_values(predictor, X[i : i + 1], bg, ShapConfig()).phi
+        alone = shapley.shapley_values(predictor, X[i : i + 1], bg).phi
         assert np.array_equal(alone[0], batch[i])
 
 
@@ -509,8 +394,8 @@ class TestBackgroundCompression:
         X, y = tied_data(34)
         predictor = models.fit(models.ModelSpec(kind, hp, 0), X, y)
         bg = X[100:130]
-        once = shapley.shapley_values(predictor, X[:8], bg, ShapConfig()).phi
-        tiled = shapley.shapley_values(predictor, X[:8], np.tile(bg, (3, 1)), ShapConfig()).phi
+        once = shapley.shapley_values(predictor, X[:8], bg).phi
+        tiled = shapley.shapley_values(predictor, X[:8], np.tile(bg, (3, 1))).phi
         assert np.max(np.abs(tiled - once)) < 1e-12
 
     @pytest.mark.parametrize("chunk_pairs", [None, 10])
