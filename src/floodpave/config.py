@@ -19,12 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import _typed
-from .dataset import FEATURE_COLUMNS, not_utf8
+from .dataset import FEATURE_COLUMNS, FLOOD_COLUMN, IRI_COLUMN, not_utf8
 from .errors import SchemaError
 from .models import MODEL_KINDS, expand_grid
-
-IRI = "TX_IRI_AVERAGE_SCORE"
-FLOOD = "Flood"
 
 # Nominal feature scales used to standardize interaction terms; these are
 # part of the ground-truth record so attributions stay computable.
@@ -79,22 +76,17 @@ class GroundTruth:
             zi = _nominal_z(X[:, names.index(fi)], fi)
             zj = _nominal_z(X[:, names.index(fj)], fj)
             out += c * zi * zj
-        out += self.flood_bump * X[:, names.index(FLOOD)]
+        out += self.flood_bump * X[:, names.index(FLOOD_COLUMN)]
         return out
 
-    def predict_next(self, X: np.ndarray, feature_names) -> np.ndarray:
-        """Noise-free ground-truth prediction of next year's IRI."""
-        names = list(feature_names)
-        return X[:, names.index(IRI)] + self.step_matrix(X, feature_names)
-
     def linear_coefficients(self, feature_names) -> np.ndarray:
-        """Raw-space linear coefficients of predict_next (interactions excluded)."""
+        """Raw-space linear coefficients of the noise-free next-year IRI (interactions excluded)."""
         coefs = np.zeros(len(feature_names))
         for j, name in enumerate(feature_names):
             w = self.weights.get(name, 0.0)
-            if name == IRI:
+            if name == IRI_COLUMN:
                 w += 1.0
-            if name == FLOOD:
+            if name == FLOOD_COLUMN:
                 w += self.flood_bump
             coefs[j] = w
         return coefs

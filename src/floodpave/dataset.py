@@ -24,16 +24,18 @@ SECTION_COLUMN = "SECTION_ID"
 YEAR_COLUMN = "YEAR"
 KEY_COLUMNS = (ROUTE_COLUMN, SECTION_COLUMN, YEAR_COLUMN)
 
+IRI_COLUMN = "TX_IRI_AVERAGE_SCORE"
+FLOOD_COLUMN = "Flood"
 FEATURE_COLUMNS = (
     "TX_CONDITION_SCORE",
     "TX_DISTRESS_SCORE",
-    "TX_IRI_AVERAGE_SCORE",
+    IRI_COLUMN,
     "TX_TRUCK_AADT_PCT",
     "TX_CURRENT_18KIP_MEAS",
     "TX_PVMNT_TYPE_DTL_RD_LIFE_CODE",
     "CLIMATE_ZONES",
     "TX_RURAL_URBAN_CODE",
-    "Flood",
+    FLOOD_COLUMN,
 )
 TARGET_COLUMN = "NEXT_YEAR_IRI"
 

@@ -21,11 +21,8 @@ from decimal import Decimal
 
 import numpy as np
 
-from .dataset import DataTable, csv_error, not_utf8, parse_year
+from .dataset import FLOOD_COLUMN, IRI_COLUMN, DataTable, csv_error, not_utf8, parse_year
 from .errors import SchemaError
-
-IRI_COLUMN = "TX_IRI_AVERAGE_SCORE"
-FLOOD_COLUMN = "Flood"
 
 
 @dataclass(frozen=True)
@@ -37,9 +34,10 @@ class FloodEvent:
 
     def covers_section(self, section_id: str) -> bool:
         # Missing markers flood the whole route.
-        if self.start_marker is not None and _section_order(section_id, self.start_marker) < 0:
+        key = _section_key(section_id)
+        if self.start_marker is not None and key < _section_key(self.start_marker):
             return False
-        if self.end_marker is not None and _section_order(section_id, self.end_marker) > 0:
+        if self.end_marker is not None and key > _section_key(self.end_marker):
             return False
         return True
 
@@ -48,18 +46,15 @@ class FloodEvent:
 _DECIMAL_ID = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
-def _section_order(a: str, b: str) -> int:
-    """-1, 0 or 1 as section id ``a`` sorts before, with or after ``b``.
+def _section_key(section_id: str) -> tuple:
+    """The sort key of a section id: one total order over every id.
 
-    Two ids made of ASCII digits compare as integers, so "9" < "10".
-    Two plain decimals compare exactly as numbers, so "9.5" < "10" and
-    "09.50" == "9.5". Any other pair compares as strings.
+    Plain decimals come first, by value, so "9" < "9.5" < "10" and
+    "09.50" ties with "9.5". Every other id comes after them, as a string.
     """
-    if a.isascii() and b.isascii() and a.isdigit() and b.isdigit():
-        a, b = int(a), int(b)
-    elif _DECIMAL_ID.fullmatch(a) and _DECIMAL_ID.fullmatch(b):
-        a, b = Decimal(a), Decimal(b)
-    return (a > b) - (a < b)
+    if _DECIMAL_ID.fullmatch(section_id):
+        return (0, Decimal(section_id))
+    return (1, section_id)
 
 
 @dataclass(frozen=True)
@@ -144,9 +139,8 @@ def tag_flooded(table: DataTable, events: list[FloodEvent]):
 
     Returns ``(tagged_table, warnings)``. An event naming a route absent
     from the table, or whose START_MARKER sorts after its END_MARKER (a
-    range that covers no section when both ids are of one kind), gives
-    one warning string rather than failing. Applying the same events
-    twice yields an identical table.
+    range that covers no section), gives one warning string rather than
+    failing. Applying the same events twice yields an identical table.
     """
     if table.n_rows and not table.row_keys:
         raise SchemaError("table has no (route, section, year) row keys")
@@ -162,7 +156,7 @@ def tag_flooded(table: DataTable, events: list[FloodEvent]):
         f"flood event ({ev.route_name}, {ev.flood_year}): START_MARKER {ev.start_marker!r} "
         f"sorts after END_MARKER {ev.end_marker!r}; are they swapped?"
         for ev in events
-        if None not in (ev.start_marker, ev.end_marker) and _section_order(ev.start_marker, ev.end_marker) > 0
+        if None not in (ev.start_marker, ev.end_marker) and _section_key(ev.start_marker) > _section_key(ev.end_marker)
     ]
 
     groups = _events_by_route_year(events)
@@ -179,7 +173,7 @@ def extract_windows(table: DataTable, events: list[FloodEvent]):
 
     For each (route, flood year) of the events, in order of first
     appearance, each section of the route with an IRI observation is a
-    candidate of exactly one cohort, in section order: flooded if any
+    candidate of exactly one cohort, in `_section_key` order: flooded if any
     event of that route-year covers it, otherwise a same-route control.
     The decision comes from the events, not the Flood column. A window
     requires IRI at flood_year-1 and flood_year+1; the flood_year-3 value
@@ -194,7 +188,7 @@ def extract_windows(table: DataTable, events: list[FloodEvent]):
         if not math.isnan(iri[i]):
             by_section.setdefault((route, section), {})[year] = float(iri[i])
     sections_by_route: dict[str, list[str]] = {}
-    for route, section in sorted(by_section):
+    for route, section in sorted(by_section, key=lambda rs: (rs[0], _section_key(rs[1]), rs[1])):
         sections_by_route.setdefault(route, []).append(section)
 
     windows: dict[bool, list[SectionWindow]] = {True: [], False: []}  # keyed by "flooded"

@@ -11,11 +11,12 @@ are reported as quantile-bin conditions ("90.00 < TX_IRI_AVERAGE_SCORE
 <= 100.00"); binary and label-encoded features as category conditions.
 
 At most ``max_features_K`` features are kept by greedy forward selection
-(Ribeiro et al., arXiv:1602.04938). Each round scores every remaining
-candidate at once by the weighted-SSE reduction it brings, from the
-weighted columns projected off the intercept and the chosen columns, and
-keeps the best while that is not noise. One least-squares fit on the
-chosen columns then gives the weights, as refitting every candidate would.
+(Ribeiro et al., arXiv:1602.04938). The fit reads the rows only through
+their kernel-weighted moments: the columns and outputs are centred on
+their weighted means, which takes the intercept out, and one product
+gives the M×M Gram matrix and the M cross-moments. Selection sweeps that
+matrix, one chosen column a round, and one solve on the chosen block then
+gives the weights, as refitting every candidate would.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ log = logging.getLogger(__name__)
 
 # Weighted-SSE reduction below this fraction of the total is noise, not signal.
 _SELECTION_EPS = 1e-12
-# A candidate column that keeps less than this share of its weighted squared
-# norm off the columns already selected is collinear with them: it scores 0.
-_COLLINEAR = 1e-20
+# A column whose weighted variance off the intercept and the columns selected
+# is at most this share of its uncentred weighted squared norm is collinear
+# with them (rounding leaves a twin about 1e-16 of it): it scores 0.
+_COLLINEAR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -230,61 +232,37 @@ class LocalExplanation:
         }
 
 
-def _weighted_lstsq(columns, target, sqrt_w):
-    """Weighted least squares of ``target`` on an intercept and ``columns``; returns (beta, weighted SSE)."""
-    a = np.hstack([np.ones((len(target), 1)), columns]) * sqrt_w[:, None]
-    b = target * sqrt_w
-    beta, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    sse = float(np.sum((b - a @ beta) ** 2))
-    return beta, sse
+def _select(gram, cross, norms, k, ss_tot):
+    """Greedy forward selection of up to ``k`` columns; returns their indices in order.
 
-
-def _project_off(rows, q):
-    """Project each row of ``rows`` off the unit vector ``q``, in place, twice.
-
-    Row by row, so that no temporary as large as ``rows`` is allocated.
+    The columns and outputs are read through their weighted moments about
+    the weighted means: ``gram`` among the columns, ``cross`` with the
+    outputs; ``norms`` are the columns' uncentred weighted squared norms
+    and ``ss_tot`` the intercept-only SSE. Each round adds the column that
+    lowers the SSE most, by ``cross[j]^2 / gram[j, j]``, the first on a
+    tie, while that exceeds ``_SELECTION_EPS * max(ss_tot, 1)``, and sweeps
+    it out of copies of ``gram`` and ``cross`` (Efroymson's stepwise
+    regression). A column left with at most ``_COLLINEAR`` of its norm
+    scores 0, as does one selected or one with no weighted variation.
     """
-    for _ in range(2):
-        for row, c in zip(rows, rows @ q):
-            row -= c * q
-
-
-def _squared_norms(rows):
-    return np.array([row @ row for row in rows])
-
-
-def _select(interp, outputs, sqrt_w, k, ss_tot):
-    """Greedy forward selection of up to ``k`` columns of ``interp``; returns their indices in order.
-
-    Each round scores every remaining column at once: with the weighted
-    columns and target projected off the intercept and the selected
-    columns (classical Gram-Schmidt, twice), adding column u lowers the
-    weighted SSE by ``(u.r)^2 / u.u`` for the projected target r. The
-    best, the first on a tie, is kept while that exceeds
-    ``_SELECTION_EPS * max(ss_tot, 1)``, ``ss_tot`` being the intercept-only
-    SSE. A column left with at most ``_COLLINEAR`` of its weighted squared
-    norm scores 0, as does one with no weighted variation or one selected.
-    """
-    rows = np.empty((interp.shape[1] + 1, len(outputs)))  # candidates, then the target
-    for row, column in zip(rows, interp.T):
-        np.multiply(column, sqrt_w, out=row)
-    np.multiply(outputs, sqrt_w, out=rows[-1])
-    floor = _COLLINEAR * _squared_norms(rows[:-1])
-    _project_off(rows, sqrt_w / np.linalg.norm(sqrt_w))
-    if not (_squared_norms(rows[:-1]) > floor).any():
+    gram, cross = gram.copy(), cross.copy()
+    floor = _COLLINEAR * norms
+    if not (gram.diagonal() > floor).any():
         log.warning("degenerate neighborhood: explanation is intercept-only")
         return []
     selected = []
-    while len(selected) < min(k, len(floor)):
-        norms, dots = _squared_norms(rows[:-1]), rows[:-1] @ rows[-1]
-        live = norms > floor
-        score = np.zeros(len(floor))
-        score[live] = np.square(dots[live]) / norms[live]
+    while len(selected) < min(k, len(cross)):
+        diag = gram.diagonal()
+        live = diag > floor
+        score = np.zeros(len(cross))
+        score[live] = np.square(cross[live]) / diag[live]
         i = int(score.argmax())
         if score[i] <= _SELECTION_EPS * max(ss_tot, 1.0):
             break
         selected.append(i)
-        _project_off(rows, rows[i] / np.linalg.norm(rows[i]))
+        pivot = gram[i] / gram[i, i]
+        cross -= pivot * cross[i]
+        gram -= np.outer(pivot, gram[i])
     return selected
 
 
@@ -309,9 +287,10 @@ def fit_local_surrogates(
     in X: row i's equals ``fit_local_surrogate`` on X[i], bit for bit.
 
     The feature cap is enforced by greedy forward selection on weighted
-    residual reduction, followed by an exact weighted least-squares refit
-    on the selected set. The reported R-squared is the kernel-weighted
-    fit quality of the surrogate against the black-box outputs.
+    residual reduction, swept on the weighted moment matrix, followed by
+    one solve of the normal equations on the selected set. The reported
+    R-squared is the kernel-weighted fit quality of the surrogate against
+    the black-box outputs, its SSE summed over the residual rows.
     """
     X = np.asarray(X, dtype=float)
     names = list(predictor.feature_names)
@@ -354,29 +333,32 @@ def fit_local_surrogate(
 
 def _surrogate(names, stats, x, instance_key, interp, outputs, weights, config) -> LocalExplanation:
     """The surrogate fitted to ``outputs`` over one instance's neighborhood."""
+    w_sum = float(np.sum(weights))
+    w_mean = float(np.sum(weights * outputs) / w_sum)
+    means = weights @ interp / w_sum
     sqrt_w = np.sqrt(weights)
+    # The columns and outputs centred on their weighted means and scaled by sqrt(w).
+    rows = (interp - means) * sqrt_w[:, None]
+    target = (outputs - w_mean) * sqrt_w
+    ss_tot = float(target @ target)
 
-    w_mean = float(np.sum(weights * outputs) / np.sum(weights))
-    ss_tot = float(np.sum(weights * (outputs - w_mean) ** 2))
+    gram, cross = rows.T @ rows, rows.T @ target
+    selected = _select(gram, cross, gram.diagonal() + w_sum * np.square(means), config.max_features_K, ss_tot)
+    beta = np.linalg.solve(gram[np.ix_(selected, selected)], cross[selected])
+    residual = target - rows[:, selected] @ beta
+    intercept = w_mean - float(means[selected] @ beta)
 
-    selected = _select(interp, outputs, sqrt_w, config.max_features_K, ss_tot)
-    if selected:
-        beta, sse = _weighted_lstsq(interp[:, selected], outputs, sqrt_w)
-    else:
-        beta, sse = (w_mean,), ss_tot
-
-    intercept = float(beta[0])
     # Constant black-box output: weighted variance is zero up to rounding.
-    if ss_tot <= 1e-20 * float(np.sum(weights)) * max(1.0, w_mean**2):
+    if ss_tot <= 1e-20 * w_sum * max(1.0, w_mean**2):
         r2 = float("nan")
     else:
-        r2 = 1.0 - sse / ss_tot
+        r2 = 1.0 - float(residual @ residual) / ss_tot
 
     contributions = [
         Contribution(
             feature=names[j],
             condition=condition_label(stats[j], float(x[j])),
-            weight=float(beta[1 + rank]),
+            weight=float(beta[rank]),
         )
         for rank, j in enumerate(selected)
     ]

@@ -37,10 +37,12 @@ from statistics import NormalDist
 import numpy as np
 
 from ._util import json_chunks, stage_rng, write_text_atomic
-from .config import FLOOD, IRI, NOMINAL_SCALES, GroundTruth, SynthSpec
+from .config import NOMINAL_SCALES, GroundTruth, SynthSpec
 from .dataset import (
     DataTable,
     FEATURE_COLUMNS,
+    FLOOD_COLUMN,
+    IRI_COLUMN,
     KEY_COLUMNS,
     TARGET_COLUMN,
 )
@@ -49,7 +51,7 @@ from .floods import FloodEvent
 CLIMATE = "CLIMATE_ZONES"
 CLIMATE_LABELS = ("west", "east", "north", "south", "central")
 
-_IRI_TARGET_MEAN, _IRI_TARGET_STD = NOMINAL_SCALES[IRI]
+_IRI_TARGET_MEAN, _IRI_TARGET_STD = NOMINAL_SCALES[IRI_COLUMN]
 _IRI_FLOOR = 26.0
 
 _NEWTON_MAX_STEPS = 50
@@ -208,7 +210,7 @@ def generate(spec: SynthSpec):
         take = min(remaining, max(1, (min(n, first + per_route) - first) // 2))
         remaining -= take
         fy = int(rng.integers(flood_year_lo, flood_year_hi + 1))
-        panel[first : first + take, fy - spec.year_start, col[FLOOD]] = 1.0
+        panel[first : first + take, fy - spec.year_start, col[FLOOD_COLUMN]] = 1.0
         events.append(
             FloodEvent(
                 route_name=route_names[r],
@@ -230,7 +232,7 @@ def generate(spec: SynthSpec):
             f"{exc}; it follows from the target IRI mean {_IRI_TARGET_MEAN} and SD "
             f"{_IRI_TARGET_STD} with drift {gt.drift} over {spec.year_start}-{spec.year_end}"
         ) from None
-    iri = col[IRI]
+    iri = col[IRI_COLUMN]
     panel[:, 0, iri] = _truncated_normal_draws(rng, loc, scale, n)
     noise = gt.noise_std * rng.standard_normal((n, len(years)))
     for t in range(len(years) - 1):

@@ -10,7 +10,7 @@ from floodpave.errors import SchemaError
 from floodpave.floods import (
     FloodEvent,
     SectionWindow,
-    _section_order,
+    _section_key,
     apply_maintenance_exclusion,
     extract_windows,
     load_events_csv,
@@ -106,13 +106,12 @@ class TestTagFlooded:
             tag_flooded(t, [])
 
 
-# Section ids: unpadded and padded digits, which compare as integers;
-# plain decimals, zero-padded or with trailing zeros, which compare as
-# numbers with each other and with digit ids; and ids that compare as strings.
-SECTION_IDS = st.sampled_from(
-    ["1", "9", "10", "11", "009", "010", "0100", "9.5", "09.50", "10.0", "10.00", "0.5",
-     "9.", ".5", "A1", "B", "9a", "ü"]
-)
+# Section ids: unpadded and padded digits and plain decimals, zero-padded
+# or with trailing zeros, which compare as numbers; and ids that sort
+# after every number and compare with each other as strings.
+IDS = ["1", "9", "10", "11", "009", "010", "0100", "9.5", "09.50", "10.0", "10.00", "0.5",
+       "9.", ".5", "A1", "B", "9a", "ü"]
+SECTION_IDS = st.sampled_from(IDS)
 MARKERS = st.one_of(st.none(), SECTION_IDS)
 
 
@@ -152,7 +151,7 @@ def test_tag_flooded_matches_nested_loop(rows, events, repeats):
         f"flood event ({ev.route_name}, {ev.flood_year}): START_MARKER {ev.start_marker!r} "
         f"sorts after END_MARKER {ev.end_marker!r}; are they swapped?"
         for ev in events
-        if None not in (ev.start_marker, ev.end_marker) and _section_order(ev.start_marker, ev.end_marker) > 0
+        if None not in (ev.start_marker, ev.end_marker) and _section_key(ev.start_marker) > _section_key(ev.end_marker)
     ]
 
 
@@ -271,6 +270,13 @@ class TestExtractWindows:
         t = DataTable(COLS, vals, {}, keys)
         (windows, summary), _ = extract_windows(t, [FloodEvent("A", 2014)])
         assert windows == [] and summary.dropped == 1
+
+    def test_sections_in_marker_order(self):
+        sections = ["A1", "10", "9.", "9.5", "09", "ü", "0.5"]
+        t = panel_table([("A", s, y, 100.0) for s in sections for y in (2013, 2015)])
+        (flooded, _), (control, _) = extract_windows(t, [FloodEvent("A", 2014, "9", "10")])
+        assert [w.section_id for w in flooded] == ["09", "9.5", "10"]
+        assert [w.section_id for w in control] == ["0.5", "9.", "A1", "ü"]
 
 
 class TestMaintenanceExclusion:
@@ -412,5 +418,37 @@ class TestCoversSection:
         end=st.text(min_size=1, max_size=6),
     )
     def test_non_integer_ids_compare_as_strings(self, sid, start, end):
-        assume(not re.fullmatch(r"[0-9]+(\.[0-9]+)?", sid))
-        assert FloodEvent("A", 2012, start, end).covers_section(sid) == (start <= sid <= end)
+        # Such ids sort after every plain decimal, and among themselves as strings.
+        def number(i):
+            return re.fullmatch(r"[0-9]+(\.[0-9]+)?", i) is not None
+
+        assume(not number(sid))
+        covered = (number(start) or start <= sid) and (not number(end) and sid <= end)
+        assert FloodEvent("A", 2012, start, end).covers_section(sid) == covered
+
+    def test_mixed_kinds(self):
+        # "9." is no plain decimal, so it sorts after "10" and "9.5".
+        assert not FloodEvent("A", 2012, "10", "9.5").covers_section("9.")
+        assert FloodEvent("A", 2012, "9.5", "9.").covers_section("10")
+        assert not FloodEvent("A", 2012, "9.", "A1").covers_section("10")
+        t = panel_table([("A", s, 2012, 100.0) for s in IDS])
+        tagged, warnings = tag_flooded(t, [FloodEvent("A", 2012, "9.", "10")])
+        assert warnings == ["flood event (A, 2012): START_MARKER '9.' sorts after END_MARKER '10'; are they swapped?"]
+        assert tagged.col("Flood").tolist() == [0.0] * len(IDS)
+
+    def test_one_total_order_over_every_triple(self):
+        # Each marker range is an interval of one total order, so a range
+        # whose START sorts after its END covers nothing.
+        def at_most(a, b):
+            return FloodEvent("A", 2012, None, b).covers_section(a)
+
+        for a in IDS:
+            assert FloodEvent("A", 2012, a, None).covers_section(a)
+            for b in IDS:
+                assert at_most(a, b) or at_most(b, a)
+                for c in IDS:
+                    if at_most(a, b) and at_most(b, c):
+                        assert at_most(a, c)
+                    covered = FloodEvent("A", 2012, a, b).covers_section(c)
+                    assert covered == (at_most(a, c) and at_most(c, b))
+                    assert not covered or _section_key(a) <= _section_key(b)

@@ -254,6 +254,14 @@ class TestSurrogate:
         )
 
 
+def row_lstsq(columns, target, sqrt_w):
+    """Weighted least squares of ``target`` on an intercept and ``columns``, from the rows; returns (beta, SSE)."""
+    a = np.hstack([np.ones((len(target), 1)), columns]) * sqrt_w[:, None]
+    b = target * sqrt_w
+    beta = np.linalg.lstsq(a, b, rcond=None)[0]
+    return beta, float(np.sum((b - a @ beta) ** 2))
+
+
 def reference_select(interp, outputs, sqrt_w, k, ss_tot):
     """Greedy forward selection by refitting every remaining candidate each round.
 
@@ -268,7 +276,7 @@ def reference_select(interp, outputs, sqrt_w, k, ss_tot):
     selected, sse, near_tie = [], ss_tot, False
     while len(selected) < k:
         fits = [
-            (lime._weighted_lstsq(interp[:, selected + [j]], outputs, sqrt_w)[1], j)
+            (row_lstsq(interp[:, selected + [j]], outputs, sqrt_w)[1], j)
             for j in usable
             if j not in selected
         ]
@@ -297,11 +305,13 @@ def neighbourhood(seed, n, m, binary=True, noise=0.5):
 
 
 def both_selections(interp, outputs, weights, k):
-    """``_select`` and ``reference_select`` on every column of ``interp``."""
-    w_mean = float(np.sum(weights * outputs) / np.sum(weights))
-    ss_tot = float(np.sum(weights * (outputs - w_mean) ** 2))
-    args = (interp, outputs, np.sqrt(weights), k, ss_tot)
-    return lime._select(*args), reference_select(*args)
+    """``_select`` on the weighted moments and ``reference_select`` on the rows, over every column of ``interp``."""
+    z = interp - np.average(interp, axis=0, weights=weights)
+    y = outputs - np.average(outputs, weights=weights)
+    ss_tot = float(weights @ y**2)
+    gram, cross = (weights[:, None] * z).T @ z, (weights[:, None] * z).T @ y
+    new = lime._select(gram, cross, weights @ interp**2, k, ss_tot)
+    return new, reference_select(interp, outputs, np.sqrt(weights), k, ss_tot)
 
 
 class TestSelection:
@@ -337,34 +347,67 @@ class TestSelection:
             assert new == selected
         else:  # the twins' SSEs differ by rounding alone, so either may come first
             assert new[1:] == selected[1:]
-            assert lime._weighted_lstsq(interp[:, new], outputs, np.sqrt(weights))[1] == pytest.approx(sse, rel=1e-9)
+            assert row_lstsq(interp[:, new], outputs, np.sqrt(weights))[1] == pytest.approx(sse, rel=1e-9)
 
     def test_matches_brute_force_on_a_model(self, flood_bump_split, flood_bump_boosting, monkeypatch):
+        # Each explanation against the brute-force selection and a row
+        # least-squares refit on the same neighbourhood rows.
         train = flood_bump_split["train"]
-        X = train.matrix(FEATS)
+        X = train.matrix(FEATS)[0:400:40]
         cfg = LimeConfig(n_samples=2000, seed=3)
-        stats = training_stats(train, FEATS, cfg.n_bins)
-        got = [fit_local_surrogate(flood_bump_boosting, X[i], train, cfg, stats=stats) for i in range(0, 400, 40)]
-        monkeypatch.setattr(lime, "_select", lambda *a: reference_select(*a)[0])
-        want = [fit_local_surrogate(flood_bump_boosting, X[i], train, cfg, stats=stats) for i in range(0, 400, 40)]
-        assert [e.to_dict() for e in got] == [e.to_dict() for e in want]
+        neighbourhoods, selections = [], []
+        surrogate, select = lime._surrogate, lime._select
+
+        def spied_surrogate(*args):
+            neighbourhoods.append([a.copy() for a in args[4:7]])  # interp, outputs, weights
+            return surrogate(*args)
+
+        def spied_select(*args):
+            selections.append(select(*args))
+            return selections[-1]
+
+        monkeypatch.setattr(lime, "_surrogate", spied_surrogate)
+        monkeypatch.setattr(lime, "_select", spied_select)
+        keys = [("R", str(i), 2000) for i in range(len(X))]
+        got = lime.fit_local_surrogates(flood_bump_boosting, X, keys, train, cfg)
+        for exp, selected, (interp, outputs, weights) in zip(got, selections, neighbourhoods):
+            w_mean = np.sum(weights * outputs) / np.sum(weights)
+            ss_tot = float(np.sum(weights * (outputs - w_mean) ** 2))
+            want, _, near_tie = reference_select(interp, outputs, np.sqrt(weights), cfg.max_features_K, ss_tot)
+            assert not near_tie and selected == want
+            beta, sse = row_lstsq(interp[:, want], outputs, np.sqrt(weights))
+            assert exp.intercept == pytest.approx(beta[0], rel=1e-9)
+            assert {c.feature: c.weight for c in exp.contributions} == pytest.approx(
+                {FEATS[j]: b for j, b in zip(want, beta[1:])}, rel=1e-9
+            )
+            assert exp.local_fit_r2 == pytest.approx(1.0 - sse / ss_tot, abs=1e-12)
+            assert exp.local_fit_r2 <= 1.0
+        assert sum(len(s) for s in selections) > 2 * len(X)
 
     def test_one_least_squares_per_instance(self, flood_bump_split, flood_bump_boosting, monkeypatch):
         train = flood_bump_split["train"]
         X = train.matrix(FEATS)[:8]
-        calls = []
-        lstsq = lime._weighted_lstsq
+        calls = {"select": 0, "solve": 0}
+        select, solve = lime._select, np.linalg.solve
 
-        def counted(*args):
-            calls.append(args)
-            return lstsq(*args)
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(lime, "_weighted_lstsq", counted)
+            return call
+
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("a row least-squares fit was run")
+
+        monkeypatch.setattr(lime, "_select", counted("select", select))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
         keys = [("R", str(i), 2000) for i in range(len(X))]
         explanations = lime.fit_local_surrogates(flood_bump_boosting, X, keys, train, LimeConfig(n_samples=1000, seed=4))
         # several features kept per instance, so several selection rounds
         assert sum(len(e.contributions) for e in explanations) > 2 * len(X)
-        assert len(calls) <= len(X)
+        assert calls == {"select": len(X), "solve": len(X)}
 
     def test_no_usable_column(self, caplog):
         vals = np.column_stack([np.full(50, 3.0), np.ones(50)])
