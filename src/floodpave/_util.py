@@ -1,8 +1,10 @@
-"""Small shared helpers: atomic file writes, indented JSON, stage-scoped seeding and typed config values."""
+"""Small shared helpers: the readers of every input file, atomic file writes, indented JSON,
+stage-scoped seeding and typed config values."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import functools
 import json
@@ -16,6 +18,53 @@ import zlib
 import numpy as np
 
 from .errors import SchemaError
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> SchemaError:
+    """The SchemaError for an input file that does not decode as UTF-8."""
+    byte = exc.object[exc.start]
+    return SchemaError(f"{path}: not UTF-8 text (byte 0x{byte:02x} cannot be decoded)")
+
+
+@contextlib.contextmanager
+def read_csv(path, required):
+    """The stripped header and a ``csv.reader`` over the rows of UTF-8 CSV file ``path``.
+
+    A leading byte-order mark is ignored. An empty file, a header lacking
+    columns of ``required`` (all named), and, when the rows are read in
+    the ``with`` block, a file that is not UTF-8 or that the csv module
+    cannot parse (such as a cell over ``csv.field_size_limit()``) are a
+    SchemaError naming the file; one that cannot be read is an OSError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, no header row")
+            header = [h.strip() for h in header]
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required column(s) {missing}")
+            yield header, reader
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON document in UTF-8 file ``path``, a leading byte-order mark ignored; a file
+    that is not UTF-8 or not JSON is a SchemaError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 
 @contextlib.contextmanager

@@ -17,10 +17,12 @@ Exit codes:
     does not expand to valid model specs or to none, a model file that
     is not UTF-8 JSON or whose format_version is missing or unsupported,
     a malformed `--instances` selector, two instances that would write
-    one LIME file). Every command checks the whole config, each section
-    included, and refuses its errors before it reads any input file. A
-    leading UTF-8 byte-order mark in a records, events, config or model
-    file is ignored.
+    one LIME file, a (route, section, year) key of the records that
+    `flood-analysis` finds twice with two different IRI values). Every
+    command checks the whole config, each section included, and refuses
+    its errors before it reads any input file. A leading UTF-8
+    byte-order mark in a records, events, config or model file is
+    ignored.
   4 I/O error
   5 empty result or insufficient data (including a records file with no
     data row, named in the message, `explain` on a model with no
@@ -93,6 +95,16 @@ EXIT_SCHEMA = 3
 EXIT_IO = 4
 EXIT_EMPTY = 5
 EXIT_NUMERICAL = 6
+
+# The exit code of each exception a command may raise; the first match wins, others propagate.
+_EXIT_CODES = {
+    SchemaError: EXIT_SCHEMA,
+    InsufficientDataError: EXIT_EMPTY,
+    SingularDesignError: EXIT_NUMERICAL,
+    ZeroVarianceError: EXIT_NUMERICAL,
+    OSError: EXIT_IO,
+    ValueError: EXIT_FAILURE,
+}
 
 # Largest |base + sum(phi) - f(x)| that `explain` accepts without a warning.
 SHAP_EFFICIENCY_TOLERANCE = 1e-8
@@ -225,15 +237,15 @@ def cmd_describe(config: RunConfig) -> int:
 
 def cmd_flood_analysis(config: RunConfig) -> int:
     from . import deterioration
-    from .floods import apply_maintenance_exclusion, extract_windows, load_events_csv, tag_flooded
+    from .floods import apply_maintenance_exclusion, event_warnings, extract_windows, load_events_csv
 
     table = _load_records(config)
     events = load_events_csv(config.events_csv)
-    tagged, warnings = tag_flooded(table, events)
+    warnings = event_warnings(table, events)
     for warning in warnings:
         _say(config, f"[flood-analysis] warning: {warning}")
 
-    (flooded_raw, summary_f), (control_raw, summary_nf) = extract_windows(tagged, events)
+    (flooded_raw, summary_f), (control_raw, summary_nf) = extract_windows(table, events)
     flooded = apply_maintenance_exclusion(flooded_raw)
     control = apply_maintenance_exclusion(control_raw)
 
@@ -614,21 +626,9 @@ def main(argv=None) -> int:
         if config.quiet and args.command in ("flood-analysis", "train", "explain"):
             return _without_warnings(_HANDLERS[args.command], config)
         return _HANDLERS[args.command](config)
-    except SchemaError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (InsufficientDataError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (SingularDesignError, ZeroVarianceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -12,14 +12,13 @@ runner, such as ``python -m cProfile -m floodpave.cli``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import _typed
-from .dataset import FEATURE_COLUMNS, FLOOD_COLUMN, IRI_COLUMN, not_utf8
+from ._util import _typed, read_json
+from .dataset import FEATURE_COLUMNS, FLOOD_COLUMN, IRI_COLUMN
 from .errors import SchemaError
 from .models import MODEL_KINDS, expand_grid
 
@@ -280,17 +279,9 @@ class RunConfig:
     @classmethod
     def from_sources(cls, config_path: str | None, overrides: dict) -> "RunConfig":
         """Parse the config file with `overrides` (the flags given) merged over it."""
-        doc = {}
-        if config_path:
-            try:
-                with open(config_path, "r", encoding="utf-8-sig") as fh:
-                    doc = json.load(fh)
-            except UnicodeDecodeError as exc:
-                raise not_utf8(config_path, exc) from None
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{config_path}: not valid JSON ({exc})") from None
-            if not isinstance(doc, dict):
-                raise SchemaError(f"{config_path}: the config must be a JSON object")
+        doc = read_json(config_path) if config_path else {}
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{config_path}: the config must be a JSON object")
         # The command's one default that differs from GroundTruth's: noisy data.
         doc = _merged(_merged({"synth": {"ground_truth": {"noise_std": 2.0}}}, doc), overrides)
         return _typed(cls, "", doc)

@@ -8,13 +8,13 @@ stored as NaN so filters stay O(n) and the matrix stays homogeneous.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import read_csv
 from .errors import InsufficientDataError, SchemaError, ZeroVarianceError
 
 # Canonical PMIS column names. The loader accepts any header that contains
@@ -176,17 +176,6 @@ def _is_text_column(texts: list[str]) -> bool:
     return bool(nonempty) and all(t.lower() != "nan" for t in nonempty)
 
 
-def not_utf8(path, exc: UnicodeDecodeError) -> SchemaError:
-    """The SchemaError for an input file that does not decode as UTF-8."""
-    byte = exc.object[exc.start]
-    return SchemaError(f"{path}: not UTF-8 text (byte 0x{byte:02x} cannot be decoded)")
-
-
-def csv_error(path, line_num: int, exc: csv.Error) -> SchemaError:
-    """The SchemaError for a CSV file the csv module could not parse at ``line_num``."""
-    return SchemaError(f"{path}: line {line_num}: {exc}")
-
-
 def parse_year(path, column: str, cell: str) -> int:
     """The year in a `column` cell of file `path`: an integral number, such as 2014 or 2014.0.
 
@@ -210,16 +199,13 @@ _BLOCK_ROWS = 256
 
 
 def load_csv(path, schema) -> DataTable:
-    """Load a UTF-8 comma-delimited CSV into a DataTable.
+    """Load a comma-delimited CSV, read by `_util.read_csv`, into a DataTable.
 
     The header must contain every column in ``schema`` plus the
     ROUTE_NAME / SECTION_ID / YEAR key columns. All non-key header
     columns are loaded, so extra columns beyond the schema survive.
     Rows whose cells are all blank are skipped; a short row reads as
     empty cells past its end, and cells past the header are ignored.
-    A leading byte-order mark is ignored; a file that is not UTF-8, or
-    that the csv module cannot parse (such as a cell over
-    ``csv.field_size_limit()``), is a SchemaError naming it.
 
     A column is categorical if none of its non-empty cells parse as a
     number: it is label-encoded in first-appearance order and the label
@@ -236,26 +222,10 @@ def load_csv(path, schema) -> DataTable:
     are looked up by their raw cell text, so a repeated route, section,
     year or label is stripped or parsed once and is one object.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file, no header row") from None
-            header = [h.strip() for h in header]
-            missing = [c for c in list(schema) + list(KEY_COLUMNS) if c not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing required column(s) {missing}")
-            loader = _BlockLoader(path, header)
-            while block := list(itertools.islice(reader, _BLOCK_ROWS)):
-                loader.add(block)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
-    except csv.Error as exc:
-        raise csv_error(path, reader.line_num, exc) from None
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
+    with read_csv(path, list(schema) + list(KEY_COLUMNS)) as (header, reader):
+        loader = _BlockLoader(path, header)
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+            loader.add(block)
     return loader.table()
 
 

@@ -13,7 +13,6 @@ statistic is computed, so the unexcluded windows stay available.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -21,7 +20,8 @@ from decimal import Decimal
 
 import numpy as np
 
-from .dataset import FLOOD_COLUMN, IRI_COLUMN, DataTable, csv_error, not_utf8, parse_year
+from ._util import read_csv
+from .dataset import FLOOD_COLUMN, IRI_COLUMN, DataTable, parse_year
 from .errors import SchemaError
 
 
@@ -83,43 +83,27 @@ class ExtractionSummary:
 
 
 def load_events_csv(path) -> list[FloodEvent]:
-    """Read a flood-events CSV: ROUTE_NAME, FLOOD_YEAR, START_MARKER, END_MARKER.
+    """Read a flood-events CSV through `_util.read_csv`: ROUTE_NAME, FLOOD_YEAR, START_MARKER, END_MARKER.
 
     Marker columns are optional; empty cells mean no bound on that side.
-    Cells beyond the header (which DictReader files under None) are ignored.
-    A leading byte-order mark is ignored; a file that is not UTF-8, or
-    that the csv module cannot parse, is a SchemaError naming it.
+    A row with no ROUTE_NAME is skipped; a short row reads as empty cells
+    past its end, and cells past the header are ignored.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise SchemaError(f"{path}: empty file, no header row")
-            fields = [f.strip() for f in reader.fieldnames]
-            for required in ("ROUTE_NAME", "FLOOD_YEAR"):
-                if required not in fields:
-                    raise SchemaError(f"{path}: missing required column(s) ['{required}']")
-            events = []
-            for row in reader:
-                row = {k.strip(): (v or "").strip() for k, v in row.items() if k is not None}
-                if not row.get("ROUTE_NAME"):
-                    continue
-                events.append(
-                    FloodEvent(
-                        route_name=row["ROUTE_NAME"],
-                        flood_year=parse_year(path, "FLOOD_YEAR", row["FLOOD_YEAR"]),
-                        start_marker=row.get("START_MARKER") or None,
-                        end_marker=row.get("END_MARKER") or None,
-                    )
+    events = []
+    with read_csv(path, ("ROUTE_NAME", "FLOOD_YEAR")) as (header, reader):
+        for row in reader:
+            row = dict(zip(header, (cell.strip() for cell in row)))
+            if not row.get("ROUTE_NAME"):
+                continue
+            events.append(
+                FloodEvent(
+                    route_name=row["ROUTE_NAME"],
+                    flood_year=parse_year(path, "FLOOD_YEAR", row.get("FLOOD_YEAR", "")),
+                    start_marker=row.get("START_MARKER") or None,
+                    end_marker=row.get("END_MARKER") or None,
                 )
-            return events
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
-    except csv.Error as exc:
-        # DictReader updates its own line_num only after a row parses.
-        raise csv_error(path, reader.reader.line_num, exc) from None
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
+            )
+    return events
 
 
 def _events_by_route_year(events: list[FloodEvent]) -> dict[tuple[str, int], list[FloodEvent]]:
@@ -130,6 +114,24 @@ def _events_by_route_year(events: list[FloodEvent]) -> dict[tuple[str, int], lis
     return groups
 
 
+def event_warnings(table: DataTable, events: list[FloodEvent]) -> list[str]:
+    """One warning string per event that names a route absent from `table`,
+    then one per event whose START_MARKER sorts after its END_MARKER (a
+    range that covers no section)."""
+    routes_present = {key[0] for key in table.row_keys}
+    warnings = [
+        f"flood event ({ev.route_name}, {ev.flood_year}) matches no route in the table"
+        for ev in events
+        if ev.route_name not in routes_present
+    ]
+    return warnings + [
+        f"flood event ({ev.route_name}, {ev.flood_year}): START_MARKER {ev.start_marker!r} "
+        f"sorts after END_MARKER {ev.end_marker!r}; are they swapped?"
+        for ev in events
+        if None not in (ev.start_marker, ev.end_marker) and _section_key(ev.start_marker) > _section_key(ev.end_marker)
+    ]
+
+
 def tag_flooded(table: DataTable, events: list[FloodEvent]):
     """Set the Flood column to 1 exactly where a row matches an event.
 
@@ -137,27 +139,12 @@ def tag_flooded(table: DataTable, events: list[FloodEvent]):
     covers its section (``FloodEvent.covers_section``). Events are grouped
     by (route, year), so each row tests only the events of its group.
 
-    Returns ``(tagged_table, warnings)``. An event naming a route absent
-    from the table, or whose START_MARKER sorts after its END_MARKER (a
-    range that covers no section), gives one warning string rather than
-    failing. Applying the same events twice yields an identical table.
+    Returns ``(tagged_table, event_warnings(table, events))``. Applying
+    the same events twice yields an identical table.
     """
     if table.n_rows and not table.row_keys:
         raise SchemaError("table has no (route, section, year) row keys")
     table.col_index(FLOOD_COLUMN)
-
-    routes_present = {key[0] for key in table.row_keys}
-    warnings = [
-        f"flood event ({ev.route_name}, {ev.flood_year}) matches no route in the table"
-        for ev in events
-        if ev.route_name not in routes_present
-    ]
-    warnings += [
-        f"flood event ({ev.route_name}, {ev.flood_year}): START_MARKER {ev.start_marker!r} "
-        f"sorts after END_MARKER {ev.end_marker!r}; are they swapped?"
-        for ev in events
-        if None not in (ev.start_marker, ev.end_marker) and _section_key(ev.start_marker) > _section_key(ev.end_marker)
-    ]
 
     groups = _events_by_route_year(events)
     flood = np.zeros(table.n_rows)
@@ -165,7 +152,7 @@ def tag_flooded(table: DataTable, events: list[FloodEvent]):
         group = groups.get((route, year))
         if group and any(ev.covers_section(section) for ev in group):
             flood[i] = 1.0
-    return table.replace_column(FLOOD_COLUMN, flood), warnings
+    return table.replace_column(FLOOD_COLUMN, flood), event_warnings(table, events)
 
 
 def extract_windows(table: DataTable, events: list[FloodEvent]):
@@ -178,7 +165,9 @@ def extract_windows(table: DataTable, events: list[FloodEvent]):
     The decision comes from the events, not the Flood column. A window
     requires IRI at flood_year-1 and flood_year+1; the flood_year-3 value
     is attached when available. A candidate lacking a mandatory year is
-    dropped and counted in its cohort's summary.
+    dropped and counted in its cohort's summary. A (route, section, year)
+    key may repeat with one IRI value, which counts once; two different
+    IRI values for one key are a SchemaError naming the key and both.
 
     Returns ``((flooded, flooded_summary), (control, control_summary))``.
     """
@@ -186,7 +175,10 @@ def extract_windows(table: DataTable, events: list[FloodEvent]):
     by_section: dict[tuple[str, str], dict[int, float]] = {}
     for i, (route, section, year) in enumerate(table.row_keys):
         if not math.isnan(iri[i]):
-            by_section.setdefault((route, section), {})[year] = float(iri[i])
+            value = float(iri[i])
+            kept = by_section.setdefault((route, section), {}).setdefault(year, value)
+            if kept != value:
+                raise SchemaError(f"row key ({route}, {section}, {year}) repeats with {IRI_COLUMN} {kept!r} and {value!r}")
     sections_by_route: dict[str, list[str]] = {}
     for route, section in sorted(by_section, key=lambda rs: (rs[0], _section_key(rs[1]), rs[1])):
         sections_by_route.setdefault(route, []).append(section)

@@ -14,11 +14,8 @@ tree's numbers at a time and never the whole file's text.
 
 from __future__ import annotations
 
-import json
-
 from .. import models
-from .._util import atomic_file, json_chunks, json_default
-from ..dataset import not_utf8
+from .._util import atomic_file, json_chunks, json_default, read_json
 from ..errors import SchemaError
 from .spec import KINDS
 from .tree import BoostingPredictor, ForestPredictor, Tree
@@ -70,16 +67,10 @@ def save_model(predictor, path) -> None:
 def load_model(path):
     """The predictor saved at ``path``.
 
-    A file that is not UTF-8 JSON, or that ``model_from_dict`` refuses, is a
-    SchemaError that names the path. A leading byte-order mark is ignored.
+    The file is read by `_util.read_json`; one that ``model_from_dict``
+    refuses is a SchemaError that names the path.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path)
     try:
         return model_from_dict(doc)
     except SchemaError as exc:

@@ -120,7 +120,8 @@ class LinearPredictor:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _check_dims(X, self.feature_names)
-        return ((X - self.mu) / self.sigma) @ self.coef + self.intercept
+        # Not a BLAS matvec, whose bits for a row depend on the rows predicted with it.
+        return np.add.reduce(((X - self.mu) / self.sigma) * self.coef, axis=1) + self.intercept
 
     def raw_coefficients(self):
         """(weights, intercept) in original feature units."""

@@ -17,6 +17,7 @@ from floodpave.cli import (
     EXIT_SCHEMA,
     main,
 )
+from floodpave.errors import InsufficientDataError, SchemaError, SingularDesignError, ZeroVarianceError
 
 from conftest import make_flood_bump_data, manual_linear
 
@@ -280,6 +281,23 @@ class TestFloodAnalysis:
         ]
         assert report["extraction"]["flooded"]["candidates"] == 14
 
+    def test_repeated_key_with_two_iri_values_is_schema_error(self, tmp_path, capsys):
+        records, events = make_dataset(tmp_path, n_sections=20, noise_std=1.0)
+        lines = open(records).read().splitlines()
+        header = lines[0].split(",")
+        iri = header.index("TX_IRI_AVERAGE_SCORE")
+        cells = next(line.split(",") for line in lines[1:] if line.split(",")[iri])
+        first = cells[iri]
+        cells[iri] = "999"
+        open(records, "a").write(",".join(cells) + "\n")
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, records_csv=records, events_csv=events, out_dir=str(out))
+        assert main(["--config", cfg, "flood-analysis"]) == EXIT_SCHEMA
+        route, section, year = cells[:3]
+        message = f"row key ({route}, {section}, {year}) repeats with TX_IRI_AVERAGE_SCORE {float(first)!r} and 999.0"
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_events_is_empty_result_status(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=20)
         empty = tmp_path / "no_events.csv"
@@ -334,6 +352,32 @@ class TestInputEncoding:
         )
         assert main(["--config", cfg, command]) == EXIT_SCHEMA
         assert f"error: {path}: not UTF-8 text (byte 0xe9 cannot be decoded)" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    # The codes the cli module docstring gives each kind of failure.
+    DOCUMENTED = {
+        SchemaError: 3,
+        InsufficientDataError: 5,
+        SingularDesignError: 6,
+        ZeroVarianceError: 6,
+        OSError: 4,
+        ValueError: 1,
+    }
+
+    def test_table_holds_the_documented_classes(self):
+        assert cli._EXIT_CODES == self.DOCUMENTED
+
+    @pytest.mark.parametrize("kind", list(DOCUMENTED), ids=lambda kind: kind.__name__)
+    def test_each_exception_gives_its_code(self, monkeypatch, capsys, kind):
+        exc = kind("boom")
+
+        def stub(config):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "describe", stub)
+        assert main(["describe"]) == self.DOCUMENTED[kind]
+        assert f"error: {exc}\n" in capsys.readouterr().err
 
 
 class TestCsvErrors:

@@ -179,11 +179,15 @@ def test_tag_flooded_matches_nested_loop(rows, events, repeats):
 )
 def test_extract_windows_matches_nested_loop(rows, events):
     # Each (event route-year, observed section) pair against one cohort,
-    # decided by testing every event of that route-year.
+    # decided by testing every event of that route-year. A key that
+    # repeats with two IRI values is refused; a repeat of one value counts once.
     iri: dict[tuple[str, str], dict[int, float]] = {}
     for r, s, y, v in rows:
         if not np.isnan(v):
-            iri.setdefault((r, s), {})[y] = v
+            if iri.setdefault((r, s), {}).setdefault(y, v) != v:
+                with pytest.raises(SchemaError, match=re.escape(f"row key ({r}, {s}, {y}) repeats with")):
+                    extract_windows(panel_table(rows), events)
+                return
     expected = {True: set(), False: set()}
     candidates = {True: 0, False: 0}
     for route, year in {(ev.route_name, ev.flood_year) for ev in events}:
@@ -278,6 +282,18 @@ class TestExtractWindows:
         assert [w.section_id for w in flooded] == ["09", "9.5", "10"]
         assert [w.section_id for w in control] == ["0.5", "9.", "A1", "ü"]
 
+    def test_repeated_key_with_two_iri_values_is_schema_error(self):
+        t = panel_table([("A", "1", 2013, 100.0), ("A", "1", 2015, 110.0), ("A", "1", 2013, 999.0)])
+        message = "row key (A, 1, 2013) repeats with TX_IRI_AVERAGE_SCORE 100.0 and 999.0"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            extract_windows(t, [FloodEvent("A", 2014)])
+
+    def test_repeated_key_with_one_iri_value_counts_once(self):
+        entries = [("A", "1", 2013, 100.0), ("A", "1", 2015, 110.0), ("A", "1", 2013, 100.0), ("A", "1", 2013, np.nan)]
+        (windows, summary), _ = extract_windows(panel_table(entries), [FloodEvent("A", 2014)])
+        assert windows == [SectionWindow("A", "1", 2014, 100.0, 110.0)]
+        assert (summary.candidates, summary.extracted) == (1, 1)
+
 
 class TestMaintenanceExclusion:
     def test_improvement_excluded(self):
@@ -329,6 +345,26 @@ class TestEventsCsv:
         path = tmp_path / "events.csv"
         path.write_text("ROUTE_NAME\nFM1\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="FLOOD_YEAR"):
+            load_events_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("SEGMENT,YEAR\nFM1,2014\n", ["ROUTE_NAME", "FLOOD_YEAR"]),
+            ("\nROUTE_NAME,FLOOD_YEAR\nFM1,2014\n", ["ROUTE_NAME", "FLOOD_YEAR"]),
+        ],
+        ids=["both-absent", "blank-first-line"],
+    )
+    def test_every_missing_required_column_is_named(self, tmp_path, text, missing):
+        path = tmp_path / "events.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: missing required column(s) {missing}")):
+            load_events_csv(path)
+
+    def test_short_row_reads_as_empty_cells(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("ROUTE_NAME,FLOOD_YEAR\nFM1\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: unparseable FLOOD_YEAR value ''")):
             load_events_csv(path)
 
     def test_cells_beyond_the_header_are_ignored(self, tmp_path):

@@ -380,6 +380,27 @@ class TestEvaluate:
             models.evaluate(manual_linear([1.0]), np.ones((1, 1)), np.ones(1))
 
 
+@pytest.mark.parametrize(
+    "kind,hp",
+    [
+        ("linear", {}),
+        ("ridge", {"alpha": 0.7}),
+        ("lasso", {"alpha": 0.3}),
+        ("decision_tree", {"max_depth": 6}),
+        ("random_forest", {"n_estimators": 4, "max_depth": 5}),
+        ("gradient_boosting", {"n_estimators": 8, "max_depth": 3}),
+    ],
+)
+def test_a_row_predicts_the_same_bits_alone_as_in_a_batch(kind, hp):
+    rng = np.random.default_rng(5)
+    X = rng.normal(loc=50.0, scale=20.0, size=(700, 9))
+    y = X @ rng.normal(size=9) + rng.normal(size=700)
+    p = models.fit(ModelSpec(kind, hp, 5), X, y, feature_names=[f"f{j}" for j in range(9)])
+    batch = p.predict(X)
+    alone = np.array([p.predict(X[i : i + 1])[0] for i in range(len(X))])
+    assert batch.tobytes() == alone.tobytes()
+
+
 class TestPersistence:
     @pytest.mark.parametrize(
         "kind,hp",
