@@ -17,8 +17,9 @@ Exit codes:
     does not expand to valid model specs or to none, a model file that
     is not UTF-8 JSON or whose format_version is missing or unsupported,
     a malformed `--instances` selector, two instances that would write
-    one LIME file, a (route, section, year) key of the records that
-    `flood-analysis` finds twice with two different IRI values). Every
+    one LIME file, a (route, section, year) key on two records rows that
+    differ in a cell; a row that repeats an earlier one whole counts
+    once, with a warning, in every command that reads records). Every
     command checks the whole config, each section included, and refuses
     its errors before it reads any input file. A leading UTF-8
     byte-order mark in a records, events, config or model file is
@@ -43,7 +44,8 @@ mean, and whether it was scored on its own fit or on an `n_estimators`
 prefix or a depth truncation of another candidate's fit.
 
 `explain` gives every instance its exact Shapley values (Tree SHAP, or
-the linear closed form) and draws one LIME neighborhood per run, shared
+the linear closed form), checks each against f(x) in shap_summary.json's
+"efficiency_residuals", and draws one LIME neighborhood per run, shared
 between the instances. Every command runs in one thread; `--workers`
 (config key `workers`) is still range-checked but read by no command.
 
@@ -142,11 +144,42 @@ def _fmt(v) -> str:
 
 
 def _load_records(config: RunConfig) -> DataTable:
-    """The records file; one with no data row is InsufficientDataError (exit 5)."""
+    """The records file, each (route, section, year) key once.
+
+    A file with no data row is InsufficientDataError (exit 5). A row that
+    repeats an earlier row's key and every loaded cell (NaN matching NaN)
+    is dropped, with one line on stderr counting the drops; a row that
+    repeats a key with another value is a SchemaError naming the key and
+    the first column, in file order, where the two rows differ.
+    """
     table = load_csv(config.records_csv, schema=FEATURE_COLUMNS)
     if table.n_rows == 0:
         raise InsufficientDataError(f"{config.records_csv}: no data rows")
-    return table
+    if len(set(table.row_keys)) == table.n_rows:
+        return table
+    first: dict = {}  # each key's first row, in row order
+    for i, key in enumerate(table.row_keys):
+        if first.setdefault(key, i) < i:
+            _refuse_differing_repeat(table, key, first[key], i)
+    dropped = table.n_rows - len(first)
+    _say(config, f"warning: {config.records_csv}: {dropped} row(s) repeat an earlier row and count once")
+    return table.subset(list(first.values()))
+
+
+def _refuse_differing_repeat(table: DataTable, key, a: int, b: int) -> None:
+    """SchemaError naming the first column where rows a and b of one key differ (NaN matches NaN)."""
+    x, y = table.values[a], table.values[b]
+    differ = np.flatnonzero((x != y) & ~(np.isnan(x) & np.isnan(y)))
+    if differ.size:
+        j = differ[0]
+        labels = table.encodings.get(table.column_names[j])
+        was, now = (labels[int(v)] if labels and not math.isnan(v) else float(v) for v in (x[j], y[j]))
+        raise SchemaError(f"row key {_key_text(key)} repeats with {table.column_names[j]} {was!r} and {now!r}")
+
+
+def _key_text(key) -> str:
+    """A (route, section, year) key as "(FM0101, 0001, 2014)"."""
+    return f"({', '.join(map(str, key))})"
 
 
 def _present_features(table: DataTable) -> list[str]:
@@ -512,14 +545,17 @@ def cmd_explain(config: RunConfig) -> int:
                 "ranking": list(importance.ranking),
                 "mean_abs": importance.mean_abs,
                 "max_efficiency_residual": residual,
+                "efficiency_residuals": [float(gap) for gap in gaps],
             },
             _out_path(config, "shap_summary.json"),
         )
-        if residual > SHAP_EFFICIENCY_TOLERANCE:
+        over = np.flatnonzero(gaps > SHAP_EFFICIENCY_TOLERANCE)
+        if over.size:
             _say(
                 config,
                 f"[explain] warning: SHAP efficiency residual {residual:.3e} "
-                f"exceeds {SHAP_EFFICIENCY_TOLERANCE:g}",
+                f"exceeds {SHAP_EFFICIENCY_TOLERANCE:g} at "
+                + ", ".join(f"{_key_text(keys[i])} {gaps[i]:.3e}" for i in over),
             )
         spans = {
             name: (float(np.min(explained.col(name))), float(np.max(explained.col(name))))

@@ -8,9 +8,9 @@ never loads.
 
 ``levels`` is the one breadth-first walk over a tree's flat arrays:
 truncation, the model-file check, the stacked renumbering below,
-``grow``'s preorder numbering and SHAP's leaf boxes all go through it.
+``grow``'s preorder numbering and SHAP's outside-masks all go through it.
 ``joined`` lays a predictor's trees end to end, so that the stacked
-renumbering and SHAP's leaf boxes walk every tree in one pass.
+renumbering walks every tree in one pass and SHAP's outside-masks runs of them.
 
 Prediction walks all of a predictor's trees at once (Hummingbird's tree
 traversal, Nakandala et al., OSDI 2020). ``_Stacked`` renumbers the

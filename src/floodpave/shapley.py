@@ -6,9 +6,9 @@ rows everywhere else. ``shapley_values`` gives every instance its exact
 Shapley values by the cheapest exact route:
 
 - tree, forest and boosting predictors use interventional Tree SHAP
-  (Lundberg et al., Nature MI 2020). It reads every leaf's box off the
-  trees' flat arrays in one walk, reduces the background to each leaf's
-  distinct outside-masks with their row counts, and attributes each
+  (Lundberg et al., Nature MI 2020). It carries each row's outside-mask
+  down a walk over the trees' flat arrays, reduces the background to
+  each leaf's distinct masks with their row counts, and attributes each
   instance over those (leaf, mask, count) triples, with no model calls;
 - linear, ridge and lasso predictors use the closed form
   phi_j = coef_j * (x_j - mean b_j) / sigma_j, all instances at once;
@@ -19,8 +19,9 @@ Shapley values by the cheapest exact route:
 An instance's phi never depends on the other instances explained with
 it. ``exact_shapley`` is always the 2^M enumeration; the tests hold Tree
 SHAP and the linear closed form to it, so it is the oracle as well as
-the fallback. Instances and background rows must be finite: the leaf-box
-test cannot place -inf.
+the fallback. Instances and background rows must be finite: predict
+sends NaN left at every split, and the closed form turns inf into an
+infinite or NaN phi.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ MAX_EXACT_FEATURES = 20
 
 # Keep batched predict calls below this many composite rows.
 _CHUNK_ROWS = 200_000
-# Keep each Tree SHAP step below this many (leaf, background row) or (leaf, instance)
+# Keep each Tree SHAP step below this many (node, background row) or (node, instance)
 # pairs, or (leaf, mask, count) triples.
 _CHUNK_PAIRS = 50_000
 
@@ -152,67 +153,59 @@ def _tree_ensemble(predictor):
     return None
 
 
-def _leaf_boxes(trees, n_features: int):
-    """Every leaf's value and bounds (lo, hi): a row reaches the leaf iff lo < x <= hi on every feature.
+def _leaf_masks(tree, rows):
+    """Yield (depth, leaves, masks): the joined trees' leaves and each row's outside-mask at each.
 
-    One ``levels`` walk over all the trees at once carries the boxes of a
-    level's nodes; a split cuts its children's boxes at its threshold, and
-    the walk puts each split's left child just before its right one.
+    A row's outside-mask at a node has bit f set iff a split on f on the
+    node's root path sends the row the other way (x > t at a left child,
+    x <= t at a right one). The masks go down ``levels``, one comparison
+    per (split, row), in runs of trees whose roots share a window of
+    ``per = _CHUNK_PAIRS // len(rows)`` node ids; a level wider than
+    ``per`` nodes goes ``per`` nodes at a time, each run down to its
+    leaves before the next. Each depth's leaves come in ``levels`` order.
     """
-    feature, threshold, left, right, value, roots = joined(trees)
-    lo = np.full((roots.size, n_features), -np.inf)
-    hi = np.full((roots.size, n_features), np.inf)
-    leaves, los, his = [], [], []
-    for level in levels(feature, left, right, roots):
-        f = feature[level]
-        leaf = f == LEAF
-        leaves.append(level[leaf])
-        los.append(lo[leaf])
-        his.append(hi[leaf])
-        split = ~leaf
-        f, t = f[split], threshold[level[split]]
-        lo, hi = np.repeat(lo[split], 2, axis=0), np.repeat(hi[split], 2, axis=0)
-        left_row, right_row = np.arange(0, 2 * f.size, 2), np.arange(1, 2 * f.size, 2)
-        hi[left_row, f] = np.minimum(hi[left_row, f], t)
-        lo[right_row, f] = np.maximum(lo[right_row, f], t)
-    return value[np.concatenate(leaves)], np.concatenate(los), np.concatenate(his)
+    feature, threshold, left, right, _, roots = tree
+    columns = np.ascontiguousarray(rows.T)
+    per = max(1, _CHUNK_PAIRS // rows.shape[0])
+
+    def walk(nodes, masks, depth, cuts):
+        for run, out in zip(np.split(nodes, cuts), np.split(masks, cuts)):
+            for at, level in enumerate(levels(feature, left, right, run), depth):
+                if level.size > per:
+                    yield from walk(level, out, at, range(per, level.size, per))
+                    break
+                f = feature.take(level)
+                split = f != LEAF
+                if not split.all():
+                    yield at, level[~split], out[~split]
+                f, out = f[split], np.repeat(out[split], 2, axis=0)
+                right_side = columns.take(f, axis=0) > threshold.take(level[split])[:, None]
+                bit = np.left_shift(1, f, dtype=np.int32)[:, None]
+                out[0::2] |= right_side * bit
+                out[1::2] |= ~right_side * bit
+
+    zeros = np.broadcast_to(np.int32(0), (roots.size, rows.shape[0]))  # read-only; a run copies its rows
+    yield from walk(roots, zeros, 0, np.flatnonzero(np.diff(roots // per)) + 1)
 
 
-def _outside_masks(lo, hi, rows):
-    """(leaves, rows) bitmask of the features on which each row is outside each leaf's box.
-
-    A feature is tested only at the leaves whose box bounds it.
-    """
-    out = np.zeros((lo.shape[0], rows.shape[0]), dtype=np.int32)
-    for j in range(lo.shape[1]):
-        bounded = np.flatnonzero((lo[:, j] > -np.inf) | (hi[:, j] < np.inf))
-        col = rows[:, j]
-        outside = col <= lo[bounded, j : j + 1]
-        outside |= col > hi[bounded, j : j + 1]
-        out[bounded] |= outside * np.int32(1 << j)
-    return out
-
-
-def _distinct_masks(lo, hi, background):
+def _distinct_masks(tree, background):
     """(leaf, mask, count) triples: each leaf's distinct background outside-masks, and how many rows have each.
 
-    Leaves go in chunks of at most ``_CHUNK_PAIRS`` (leaf, background
-    row) pairs, so no (leaves, rows) array is held. Triples come leaf by
-    leaf, masks ascending within a leaf.
+    A triple's leaf is its node id in the joined trees. Triples come level
+    by level over all the trees, leaf by leaf in ``levels`` order, masks
+    ascending within a leaf.
     """
     n_bg = background.shape[0]
-    per_chunk = max(1, _CHUNK_PAIRS // n_bg)
-    leaf, mask, count = [], [], []
-    for start in range(0, lo.shape[0], per_chunk):
-        part = slice(start, start + per_chunk)
-        out = _outside_masks(lo[part], hi[part], background)
+    found = []
+    for depth, nodes, out in _leaf_masks(tree, background):
         out.sort(axis=1)
         first = np.ones(out.shape, dtype=bool)  # a mask's first row in its leaf's sorted row
         np.not_equal(out[:, 1:], out[:, :-1], out=first[:, 1:])
         at = np.flatnonzero(first)
-        leaf.append((start + at // n_bg).astype(np.int32))
-        mask.append(out.ravel()[at])
-        count.append(np.diff(at, append=out.size).astype(np.int32))
+        leaf = nodes.take(at // n_bg).astype(np.int32)
+        found.append((depth, leaf, out.ravel()[at], np.diff(at, append=out.size).astype(np.int32)))
+    found.sort(key=lambda group: group[0])  # stable: a depth's groups keep the walk's order
+    _, leaf, mask, count = zip(*found)
     return np.concatenate(leaf), np.concatenate(mask), np.concatenate(count)
 
 
@@ -220,19 +213,22 @@ def _tree_shap(trees, weight: float, background: np.ndarray, X: np.ndarray) -> n
     """Interventional Tree SHAP: the exact phi of each row of X.
 
     For an instance x, a background row b and a leaf with value v, let A
-    be the features where x is inside the leaf's box and b is not, and B
-    the reverse. A hybrid row reaches the leaf iff it takes x on all of A
-    and b on all of B, so when some feature is inside for neither the
-    pair adds nothing; otherwise, with a = |A| and c = |B|, each j in A
-    gains v*(a-1)!c!/(a+c)! and each j in B loses v*a!(c-1)!/(a+c)!.
-    Summed over leaves and averaged over b, that is exactly the Shapley
-    value of the 2^M game that ``exact_shapley`` enumerates.
+    be the features on which b is outside the leaf and x is not, and B
+    the reverse: a row is outside a leaf on feature f when a split on f
+    on the leaf's root path sends it the other way. A hybrid row reaches
+    the leaf iff it takes x on all of A and b on all of B, so when some
+    feature is outside for both the pair adds nothing; otherwise, with
+    a = |A| and c = |B|, each j in A gains v*(a-1)!c!/(a+c)! and each j
+    in B loses v*a!(c-1)!/(a+c)!. Summed over leaves and averaged over b,
+    that is exactly the Shapley value of the 2^M game that
+    ``exact_shapley`` enumerates.
 
-    b enters only through its outside-mask at the leaf, so the background
-    is first reduced to each leaf's distinct masks with their counts
-    (the precomputation of Fast TreeSHAP, Yang, arXiv:2109.09847), and a
-    mask's terms are weighted by its count. A row's phi depends on that
-    row and these triples alone, never on the other rows of X.
+    The outside-masks come from ``_leaf_masks``, one walk for the
+    background and one per chunk of X. b enters only through its mask at
+    the leaf, so the background is first reduced to each leaf's distinct
+    masks with their counts (the precomputation of Fast TreeSHAP, Yang,
+    arXiv:2109.09847), and a mask's terms are weighted by its count. A
+    row's phi depends on that row and these triples alone.
     """
     n, m = X.shape
     phi = np.zeros((n, m))
@@ -253,8 +249,9 @@ def _tree_shap(trees, weight: float, background: np.ndarray, X: np.ndarray) -> n
                 loss[a, c] = -fact[a] * fact[c - 1] / fact[a + c]
     gain, loss = gain.ravel(), loss.ravel()
 
-    value, lo, hi = _leaf_boxes(trees, m)
-    leaf, set_a, count = _distinct_masks(lo, hi, background)
+    tree = joined(trees)
+    _, _, _, _, value, _ = tree
+    leaf, set_a, count = _distinct_masks(tree, background)
     mass = value.take(leaf)  # a triple's weighted leaf value times its row count
     mass *= weight
     mass *= count
@@ -262,7 +259,10 @@ def _tree_shap(trees, weight: float, background: np.ndarray, X: np.ndarray) -> n
     chunks = [slice(s, s + _CHUNK_PAIRS) for s in range(0, leaf.size, _CHUNK_PAIRS)]
     rows_per_chunk = max(1, _CHUNK_PAIRS // value.size)
     for start in range(0, n, rows_per_chunk):
-        x_masks = _outside_masks(lo, hi, X[start : start + rows_per_chunk])
+        rows = X[start : start + rows_per_chunk]
+        x_masks = np.empty((value.size, rows.shape[0]), dtype=np.int32)  # set and read at leaves only
+        for _, nodes, out in _leaf_masks(tree, rows):
+            x_masks[nodes] = out
         for i, x_out in enumerate(x_masks.T, start):
             totals = np.zeros(1 << m)  # summed weight per feature set
             for part in chunks:
@@ -307,8 +307,6 @@ def shapley_values(predictor, X: np.ndarray, background: np.ndarray) -> ShapValu
     """
     X = np.asarray(X, dtype=float)
     background = np.asarray(background, dtype=float)
-    # A leaf box starts at lo = -inf and tests lo < x, so -inf (like NaN)
-    # would sit outside every box although predict places it.
     for name, rows in (("instances to explain", X), ("background", background)):
         if not np.isfinite(rows).all():
             raise ValueError(f"{name}: missing or infinite values; filter rows first")

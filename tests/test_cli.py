@@ -422,6 +422,81 @@ class TestKeyYears:
         assert "unparseable FLOOD_YEAR value '-inf'" in capsys.readouterr().err
 
 
+def repeat_rows(records, dest, edits=()):
+    """Write `records` to `dest` with copies of its first row with a target and its first without one.
+
+    The `edits` (column -> cell text) go into the first copy. Returns the
+    header and the cells of the first copied row as they were.
+    """
+    lines = open(records).read().splitlines()
+    header = lines[0].split(",")
+    target = header.index("NEXT_YEAR_IRI")
+    rows = [line.split(",") for line in lines[1:]]
+    complete = next(row for row in rows if row[target])
+    copy = list(complete)
+    for column, cell in dict(edits).items():
+        copy[header.index(column)] = cell
+    blank = next(row for row in rows if not row[target])
+    dest.write_text("\n".join(lines + [",".join(copy), ",".join(blank)]) + "\n", encoding="utf-8")
+    return header, complete
+
+
+class TestRepeatedRowKeys:
+    """A row that repeats a (route, section, year) key: whole, it counts once; otherwise exit 3."""
+
+    COMMANDS = {
+        "describe": ["describe"],
+        "train": ["train", "--kinds", "linear"],
+        "explain": ["explain", "--instances", "sample:5"],
+    }
+
+    def argv(self, tmp_path, models_dir, command, records, out):
+        cfg = write_config(tmp_path, shap={"background_size": 20}, lime={"n_samples": 300})
+        argv = ["--config", cfg, "--seed", "21", "--records", str(records), "--out", str(out)] + self.COMMANDS[command]
+        return argv + (["--model-path", str(models_dir / "model_linear.json")] if command == "explain" else [])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_whole_repeated_rows_count_once(self, trained, tmp_path, capsys, command):
+        _, records, models_dir = trained
+        repeated = tmp_path / "repeated.csv"
+        repeat_rows(records, repeated)
+        written = {}
+        for name, path in (("once", records), ("twice", repeated)):
+            assert main(self.argv(tmp_path, models_dir, command, path, tmp_path / name)) == EXIT_OK
+            written[name] = hash_tree(tmp_path / name)
+        assert written["twice"] == written["once"]
+        err = capsys.readouterr().err
+        assert err.count("repeat an earlier row") == 1
+        assert f"warning: {repeated}: 2 row(s) repeat an earlier row and count once" in err
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(
+        "edits, column",
+        [
+            ({"NEXT_YEAR_IRI": "999", "TX_DISTRESS_SCORE": "1.5"}, "TX_DISTRESS_SCORE"),
+            ({"NEXT_YEAR_IRI": "999", "CLIMATE_ZONES": None}, "CLIMATE_ZONES"),
+            ({"TX_RURAL_URBAN_CODE": ""}, "TX_RURAL_URBAN_CODE"),
+        ],
+        ids=["numeric", "label", "blank"],
+    )
+    def test_a_key_repeated_with_another_cell_is_schema_error(self, trained, tmp_path, capsys, command, edits, column):
+        _, records, models_dir = trained
+        lines = open(records).read().splitlines()
+        zones = lines[0].split(",").index("CLIMATE_ZONES")
+        edits = {c: lines[1].split(",")[zones] + "x" if cell is None else cell for c, cell in edits.items()}
+        repeated = tmp_path / "repeated.csv"
+        header, cells = repeat_rows(records, repeated, edits)
+        out = tmp_path / "o"
+        assert main(self.argv(tmp_path, models_dir, command, repeated, out)) == EXIT_SCHEMA
+        was, now = cells[header.index(column)], edits[column]
+        if column != "CLIMATE_ZONES":
+            was, now = float(was), float(now or "nan")
+        route, section, year = cells[:3]
+        message = f"row key ({route}, {section}, {year}) repeats with {column} {was!r} and {now!r}"
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_report_and_persisted_models(self, tmp_path):
         records, events = make_dataset(tmp_path, n_sections=60, noise_std=1.0)
@@ -708,7 +783,9 @@ class TestExplain:
 
         def off_by_one(*args, **kwargs):
             values = exact(*args, **kwargs)
-            return shapley.ShapValues(values.base_value + 1.0, values.phi, values.feature_names)
+            phi = values.phi.copy()
+            phi[1, 0] += 1.0  # the second instance only
+            return shapley.ShapValues(values.base_value, phi, values.feature_names)
 
         monkeypatch.setattr(shapley, "shapley_values", off_by_one)
         cfg = write_config(
@@ -720,7 +797,14 @@ class TestExplain:
         assert main(["--config", cfg, "explain"]) == EXIT_OK
         doc = json.loads((tmp_path / "o" / "shap_summary.json").read_text())
         assert doc["max_efficiency_residual"] == pytest.approx(1.0)
-        assert "[explain] warning: SHAP efficiency residual" in capsys.readouterr().err
+        # one residual per row of shap_phi.csv, in its order
+        first, second = doc["efficiency_residuals"]
+        assert first <= cli.SHAP_EFFICIENCY_TOLERANCE and second == doc["max_efficiency_residual"]
+        with open(tmp_path / "o" / "shap_phi.csv") as fh:
+            keys = [", ".join(row[:3]) for row in list(csv.reader(fh))[1:]]
+        err = capsys.readouterr().err
+        assert "[explain] warning: SHAP efficiency residual" in err
+        assert f"at ({keys[1]}) 1.000e+00" in err and keys[0] not in err
 
     def test_worker_threads_write_identical_files(self, trained, tmp_path):
         tmp, records, out = trained
@@ -754,17 +838,18 @@ class TestExplain:
         _, records, out = trained
         lines = open(records).read().splitlines(keepends=True)
         header = lines[0].rstrip("\n").split(",")
-        target = header.index("NEXT_YEAR_IRI")
-        row = next(line for line in lines[1:] if line.split(",")[target].strip())
-        cells = row.split(",")
-        route, section, year = (cells[header.index(c)].strip() for c in ("ROUTE_NAME", "SECTION_ID", "YEAR"))
+        target, column = header.index("NEXT_YEAR_IRI"), header.index("SECTION_ID")
+        cells = next(line for line in lines[1:] if line.split(",")[target].strip()).split(",")
+        route, year = cells[header.index("ROUTE_NAME")], int(cells[header.index("YEAR")])
+        # Two keys, two rows: sections "X 1" and "X-1" share one safe name.
+        rows = [",".join(cells[:column] + [section] + cells[column + 1 :]) for section in ("X 1", "X-1")]
         doubled = tmp_path / "records.csv"
-        doubled.write_text("".join(lines) + row)  # a second row under the same key
+        doubled.write_text("".join(lines + rows))
         argv = ["--records", str(doubled), "--seed", "21", "--quiet", "--out", str(tmp_path / "o"), "explain",
-                "--model-path", str(out / "model_linear.json"), "--instances", f"key:{route},{section},{year}"]
+                "--model-path", str(out / "model_linear.json"), "--instances", "all"]
         assert main(argv) == EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert f"{(route, section, int(year))}" in err and f"lime_{route}_{section}_{year}.csv" in err
+        assert f"{(route, 'X 1', year)} and {(route, 'X-1', year)}" in err and f"lime_{route}_X-1_{year}.csv" in err
         assert not (tmp_path / "o").exists()
         # SHAP alone writes no LIME file, so it explains both rows
         assert main(argv + ["--explainers", "shap"]) == EXIT_OK

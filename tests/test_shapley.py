@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from floodpave import models, shapley
 from floodpave.dataset import DataTable
+from floodpave.models.tree import LEAF, joined
 from floodpave.shapley import exact_shapley, value_function
 
 from conftest import CountingPredictor, manual_linear
@@ -325,8 +327,8 @@ class TestExactDispatch:
     @pytest.mark.parametrize("where", ["instance", "background"])
     @pytest.mark.parametrize("cell", [-np.inf, np.inf])
     def test_infinite_values_rejected(self, where, cell):
-        # The leaf-box test lo < x puts x = -inf outside every box, where
-        # predict sends it left; exact_shapley would disagree.
+        # Refused for every kind: the linear closed form would turn inf
+        # into an infinite or NaN phi.
         X, y = tied_data(22)
         predictor = models.fit(models.ModelSpec("decision_tree", {"max_depth": 3}, 0), X, y)
         rows, bg = X[:2].copy(), X[10:20].copy()
@@ -411,14 +413,113 @@ class TestBackgroundCompression:
         )
         bg = np.array([[0.0, 0.0]] * 3 + [[2.0, 0.0]] * 2 + [[0.0, 2.0]] + [[2.0, 2.0]] * 4)
         if chunk_pairs is not None:
-            monkeypatch.setattr(shapley, "_CHUNK_PAIRS", chunk_pairs)  # one leaf per chunk
-        value, lo, hi = shapley._leaf_boxes((predictor.tree,), 2)
-        assert value.tolist() == [3.0, 1.0, 2.0]
-        triples = list(zip(*(a.tolist() for a in shapley._distinct_masks(lo, hi, bg))))
+            monkeypatch.setattr(shapley, "_CHUNK_PAIRS", chunk_pairs)  # one node per run
+        tree = joined((predictor.tree,))
+        leaf, mask, count = shapley._distinct_masks(tree, bg)
+        leaves = list(dict.fromkeys(leaf.tolist()))
+        assert leaves == [4, 2, 3]
+        assert tree[4][leaves].tolist() == [3.0, 1.0, 2.0]
+        triples = list(zip([leaves.index(node) for node in leaf.tolist()], mask.tolist(), count.tolist()))
         assert triples == [
             (0, 0, 6), (0, 1, 4),
             (1, 0, 3), (1, 1, 2), (1, 2, 1), (1, 3, 4),
             (2, 0, 1), (2, 1, 4), (2, 2, 3), (2, 3, 2),
         ]
-        assert sum(count for _, _, count in triples) == len(bg) * len(value)
+        assert sum(count for _, _, count in triples) == len(bg) * len(leaves)
         assert_matches_enumeration(predictor, bg, bg)
+
+
+def root_paths(tree):
+    """Every leaf of joined trees level by level, from every root at once, with its root path.
+
+    A path is a list of (feature, threshold, went right) splits.
+    """
+    feature, threshold, left, right, _, roots = tree
+    level = [(int(root), []) for root in roots]
+    found = []
+    while level:
+        found += [(node, path) for node, path in level if feature[node] == LEAF]
+        level = [
+            (int(child), path + [(feature[node], threshold[node], went_right)])
+            for node, path in level
+            if feature[node] != LEAF
+            for went_right, child in ((False, left[node]), (True, right[node]))
+        ]
+    return found
+
+
+def outside_mask(path, x):
+    """Bit f for each split on f on the path that sends x the other way."""
+    mask = 0
+    for f, t, went_right in path:
+        if (x[f] > t) != went_right:
+            mask |= 1 << f
+    return mask
+
+
+def joined_hand_trees():
+    # x0 <= 2 -> (x0 <= 1 -> (x1 <= 0.5 -> 1 | 2) | 3) | 4: x0 split twice on one path
+    nested = models.Tree(
+        [0, 0, 1, -1, -1, -1, -1], [2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0],
+        [1, 2, 3, -1, -1, -1, -1], [6, 5, 4, -1, -1, -1, -1], [0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+    )
+    # x0 <= 1 -> (x0 <= 2 -> 1 | 2) | 3: x0 <= 1 and x0 > 2 contradict, so node 3 is unreachable
+    contradictory = models.Tree(
+        [0, 0, -1, -1, -1], [1.0, 2.0, 0.0, 0.0, 0.0], [1, 2, -1, -1, -1], [4, 3, -1, -1, -1], [0.0, 0.0, 1.0, 2.0, 3.0],
+    )
+    grid = np.array(list(itertools.product([0.0, 0.5, 1.0, 1.5, 2.0, 3.0], [0.0, 0.5, 1.0], [0.0])))
+    return joined((nested, contradictory)), grid[::2], grid
+
+
+def joined_forest():
+    X, y = tied_data(36)
+    predictor = models.fit(models.ModelSpec("random_forest", {"n_estimators": 3, "max_depth": 5}, 0), X, y)
+    return joined(predictor.trees), X[:40], X[40:47]
+
+
+@pytest.mark.parametrize("chunk_pairs", [1, None])
+@pytest.mark.parametrize("case", [joined_hand_trees, joined_forest], ids=["hand", "forest"])
+class TestLeafMasksAgainstRootPaths:
+    """``_leaf_masks`` and ``_distinct_masks`` against each row checked on each leaf's root path."""
+
+    def test_triples(self, monkeypatch, chunk_pairs, case):
+        tree, bg, _ = case()
+        if chunk_pairs is not None:
+            monkeypatch.setattr(shapley, "_CHUNK_PAIRS", chunk_pairs)
+        expected = []
+        for node, path in root_paths(tree):
+            masks = [outside_mask(path, b) for b in bg]
+            expected += [(node, mask, masks.count(mask)) for mask in sorted(set(masks))]
+        assert list(zip(*(a.tolist() for a in shapley._distinct_masks(tree, bg)))) == expected
+
+    def test_instance_masks(self, monkeypatch, chunk_pairs, case):
+        tree, _, X = case()
+        if chunk_pairs is not None:
+            monkeypatch.setattr(shapley, "_CHUNK_PAIRS", chunk_pairs)
+        found = {}
+        for depth, nodes, masks in shapley._leaf_masks(tree, X):
+            for node, row in zip(nodes.tolist(), masks.tolist()):
+                assert node not in found
+                found[node] = (depth, row)
+        assert found == {node: (len(path), [outside_mask(path, x) for x in X]) for node, path in root_paths(tree)}
+
+
+def test_peak_memory_of_a_bench_sized_forest():
+    # A 10-tree depth-10 forest with 4618 leaves, 100 background rows and
+    # 10 instances. The bound is the traced peak of this call (4243286 B
+    # in a run of this file, 4245270 B alone) when Tree SHAP still built
+    # a box per leaf and tested every (leaf, row) pair against it.
+    X, y = continuous_data(35, n=2000, m=9)
+    spec = models.ModelSpec("random_forest", {"n_estimators": 10, "max_depth": 10, "feature_subsample": 0.6}, 0)
+    predictor = models.fit(spec, X, y)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        shapley.shapley_values(predictor, X[:10], X[-100:])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak - before <= 4_245_270, f"peak {peak - before} B"
