@@ -158,6 +158,16 @@ def _chunks(obj, newline: str, sort_keys: bool, default):
         yield from _chunks(default(obj), newline, sort_keys, default)
 
 
+def all_equal(a, axis=None):
+    """Whether all values of ``a`` (along ``axis``) are equal: the one test for a constant column.
+
+    Exact, unlike a zero standard deviation, which a column of one
+    non-dyadic value misses (its mean rounds off the value). NaN is never
+    equal, so a column holding one is not constant; -0.0 equals 0.0.
+    """
+    return np.max(a, axis=axis) == np.min(a, axis=axis)
+
+
 def stage_seed(root_seed: int, label: str, index: int | None = None) -> np.random.SeedSequence:
     """Derive a per-stage seed stream from one root seed.
 

@@ -34,10 +34,12 @@ Exit codes:
 
 `describe`, `train` and `explain` refuse a records file holding ±inf in
 a feature (or, for `train`, target) cell of a complete row: exit 1,
-before any file is written. `train` leaves out of every model the
+before any file is written. A column is constant when all its values
+are equal, a test that no rounding can miss. `describe` leaves constant
+columns out of correlation.csv. `train` leaves out of every model the
 feature columns that are constant on the training split and lists them
 in train_summary.json under "dropped_constant_columns"; exit 6 remains
-for a design that is still singular after that, and for a zero-variance
+for a design that is still singular after that, and for a constant
 target. `train` writes cv_results.csv: one row per grid-search candidate
 of each kind, with its hyperparameters, the MSE of every fold, their
 mean, and whether it was scored on its own fit or on an `n_estimators`
@@ -48,6 +50,8 @@ the linear closed form), checks each against f(x) in shap_summary.json's
 "efficiency_residuals", and draws one LIME neighborhood per run, shared
 between the instances. Every command runs in one thread; `--workers`
 (config key `workers`) is still range-checked but read by no command.
+`--quiet` (config key `quiet`) silences everything a command writes to
+stderr, log warnings included, but the `error:` line of a failure.
 
 Each command imports only the modules it runs. Importing this module
 loads the typed config (`config`), the records loader (`dataset`) and
@@ -61,6 +65,7 @@ them. So `describe` loads no model, explainer, flood or generator code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -71,7 +76,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import models
-from ._util import json_chunks, stage_rng, stage_seed, write_text_atomic
+from ._util import all_equal, json_chunks, stage_rng, stage_seed, write_text_atomic
 from .config import INSTANCE_FORMS, ExplainConfig, RunConfig, _parse_instances
 from .dataset import (
     DataTable,
@@ -112,9 +117,8 @@ _EXIT_CODES = {
 SHAP_EFFICIENCY_TOLERANCE = 1e-8
 
 
-def _say(config: RunConfig, message: str) -> None:
-    if not config.quiet:
-        print(message, file=sys.stderr)
+def _say(message: str) -> None:
+    print(message, file=sys.stderr)
 
 
 def _out_path(config: RunConfig, name: str) -> str:
@@ -162,7 +166,7 @@ def _load_records(config: RunConfig) -> DataTable:
         if first.setdefault(key, i) < i:
             _refuse_differing_repeat(table, key, first[key], i)
     dropped = table.n_rows - len(first)
-    _say(config, f"warning: {config.records_csv}: {dropped} row(s) repeat an earlier row and count once")
+    _say(f"warning: {config.records_csv}: {dropped} row(s) repeat an earlier row and count once")
     return table.subset(list(first.values()))
 
 
@@ -189,9 +193,8 @@ def _present_features(table: DataTable) -> list[str]:
 def _refuse_non_finite(table: DataTable, columns: list[str]) -> None:
     """Raise ValueError naming the columns of `table` that hold ±inf or NaN.
 
-    filter_complete drops NaN only. An inf cell would make np.std NaN, so a
-    column would be dropped as constant, reach a report as a non-JSON
-    Infinity, or become a tree threshold.
+    filter_complete drops NaN only. An inf cell would reach a report as a
+    non-JSON Infinity or become a tree threshold.
     """
     bad = [c for c in columns if not np.isfinite(table.col(c)).all()]
     if bad:
@@ -200,7 +203,7 @@ def _refuse_non_finite(table: DataTable, columns: list[str]) -> None:
 
 def _varying_columns(table: DataTable, columns: list[str]) -> list[str]:
     """The columns of `columns` whose values are not all equal in `table`."""
-    return [c for c in columns if float(np.std(table.col(c))) > 0.0]
+    return [c for c in columns if not all_equal(table.col(c))]
 
 
 # ---------------------------------------------------------------- synth-gen
@@ -214,7 +217,7 @@ def cmd_synth_gen(config: RunConfig) -> int:
     events_path = _out_path(config, "events.csv")
     truth = _out_path(config, "ground_truth.json")
     synth.write_dataset(table, events, gt, records, events_path, truth)
-    _say(config, f"[synth-gen] {table.n_rows} records, {len(events)} flood events -> {config.out_dir}")
+    _say(f"[synth-gen] {table.n_rows} records, {len(events)} flood events -> {config.out_dir}")
     return EXIT_OK
 
 
@@ -255,13 +258,13 @@ def cmd_describe(config: RunConfig) -> int:
     variable = _varying_columns(complete, features)
     skipped = sorted(set(features) - set(variable))
     if skipped:
-        _say(config, f"[describe] zero-variance column(s) left out of the correlation: {skipped}")
+        _say(f"[describe] zero-variance column(s) left out of the correlation: {skipped}")
     corr = pearson_corr(complete, variable)
     rows = [[""] + list(corr.labels)]
     for i, label in enumerate(corr.labels):
         rows.append([label] + [repr(float(v)) for v in corr.values[i]])
     _dump_csv(rows, _out_path(config, "correlation.csv"))
-    _say(config, f"[describe] {complete.n_rows} complete rows -> {config.out_dir}")
+    _say(f"[describe] {complete.n_rows} complete rows -> {config.out_dir}")
     return EXIT_OK
 
 
@@ -276,7 +279,7 @@ def cmd_flood_analysis(config: RunConfig) -> int:
     events = load_events_csv(config.events_csv)
     warnings = event_warnings(table, events)
     for warning in warnings:
-        _say(config, f"[flood-analysis] warning: {warning}")
+        _say(f"[flood-analysis] warning: {warning}")
 
     (flooded_raw, summary_f), (control_raw, summary_nf) = extract_windows(table, events)
     flooded = apply_maintenance_exclusion(flooded_raw)
@@ -321,9 +324,9 @@ def cmd_flood_analysis(config: RunConfig) -> int:
     )
 
     if deltas.count == 0:
-        _say(config, "[flood-analysis] no qualifying windows")
+        _say("[flood-analysis] no qualifying windows")
         return EXIT_EMPTY
-    _say(config, f"[flood-analysis] {deltas.count} windows -> {config.out_dir}")
+    _say(f"[flood-analysis] {deltas.count} windows -> {config.out_dir}")
     return EXIT_OK
 
 
@@ -387,7 +390,7 @@ def cmd_train(config: RunConfig) -> int:
     varying = _varying_columns(train, features)
     dropped = [c for c in features if c not in varying]
     if dropped:
-        _say(config, f"[train] zero-variance column(s) left out of the models: {dropped}")
+        _say(f"[train] zero-variance column(s) left out of the models: {dropped}")
     features = varying
     X_train = train.matrix(features)
     y_train = train.col(TARGET_COLUMN)
@@ -430,7 +433,7 @@ def cmd_train(config: RunConfig) -> int:
         )
         if best_by_mse is None or metrics.mse < best_by_mse[0]:
             best_by_mse = (metrics.mse, kind)
-        _say(config, f"[train] {kind}: mse={metrics.mse:.4f} mae={metrics.mae:.4f} r2={metrics.r2:.4f}")
+        _say(f"[train] {kind}: mse={metrics.mse:.4f} mae={metrics.mae:.4f} r2={metrics.r2:.4f}")
 
     folds = [f"fold_{f + 1}_mse" for f in range(config.cv_folds)]
     _dump_csv(
@@ -456,7 +459,7 @@ def cmd_train(config: RunConfig) -> int:
         },
         _out_path(config, "train_summary.json"),
     )
-    _say(config, f"[train] best by test MSE: {best_by_mse[1]}")
+    _say(f"[train] best by test MSE: {best_by_mse[1]}")
     return EXIT_OK
 
 
@@ -552,7 +555,6 @@ def cmd_explain(config: RunConfig) -> int:
         over = np.flatnonzero(gaps > SHAP_EFFICIENCY_TOLERANCE)
         if over.size:
             _say(
-                config,
                 f"[explain] warning: SHAP efficiency residual {residual:.3e} "
                 f"exceeds {SHAP_EFFICIENCY_TOLERANCE:g} at "
                 + ", ".join(f"{_key_text(keys[i])} {gaps[i]:.3e}" for i in over),
@@ -567,7 +569,7 @@ def cmd_explain(config: RunConfig) -> int:
             scaled = 0.0 if hi == lo else (value - lo) / (hi - lo)
             rows.append([feature, _fmt(phi), _fmt(value), _fmt(scaled)])
         _dump_csv(rows, _out_path(config, "shap_beeswarm.csv"))
-        _say(config, f"[explain] SHAP over {len(keys)} instance(s)")
+        _say(f"[explain] SHAP over {len(keys)} instance(s)")
 
     if "lime" in config.explain.explainers:
         from . import lime
@@ -587,7 +589,7 @@ def cmd_explain(config: RunConfig) -> int:
                 + [[c.condition, _fmt(c.weight)] for c in e.contributions],
                 _out_path(config, name),
             )
-        _say(config, f"[explain] LIME over {len(keys)} instance(s)")
+        _say(f"[explain] LIME over {len(keys)} instance(s)")
 
     return EXIT_OK
 
@@ -639,29 +641,14 @@ _HANDLERS = {
 }
 
 
-def _without_warnings(handler, config: RunConfig) -> int:
-    """``handler(config)`` with the package's log warnings off stderr, as ``--quiet`` asks."""
-    import logging
-
-    logger = logging.getLogger("floodpave")
-    level = logger.level
-    logger.setLevel(logging.ERROR)
-    try:
-        return handler(config)
-    finally:
-        logger.setLevel(level)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if v is not None and k not in ("config", "command")}
     flags["explain"] = {f.name: flags.pop(f.name) for f in fields(ExplainConfig) if f.name in flags}
     try:
         config = RunConfig.from_sources(args.config, flags)
-        # Only these commands load a module that logs; logging costs the others 10 ms of start-up.
-        if config.quiet and args.command in ("flood-analysis", "train", "explain"):
-            return _without_warnings(_HANDLERS[args.command], config)
-        return _HANDLERS[args.command](config)
+        with contextlib.redirect_stderr(io.StringIO()) if config.quiet else contextlib.nullcontext():
+            return _HANDLERS[args.command](config)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import read_csv
+from ._util import all_equal, read_csv
 from .errors import InsufficientDataError, SchemaError, ZeroVarianceError
 
 # Canonical PMIS column names. The loader accepts any header that contains
@@ -351,7 +351,9 @@ def describe(table: DataTable, columns=None) -> DescriptiveStats:
     """Per-column descriptive statistics over all rows.
 
     Requires at least 2 rows; the std dev uses the sample (n-1)
-    denominator. Columns containing NaN propagate NaN, so filter first.
+    denominator. A constant column (all values equal) has its value as
+    its mean and a std dev of 0, where summing would round them off.
+    Columns containing NaN propagate NaN, so filter first.
     """
     if table.n_rows < 2:
         raise InsufficientDataError(f"describe needs >= 2 rows, got {table.n_rows}")
@@ -359,10 +361,11 @@ def describe(table: DataTable, columns=None) -> DescriptiveStats:
     by_column = {}
     for name in columns:
         col = table.col(name)
+        minimum, constant = float(np.min(col)), all_equal(col)
         by_column[name] = ColumnSummary(
-            mean=float(np.mean(col)),
-            std_dev=float(np.std(col, ddof=1)),
-            minimum=float(np.min(col)),
+            mean=minimum if constant else float(np.mean(col)),
+            std_dev=0.0 if constant else float(np.std(col, ddof=1)),
+            minimum=minimum,
             q25=quantiles(col, [0.25])[0],
             maximum=float(np.max(col)),
         )
@@ -389,15 +392,15 @@ def format_stats_table(stats: DescriptiveStats) -> str:
 def pearson_corr(table: DataTable, columns) -> CorrelationMatrix:
     """Pearson product-moment correlation matrix over the given columns.
 
-    Symmetric with an exactly-unit diagonal; raises if any column has
-    zero variance (the coefficient would be undefined).
+    Symmetric with an exactly-unit diagonal; raises if any column is
+    constant (all values equal: the coefficient would be undefined).
     """
     columns = list(columns)
     if table.n_rows < 2:
         raise InsufficientDataError("pearson_corr needs >= 2 rows")
     mat = table.matrix(columns)
     for j, name in enumerate(columns):
-        if np.std(mat[:, j]) == 0.0:
+        if all_equal(mat[:, j]):
             raise ZeroVarianceError(name, f"correlation undefined: column {name!r} has zero variance")
     corr = np.corrcoef(mat, rowvar=False)
     corr = np.atleast_2d(corr)

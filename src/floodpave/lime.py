@@ -5,10 +5,10 @@ exponential distance kernel around the instance, and a small weighted
 linear model is fitted to the black-box outputs on it. Since the sampler
 does not depend on the instance, `fit_local_surrogates` draws and
 predicts the neighborhood once per run and shares it between every
-instance explained; each instance only takes row 0 (and holds the
-features with zero training std at its own values). Continuous features
+instance explained; each instance only takes row 0. Continuous features
 are reported as quantile-bin conditions ("90.00 < TX_IRI_AVERAGE_SCORE
-<= 100.00"); binary and label-encoded features as category conditions.
+<= 100.00"); binary, label-encoded and constant features as category
+conditions.
 
 At most ``max_features_K`` features are kept by greedy forward selection
 (Ribeiro et al., arXiv:1602.04938). The fit reads the rows only through
@@ -55,16 +55,17 @@ class FeatureStats:
 def training_stats(table: DataTable, feature_columns, n_bins: int) -> list[FeatureStats]:
     """Per-feature sampling statistics from the training table.
 
-    Label-encoded and strictly-binary columns are categorical and keep
-    their observed value frequencies; everything else is continuous with
-    mean/std and quantile bin edges.
+    Label-encoded and strictly-binary columns, and constant ones (fewer
+    than two distinct values), are categorical and keep their observed
+    value frequencies; everything else is continuous with mean/std and
+    quantile bin edges.
     """
     stats = []
     for name in feature_columns:
         col = table.col(name)
         # return_counts keeps np.unique off the path that imports numpy.ma
         distinct, counts = np.unique(col, return_counts=True)
-        if name in table.encodings or set(distinct.tolist()) <= {0.0, 1.0}:
+        if name in table.encodings or len(distinct) < 2 or set(distinct.tolist()) <= {0.0, 1.0}:
             counts = counts.astype(float)
             stats.append(
                 FeatureStats(
@@ -125,9 +126,7 @@ def _draw(x, stats: list[FeatureStats], config: LimeConfig, rng) -> np.ndarray:
 
     Row 0 is x. Continuous features draw from a normal law with the
     training mean/std; categorical features resample from training
-    frequencies. A feature with zero training std draws nothing and is
-    held at x's value. So every row but 0, on every feature but the held
-    ones, is the same whatever x is.
+    frequencies. So every row but 0 is the same whatever x is.
     """
     if len(x) != len(stats):
         raise ValueError(f"x has {len(x)} features but stats describe {len(stats)}")
@@ -137,9 +136,6 @@ def _draw(x, stats: list[FeatureStats], config: LimeConfig, rng) -> np.ndarray:
     for j, fs in enumerate(stats):
         if fs.kind == "categorical":
             samples[1:, j] = rng.choice(np.asarray(fs.categories), size=n - 1, p=np.asarray(fs.frequencies))
-        elif fs.std == 0.0:
-            log.warning("feature %s has zero training std; held constant", fs.name)
-            samples[:, j] = x[j]
         else:
             samples[1:, j] = rng.normal(fs.mean, fs.std, size=n - 1)
     return samples
@@ -148,7 +144,7 @@ def _draw(x, stats: list[FeatureStats], config: LimeConfig, rng) -> np.ndarray:
 def _bins(samples, stats: list[FeatureStats], config: LimeConfig) -> list:
     """Per feature, the quantile bin of each sampled value, or None where no bin is compared."""
     return [
-        _bin_of(samples[:, j], fs.bin_edges) if config.discretize and fs.kind == "continuous" and fs.std != 0.0 else None
+        _bin_of(samples[:, j], fs.bin_edges) if config.discretize and fs.kind == "continuous" else None
         for j, fs in enumerate(stats)
     ]
 
@@ -156,8 +152,7 @@ def _bins(samples, stats: list[FeatureStats], config: LimeConfig) -> list:
 def _localize(samples, bins: list, x, stats: list[FeatureStats], config: LimeConfig):
     """Put x in row 0 of ``samples`` and ``bins``; return x's ``(interpretable, distances)``.
 
-    ``samples`` must hold x's values on the held features. The
-    interpretable representation is the shares-x's-bin/category
+    The interpretable representation is the shares-x's-bin/category
     indicator (or the standardized value when discretize is off), and
     distances are Euclidean over standardized continuous features only.
     """
@@ -168,9 +163,6 @@ def _localize(samples, bins: list, x, stats: list[FeatureStats], config: LimeCon
     for j, fs in enumerate(stats):
         if fs.kind == "categorical":
             interp[:, j] = (samples[:, j] == x[j]).astype(float)
-            continue
-        if fs.std == 0.0:
-            interp[:, j] = 1.0 if config.discretize else 0.0
             continue
         z = (samples[:, j] - x[j]) / fs.std
         sq_dist += z**2
@@ -279,12 +271,10 @@ def fit_local_surrogates(
     The neighborhood is drawn once from ``config.seed``, binned once and
     predicted once, and shared by every row: the sampler draws from the
     training marginals, so only row 0 (the instance itself) depends on
-    the row explained. A feature with zero training std is held at the
-    instance's value, so the neighborhood is predicted once per distinct
-    tuple of the rows' values on such features. Each row then puts
-    itself in row 0 and fits its own surrogate, and its output there is
-    predicted alone, so an explanation does not depend on the other rows
-    in X: row i's equals ``fit_local_surrogate`` on X[i], bit for bit.
+    the row explained. Each row then puts itself in row 0 and fits its
+    own surrogate, and its output there is predicted alone, so an
+    explanation does not depend on the other rows in X: row i's equals
+    ``fit_local_surrogate`` on X[i], bit for bit.
 
     The feature cap is enforced by greedy forward selection on weighted
     residual reduction, swept on the weighted moment matrix, followed by
@@ -300,21 +290,13 @@ def fit_local_surrogates(
         return []
     samples = _draw(X[0], stats, config, np.random.default_rng(config.seed))
     bins = _bins(samples, stats, config)
-    held = [j for j, fs in enumerate(stats) if fs.kind == "continuous" and fs.std == 0.0]
-    groups: dict[bytes, list[int]] = {}
-    for i, x in enumerate(X):
-        groups.setdefault(x[held].tobytes(), []).append(i)
+    outputs = predictor.predict(samples)
     sigma = config.sigma_for(len(names))
-    explanations = [None] * len(X)
-    for members in groups.values():
-        samples[:, held] = X[members[0], held]
-        outputs = predictor.predict(samples)
-        for i in members:
-            interp, distances = _localize(samples, bins, X[i], stats, config)
-            outputs[0] = predictor.predict(X[i : i + 1])[0]
-            explanations[i] = _surrogate(
-                names, stats, X[i], keys[i], interp, outputs, kernel_weight(distances, sigma), config
-            )
+    explanations = []
+    for x, key in zip(X, keys):
+        interp, distances = _localize(samples, bins, x, stats, config)
+        outputs[0] = predictor.predict(x[None])[0]
+        explanations.append(_surrogate(names, stats, x, key, interp, outputs, kernel_weight(distances, sigma), config))
     return explanations
 
 

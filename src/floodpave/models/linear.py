@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import _typed
+from .._util import _typed, all_equal
 from ..errors import SchemaError, SingularDesignError
 from .spec import ModelSpec, _check_dims, _feature_names
 
@@ -98,8 +98,7 @@ def lasso_coordinate_descent(
 
 def _standardize(X: np.ndarray):
     mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
-    sigma = np.where(sigma == 0.0, 1.0, sigma)
+    sigma = np.where(all_equal(X, axis=0), 1.0, X.std(axis=0))
     return (X - mu) / sigma, mu, sigma
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import all_equal
 from ..errors import InsufficientDataError, ZeroVarianceError
 
 
@@ -19,17 +20,17 @@ class EvalMetrics:
 def evaluate(predictor, X: np.ndarray, y: np.ndarray) -> EvalMetrics:
     """Score a predictor on held-out rows, in raw target units.
 
-    R-squared is 1 - SSres/SStot about mean(y); a zero-variance target
-    makes it undefined and raises.
+    R-squared is 1 - SSres/SStot about mean(y); a constant target (all
+    values equal) makes it undefined and raises.
     """
     y = np.asarray(y, dtype=float)
     if len(y) < 2:
         raise InsufficientDataError(f"evaluate needs >= 2 rows, got {len(y)}")
+    if all_equal(y):
+        raise ZeroVarianceError("target", "R^2 undefined: target has zero variance")
     pred = predictor.predict(X)
     residual = y - pred
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise ZeroVarianceError("target", "R^2 undefined: target has zero variance")
     return EvalMetrics(
         mse=float(np.mean(residual**2)),
         mae=float(np.mean(np.abs(residual))),

@@ -17,6 +17,8 @@ from floodpave.cli import (
     EXIT_SCHEMA,
     main,
 )
+from floodpave.config import RunConfig
+from floodpave.dataset import FEATURE_COLUMNS, filter_complete, load_csv, train_test_split
 from floodpave.errors import InsufficientDataError, SchemaError, SingularDesignError, ZeroVarianceError
 
 from conftest import make_flood_bump_data, manual_linear
@@ -48,13 +50,13 @@ def make_dataset(tmp_path, subdir="data", **synth_kwargs):
     return str(d / "records.csv"), str(d / "events.csv")
 
 
-def set_constant(records, columns):
-    """Rewrite the records CSV with every value of `columns` set to 1."""
+def set_constant(records, columns, value="1"):
+    """Rewrite the records CSV with every value of `columns` set to `value`."""
     lines = open(records).read().splitlines()
     header = lines[0].split(",")
     const = {header.index(c) for c in columns}
     rewritten = [lines[0]] + [
-        ",".join("1" if i in const else v for i, v in enumerate(line.split(",")))
+        ",".join(value if i in const else v for i, v in enumerate(line.split(",")))
         for line in lines[1:]
     ]
     open(records, "w").write("\n".join(rewritten) + "\n")
@@ -201,6 +203,20 @@ class TestDescribe:
         err = capsys.readouterr().err
         assert "non-finite value(s) in column(s) ['TX_TRUCK_AADT_PCT']" in err
         assert not out.exists() or not list(out.iterdir())
+
+    def test_one_value_column_is_left_out_of_the_correlation(self, tmp_path):
+        records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        set_constant(records, ["TX_TRUCK_AADT_PCT"], "17.3")
+        table = load_csv(records, schema=FEATURE_COLUMNS)
+        column = filter_complete(table, cli._present_features(table)).col("TX_TRUCK_AADT_PCT")
+        assert np.std(column) > 0.0  # the mean rounds off 17.3
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, records_csv=records, out_dir=str(out))
+        assert main(["--config", cfg, "--quiet", "describe"]) == EXIT_OK
+        with open(out / "correlation.csv") as fh:
+            assert "TX_TRUCK_AADT_PCT" not in next(csv.reader(fh))
+        stats = json.loads((out / "stats.json").read_text())["TX_TRUCK_AADT_PCT"]
+        assert (stats["mean"], stats["std_dev"], stats["min"], stats["max"]) == (17.3, 0.0, 17.3, 17.3)
 
     def test_rerun_identical_bytes(self, tmp_path):
         records, events = make_dataset(tmp_path, n_sections=30, noise_std=1.0)
@@ -613,6 +629,19 @@ class TestTrain:
             header = next(csv.reader(fh))
         assert "TX_RURAL_URBAN_CODE" not in header
         assert "Flood" in header
+
+    def test_one_value_column_is_left_out_however_its_mean_rounds(self, tmp_path):
+        records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        set_constant(records, ["TX_TRUCK_AADT_PCT"], "17.3")
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, records_csv=records, out_dir=str(out), grids=SMALL_GRIDS)
+        config = RunConfig.from_sources(cfg, {})
+        complete, _ = cli._training_frame(load_csv(records, schema=FEATURE_COLUMNS))
+        train, _ = train_test_split(complete, config.test_fraction, config.seed)
+        assert np.std(train.col("TX_TRUCK_AADT_PCT")) > 0.0  # the mean rounds off 17.3
+        assert main(["--config", cfg, "--quiet", "train", "--kinds", "linear,ridge"]) == EXIT_OK
+        summary = json.loads((out / "train_summary.json").read_text())
+        assert "TX_TRUCK_AADT_PCT" in summary["dropped_constant_columns"]
 
     @pytest.mark.parametrize(
         "config, flags, offending",
@@ -1141,6 +1170,17 @@ class TestStartup:
         assert loud.returncode == EXIT_OK and warning in loud.stderr
         quiet = subprocess.run(argv + ["--quiet", "flood-analysis"], capture_output=True, text=True, env=env,
                                timeout=120)
+        assert quiet.returncode == EXIT_OK
+        assert quiet.stderr == ""
+
+        # describe's own warning line, for a repeated whole row
+        lines = (data / "records.csv").read_text().splitlines()
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("\n".join(lines + lines[1:2]) + "\n")
+        argv[argv.index(str(data / "records.csv"))] = str(doubled)
+        loud = subprocess.run(argv + ["describe"], capture_output=True, text=True, env=env, timeout=120)
+        assert loud.returncode == EXIT_OK and "1 row(s) repeat an earlier row and count once" in loud.stderr
+        quiet = subprocess.run(argv + ["--quiet", "describe"], capture_output=True, text=True, env=env, timeout=120)
         assert quiet.returncode == EXIT_OK
         assert quiet.stderr == ""
 

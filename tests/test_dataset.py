@@ -218,6 +218,10 @@ class TestDescribe:
     def test_constant_column_zero_std(self):
         t = small_table(np.array([[5.0, 1], [5, 2], [5, 3]]))
         assert describe(t, ["a"])["a"].std_dev == 0.0
+        col = np.full(7130, 17.3)
+        assert np.std(col) > 0.0 and np.mean(col) > 17.3  # summing rounds off 17.3
+        s = describe(small_table(np.column_stack([col, np.arange(7130.0)])), ["a"])["a"]
+        assert (s.mean, s.std_dev, s.minimum, s.q25, s.maximum) == (17.3, 0.0, 17.3, 17.3, 17.3)
 
     def test_single_row_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -268,6 +272,10 @@ class TestPearsonCorr:
         t = small_table(np.array([[1.0, 5], [2, 5], [3, 5]]))
         with pytest.raises(ZeroVarianceError, match="b"):
             pearson_corr(t, ["a", "b"])
+        col = np.full(7130, 17.3)
+        assert np.std(col) > 0.0  # the mean rounds off 17.3
+        with pytest.raises(ZeroVarianceError, match="b"):
+            pearson_corr(small_table(np.column_stack([np.arange(7130.0), col])), ["a", "b"])
 
     def test_matrix_invariants(self):
         rng = np.random.default_rng(4)

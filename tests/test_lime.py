@@ -97,17 +97,37 @@ class TestPerturbation:
             assert stats[2].frequencies == tuple(counts / counts.sum())
 
     def test_zero_variance_feature_held_constant(self, caplog):
+        # A constant column is a one-value category: it samples its training value.
         vals = np.column_stack([np.full(50, 7.0), np.arange(50.0)])
         table = DataTable(("c", "u"), vals, {}, tuple(("R", str(i), 2000) for i in range(50)))
         stats = training_stats(table, ["c", "u"], 4)
+        assert (stats[0].kind, stats[0].categories, stats[0].frequencies) == ("categorical", (7.0,), (1.0,))
         cfg = LimeConfig(n_samples=64, seed=0)
         with caplog.at_level("WARNING"):
             samples, interp, _ = perturb_neighborhood(
                 np.array([7.0, 3.0]), stats, cfg, np.random.default_rng(0)
             )
         assert np.all(samples[:, 0] == 7.0)
-        assert np.all(interp[:, 0] == 1.0)
-        assert any("zero training std" in r.message for r in caplog.records)
+        assert np.array_equal(interp[:, 0], (samples[:, 0] == 7.0).astype(float))
+        assert not caplog.records
+
+    def test_constant_feature_off_its_training_value(self):
+        # An instance off the training value keeps it in row 0 alone.
+        vals = np.column_stack([np.full(50, 7.0), np.arange(50.0)])
+        table = DataTable(("c", "u"), vals, {}, tuple(("R", str(i), 2000) for i in range(50)))
+        stats = training_stats(table, ["c", "u"], 4)
+        for discretize in (True, False):
+            cfg = LimeConfig(n_samples=64, discretize=discretize, seed=0)
+            samples, interp, _ = perturb_neighborhood(np.array([9.0, 3.0]), stats, cfg, np.random.default_rng(0))
+            assert samples[0, 0] == 9.0 and np.all(samples[1:, 0] == 7.0)
+            assert interp[0, 0] == 1.0 and np.all(interp[1:, 0] == 0.0)
+
+    def test_one_value_column_is_categorical_however_its_mean_rounds(self):
+        col = np.full(7130, 17.3)
+        assert np.std(col) > 0.0  # the mean rounds off 17.3
+        table = DataTable(("c",), col[:, None], {}, tuple(("R", str(i), 2000) for i in range(len(col))))
+        [fs] = training_stats(table, ["c"], 4)
+        assert (fs.kind, fs.categories, fs.frequencies) == ("categorical", (17.3,), (1.0,))
 
     def test_categorical_resampled_from_frequencies(self):
         table = toy_table(n=2000, seed=3)
@@ -457,9 +477,6 @@ def reference_surrogate(predictor, x, stats, cfg, key):
         if fs.kind == "categorical":
             samples[1:, j] = rng.choice(np.asarray(fs.categories), size=n - 1, p=np.asarray(fs.frequencies))
             interp[:, j] = (samples[:, j] == x[j]).astype(float)
-        elif fs.std == 0.0:
-            samples[:, j] = x[j]
-            interp[:, j] = 1.0 if cfg.discretize else 0.0
         else:
             samples[1:, j] = rng.normal(fs.mean, fs.std, size=n - 1)
             z = (samples[:, j] - x[j]) / fs.std
@@ -483,8 +500,8 @@ class TestSharedNeighbourhood:
         predictor = models.fit(models.ModelSpec(kind, hp, 3), fit_X, fit_y, feature_names=list(train.column_names))
         cfg = LimeConfig(n_samples=500, discretize=discretize, seed=17)
         stats = training_stats(train, list(train.column_names), cfg.n_bins)
-        assert [fs.kind for fs in stats] == ["continuous", "categorical", "categorical", "continuous"]
-        assert stats[3].std == 0.0
+        assert [fs.kind for fs in stats] == ["continuous", "categorical", "categorical", "categorical"]
+        assert stats[3].categories == (7.0,)
         keys = [("R", str(i), 2001) for i in range(len(X))]
         sizes = []
 
@@ -496,8 +513,8 @@ class TestSharedNeighbourhood:
                 return predictor.predict(Z)
 
         batch = lime.fit_local_surrogates(Counted(), X, keys, train, cfg, stats)
-        # one neighbourhood per value of the zero-std column "c", and x alone per instance
-        assert sorted(sizes) == [1] * len(X) + [cfg.n_samples] * 2
+        # one neighbourhood, whatever the instances hold on the constant column "c", and x alone per instance
+        assert sorted(sizes) == [1] * len(X) + [cfg.n_samples]
         for x, key, got in zip(X, keys, batch):
             # repr shows every float to the last bit, NaN R² included
             assert repr(got) == repr(fit_local_surrogate(predictor, x, train, cfg, key, stats))

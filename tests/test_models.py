@@ -84,6 +84,12 @@ class TestLinearFamily:
             models.fit(spec("linear"), x, y)
         assert err.value.condition_number is not None
 
+    def test_one_value_column_standardizes_with_sigma_one(self):
+        x = np.column_stack([np.arange(7130.0), np.full(7130, 17.3)])
+        assert np.std(x[:, 1]) > 0.0  # the mean rounds off 17.3
+        _, _, sigma = linear._standardize(x)
+        assert sigma[1] == 1.0 and sigma[0] == np.std(x[:, 0])
+
     def test_zero_variance_feature_is_singular(self):
         x = np.column_stack([np.arange(6.0), np.full(6, 3.0)])
         with pytest.raises(SingularDesignError):
@@ -374,6 +380,10 @@ class TestEvaluate:
         p = manual_linear([1.0])
         with pytest.raises(ZeroVarianceError):
             models.evaluate(p, np.ones((3, 1)), np.full(3, 5.0))
+        y = np.full(7130, 17.3)
+        assert np.std(y) > 0.0  # the mean rounds off 17.3
+        with pytest.raises(ZeroVarianceError):
+            models.evaluate(p, np.ones((7130, 1)), y)
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
