@@ -7,23 +7,23 @@ byte-identical; reports are JSON plus plot-ready CSV, never images.
 Exit codes:
   0 success
   2 usage error (argparse)
-  3 schema error (missing/unknown columns, model/data mismatch, a YEAR or
-    FLOOD_YEAR cell that is not an integral number, such as 2014.5 or
-    inf, a records, events or config file that is not UTF-8 text, a
-    records or events file the csv module cannot parse, a config file
-    that is not a JSON object, an unknown config key, model kind or
-    explainer name, a model kind listed twice, a config value or flag of
-    the wrong type, out of its range or a non-finite number, a grid that
-    does not expand to valid model specs or to none, a model file that
-    is not UTF-8 JSON or whose format_version is missing or unsupported,
-    a malformed `--instances` selector, two instances that would write
-    one LIME file, a (route, section, year) key on two records rows that
-    differ in a cell; a row that repeats an earlier one whole counts
-    once, with a warning, in every command that reads records). Every
-    command checks the whole config, each section included, and refuses
-    its errors before it reads any input file. A leading UTF-8
-    byte-order mark in a records, events, config or model file is
-    ignored.
+  3 schema error (missing/unknown columns, model/data mismatch, a YEAR
+    or FLOOD_YEAR cell that is not an integral number, such as 2014.5 or
+    inf, a feature or target cell holding ±inf, a records, events or
+    config file that is not UTF-8 text, a records or events file the csv
+    module cannot parse, a config file that is not a JSON object, an
+    unknown config key, model kind or explainer name, a model kind
+    listed twice, a config value or flag of the wrong type, out of its
+    range or a non-finite number, a grid that does not expand to valid
+    model specs or to none, a model file that is not UTF-8 JSON or whose
+    format_version is missing or unsupported, a malformed `--instances`
+    selector, two instances that would write one LIME file, a (route,
+    section, year) key on two records rows that differ in a cell; a row
+    that repeats an earlier one whole counts once, with a warning, in
+    every command that reads records). Every command checks the whole
+    config, each section included, and refuses its errors before it
+    reads any input file. A leading UTF-8 byte-order mark in a records,
+    events, config or model file is ignored.
   4 I/O error
   5 empty result or insufficient data (including a records file with no
     data row, named in the message, `explain` on a model with no
@@ -32,18 +32,16 @@ Exit codes:
     written)
   6 numerical failure (singular design, zero variance)
 
-`describe`, `train` and `explain` refuse a records file holding ±inf in
-a feature (or, for `train`, target) cell of a complete row: exit 1,
-before any file is written. A column is constant when all its values
-are equal, a test that no rounding can miss. `describe` leaves constant
-columns out of correlation.csv. `train` leaves out of every model the
-feature columns that are constant on the training split and lists them
-in train_summary.json under "dropped_constant_columns"; exit 6 remains
-for a design that is still singular after that, and for a constant
-target. `train` writes cv_results.csv: one row per grid-search candidate
-of each kind, with its hyperparameters, the MSE of every fold, their
-mean, and whether it was scored on its own fit or on an `n_estimators`
-prefix or a depth truncation of another candidate's fit.
+A column is constant when all its values are equal, a test that no
+rounding can miss. `describe` leaves constant columns out of
+correlation.csv. `train` leaves out of every model the feature columns
+that are constant on the training split and lists them in
+train_summary.json under "dropped_constant_columns"; exit 6 remains for
+a design that is still singular after that, and for a constant target.
+`train` writes cv_results.csv: one row per grid-search candidate of each
+kind, with its hyperparameters, the MSE of every fold, their mean, and
+whether it was scored on its own fit or on an `n_estimators` prefix or a
+depth truncation of another candidate's fit.
 
 `explain` gives every instance its exact Shapley values (Tree SHAP, or
 the linear closed form), checks each against f(x) in shap_summary.json's
@@ -148,26 +146,35 @@ def _fmt(v) -> str:
 
 
 def _load_records(config: RunConfig) -> DataTable:
-    """The records file, each (route, section, year) key once.
+    """The records file, each (route, section, year) key once, with finite features and target.
 
     A file with no data row is InsufficientDataError (exit 5). A row that
     repeats an earlier row's key and every loaded cell (NaN matching NaN)
     is dropped, with one line on stderr counting the drops; a row that
     repeats a key with another value is a SchemaError naming the key and
-    the first column, in file order, where the two rows differ.
+    the first column, in file order, where the two rows differ. Then a
+    ±inf cell of a feature or target column, in any row, is a SchemaError
+    naming the row key and the column: it would reach a report as a
+    non-JSON Infinity or become a tree threshold. Other columns are not
+    checked.
     """
     table = load_csv(config.records_csv, schema=FEATURE_COLUMNS)
     if table.n_rows == 0:
         raise InsufficientDataError(f"{config.records_csv}: no data rows")
-    if len(set(table.row_keys)) == table.n_rows:
-        return table
-    first: dict = {}  # each key's first row, in row order
-    for i, key in enumerate(table.row_keys):
-        if first.setdefault(key, i) < i:
-            _refuse_differing_repeat(table, key, first[key], i)
-    dropped = table.n_rows - len(first)
-    _say(f"warning: {config.records_csv}: {dropped} row(s) repeat an earlier row and count once")
-    return table.subset(list(first.values()))
+    if len(set(table.row_keys)) < table.n_rows:
+        first: dict = {}  # each key's first row, in row order
+        for i, key in enumerate(table.row_keys):
+            if first.setdefault(key, i) < i:
+                _refuse_differing_repeat(table, key, first[key], i)
+        dropped = table.n_rows - len(first)
+        _say(f"warning: {config.records_csv}: {dropped} row(s) repeat an earlier row and count once")
+        table = table.subset(list(first.values()))
+    for name in [c for c in FEATURE_COLUMNS + (TARGET_COLUMN,) if c in table.column_names]:
+        col = table.col(name)
+        if np.isinf(col).any():
+            i = int(np.argmax(np.isinf(col)))
+            raise SchemaError(f"{config.records_csv}: row {_key_text(table.row_keys[i])} holds {col[i]} in {name}")
+    return table
 
 
 def _refuse_differing_repeat(table: DataTable, key, a: int, b: int) -> None:
@@ -184,21 +191,6 @@ def _refuse_differing_repeat(table: DataTable, key, a: int, b: int) -> None:
 def _key_text(key) -> str:
     """A (route, section, year) key as "(FM0101, 0001, 2014)"."""
     return f"({', '.join(map(str, key))})"
-
-
-def _present_features(table: DataTable) -> list[str]:
-    return [c for c in FEATURE_COLUMNS if c in table.column_names]
-
-
-def _refuse_non_finite(table: DataTable, columns: list[str]) -> None:
-    """Raise ValueError naming the columns of `table` that hold ±inf or NaN.
-
-    filter_complete drops NaN only. An inf cell would reach a report as a
-    non-JSON Infinity or become a tree threshold.
-    """
-    bad = [c for c in columns if not np.isfinite(table.col(c)).all()]
-    if bad:
-        raise ValueError(f"non-finite value(s) in column(s) {bad}; fix or drop those rows")
 
 
 def _varying_columns(table: DataTable, columns: list[str]) -> list[str]:
@@ -225,10 +217,8 @@ def cmd_synth_gen(config: RunConfig) -> int:
 
 
 def cmd_describe(config: RunConfig) -> int:
-    table = _load_records(config)
-    features = _present_features(table)
-    complete = filter_complete(table, features)
-    _refuse_non_finite(complete, features)
+    features = list(FEATURE_COLUMNS)
+    complete = filter_complete(_load_records(config), features)
     stats = describe(complete, features)
 
     # Table layout echoes the encoded-label convention for categoricals.
@@ -361,24 +351,22 @@ def _flood_text_report(report: dict) -> str:
 
 
 def _training_frame(table: DataTable):
-    """The rows that `train` splits, and the feature columns present.
+    """The rows that `train` splits.
 
     They are the rows complete in every feature column and the target, or,
     in a file without a target column, in the feature columns alone. So
     `explain` splits the same rows as `train` and draws the same training
     part from the same seed and test fraction.
     """
-    features = _present_features(table)
-    needed = features + [TARGET_COLUMN] if TARGET_COLUMN in table.column_names else features
+    needed = FEATURE_COLUMNS + (TARGET_COLUMN,) if TARGET_COLUMN in table.column_names else FEATURE_COLUMNS
     complete = filter_complete(table, needed)
     if complete.n_rows < 2:
         raise InsufficientDataError("no complete training rows after filtering")
-    _refuse_non_finite(complete, needed)
-    return complete, features
+    return complete
 
 
 def cmd_train(config: RunConfig) -> int:
-    complete, features = _training_frame(_load_records(config))
+    complete = _training_frame(_load_records(config))
     if TARGET_COLUMN not in complete.column_names:
         raise SchemaError(f"training requires a {TARGET_COLUMN} column")
     train, test = train_test_split(complete, config.test_fraction, config.seed)
@@ -387,11 +375,10 @@ def cmd_train(config: RunConfig) -> int:
         raise InsufficientDataError(
             f"cv_folds {config.cv_folds} exceeds the {train.n_rows} training rows of the grid search"
         )
-    varying = _varying_columns(train, features)
-    dropped = [c for c in features if c not in varying]
+    features = _varying_columns(train, FEATURE_COLUMNS)
+    dropped = [c for c in FEATURE_COLUMNS if c not in features]
     if dropped:
         _say(f"[train] zero-variance column(s) left out of the models: {dropped}")
-    features = varying
     X_train = train.matrix(features)
     y_train = train.col(TARGET_COLUMN)
     X_test = test.matrix(features)
@@ -511,10 +498,9 @@ def cmd_explain(config: RunConfig) -> int:
     complete = filter_complete(table, features)
     if complete.n_rows == 0:
         raise InsufficientDataError("no complete rows to explain")
-    _refuse_non_finite(complete, features)
 
     # Background and LIME statistics come from the training split `train` used.
-    train, _ = train_test_split(_training_frame(table)[0], config.test_fraction, config.seed)
+    train, _ = train_test_split(_training_frame(table), config.test_fraction, config.seed)
 
     idx = _select_instances(complete, config.explain.instances, config.seed)
     X = complete.matrix(features)[idx]
@@ -574,7 +560,7 @@ def cmd_explain(config: RunConfig) -> int:
     if "lime" in config.explain.explainers:
         from . import lime
 
-        stats = lime.training_stats(train, features, config.lime.n_bins)
+        stats = lime.training_stats(train, features)
         seed = int(stage_seed(config.seed, "lime").generate_state(1)[0])
         explanations = lime.fit_local_surrogates(
             predictor, X, keys, train, replace(config.lime, seed=seed), stats

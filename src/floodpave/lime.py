@@ -6,7 +6,7 @@ linear model is fitted to the black-box outputs on it. Since the sampler
 does not depend on the instance, `fit_local_surrogates` draws and
 predicts the neighborhood once per run and shares it between every
 instance explained; each instance only takes row 0. Continuous features
-are reported as quantile-bin conditions ("90.00 < TX_IRI_AVERAGE_SCORE
+are reported as quartile-bin conditions ("90.00 < TX_IRI_AVERAGE_SCORE
 <= 100.00"); binary, label-encoded and constant features as category
 conditions.
 
@@ -52,13 +52,13 @@ class FeatureStats:
     labels: tuple = ()  # decoded names for label-encoded columns
 
 
-def training_stats(table: DataTable, feature_columns, n_bins: int) -> list[FeatureStats]:
+def training_stats(table: DataTable, feature_columns) -> list[FeatureStats]:
     """Per-feature sampling statistics from the training table.
 
     Label-encoded and strictly-binary columns, and constant ones (fewer
     than two distinct values), are categorical and keep their observed
     value frequencies; everything else is continuous with mean/std and
-    quantile bin edges.
+    quartile bin edges, as in the lime package.
     """
     stats = []
     for name in feature_columns:
@@ -77,7 +77,7 @@ def training_stats(table: DataTable, feature_columns, n_bins: int) -> list[Featu
                 )
             )
         else:
-            edges = quantiles(col, [i / n_bins for i in range(1, n_bins)])
+            edges = quantiles(col, [0.25, 0.5, 0.75])
             stats.append(
                 FeatureStats(
                     name=name,
@@ -285,13 +285,13 @@ def fit_local_surrogates(
     X = np.asarray(X, dtype=float)
     names = list(predictor.feature_names)
     if stats is None:
-        stats = training_stats(table, names, config.n_bins)
+        stats = training_stats(table, names)
     if len(X) == 0:
         return []
     samples = _draw(X[0], stats, config, np.random.default_rng(config.seed))
     bins = _bins(samples, stats, config)
     outputs = predictor.predict(samples)
-    sigma = config.sigma_for(len(names))
+    sigma = 0.75 * math.sqrt(len(names))  # the lime package's kernel width
     explanations = []
     for x, key in zip(X, keys):
         interp, distances = _localize(samples, bins, x, stats, config)

@@ -97,8 +97,10 @@ def lasso_coordinate_descent(
 
 
 def _standardize(X: np.ndarray):
-    mu = X.mean(axis=0)
-    sigma = np.where(all_equal(X, axis=0), 1.0, X.std(axis=0))
+    # A constant column is centred on its own value, as its mean may round off it.
+    constant = all_equal(X, axis=0)
+    mu = np.where(constant, X[0], X.mean(axis=0))
+    sigma = np.where(constant, 1.0, X.std(axis=0))
     return (X - mu) / sigma, mu, sigma
 
 

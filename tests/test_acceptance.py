@@ -155,7 +155,7 @@ def test_lime_linear_recovery():
         w_true, _ = linear.raw_coefficients()
 
         cfg = LimeConfig(n_samples=10000, max_features_K=len(FEATS), discretize=False, seed=3)
-        stats = training_stats(complete, FEATS, cfg.n_bins)
+        stats = training_stats(complete, FEATS)
         explanation = fit_local_surrogate(linear, X[10], complete, cfg, stats=stats)
         std = {s.name: s.std for s in stats}
         kind = {s.name: s.kind for s in stats}

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from floodpave import cli, lime, shapley, synth
+from floodpave import cli, lime, models, shapley, synth
 from floodpave.cli import (
     EXIT_EMPTY,
     EXIT_FAILURE,
@@ -63,15 +63,20 @@ def set_constant(records, columns, value="1"):
 
 
 def set_cell(records, column, value, complete=True):
-    """Rewrite one cell of `column`; with `complete`, in a row that has a target."""
+    """Rewrite one cell of `column`; with `complete`, in a row that has a target.
+
+    Returns the row's key as the commands name it, "(ROUTE, SECTION, YEAR)".
+    """
     lines = open(records).read().splitlines()
     header = lines[0].split(",")
     col, target = header.index(column), header.index("NEXT_YEAR_IRI")
     row = next(i for i, line in enumerate(lines[1:], 1) if line.split(",")[target] or not complete)
     cells = lines[row].split(",")
+    key = f"({', '.join(cells[header.index(c)] for c in ('ROUTE_NAME', 'SECTION_ID', 'YEAR'))})"
     cells[col] = value
     lines[row] = ",".join(cells)
     open(records, "w").write("\n".join(lines) + "\n")
+    return key
 
 
 def drop_column(records, column):
@@ -196,19 +201,41 @@ class TestDescribe:
     @pytest.mark.parametrize("value", ["inf", "-inf"])
     def test_infinite_feature_cell_is_refused(self, tmp_path, capsys, value):
         records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
-        set_cell(records, "TX_TRUCK_AADT_PCT", value, complete=False)
+        key = set_cell(records, "TX_TRUCK_AADT_PCT", value, complete=False)
         out = tmp_path / "o"
         cfg = write_config(tmp_path, records_csv=records, out_dir=str(out))
-        assert main(["--config", cfg, "describe"]) == EXIT_FAILURE
+        assert main(["--config", cfg, "describe"]) == EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert "non-finite value(s) in column(s) ['TX_TRUCK_AADT_PCT']" in err
+        assert f"error: {records}: row {key} holds {value} in TX_TRUCK_AADT_PCT" in err
         assert not out.exists() or not list(out.iterdir())
+
+    def test_infinite_cell_of_an_extra_column_is_loaded(self, tmp_path):
+        # Only the feature and target columns are checked for ±inf.
+        records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        lines = open(records).read().splitlines()
+        lines = [lines[0] + ",EXTRA", lines[1] + ",inf"] + [line + ",1" for line in lines[2:]]
+        open(records, "w").write("\n".join(lines) + "\n")
+        assert np.isinf(load_csv(records, schema=FEATURE_COLUMNS).col("EXTRA")[0])
+        cfg = write_config(tmp_path, records_csv=records, out_dir=str(tmp_path / "o"))
+        assert main(["--config", cfg, "--quiet", "describe"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["describe", "flood-analysis", "train"])
+    def test_infinite_target_of_an_incomplete_row_is_refused(self, tmp_path, capsys, command):
+        # The row lacks a feature, so no command would use it; it is refused all the same.
+        records, events = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        key = set_cell(records, "TX_DISTRESS_SCORE", "")
+        assert set_cell(records, "NEXT_YEAR_IRI", "-inf") == key
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, records_csv=records, events_csv=events, out_dir=str(out), grids=SMALL_GRIDS)
+        assert main(["--config", cfg, command]) == EXIT_SCHEMA
+        assert f"error: {records}: row {key} holds -inf in NEXT_YEAR_IRI" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_value_column_is_left_out_of_the_correlation(self, tmp_path):
         records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
         set_constant(records, ["TX_TRUCK_AADT_PCT"], "17.3")
         table = load_csv(records, schema=FEATURE_COLUMNS)
-        column = filter_complete(table, cli._present_features(table)).col("TX_TRUCK_AADT_PCT")
+        column = filter_complete(table, list(FEATURE_COLUMNS)).col("TX_TRUCK_AADT_PCT")
         assert np.std(column) > 0.0  # the mean rounds off 17.3
         out = tmp_path / "o"
         cfg = write_config(tmp_path, records_csv=records, out_dir=str(out))
@@ -242,6 +269,20 @@ class TestFloodAnalysis:
         assert (tmp_path / "o" / "deltas.csv").exists()
         assert (tmp_path / "o" / "rates.csv").exists()
         assert (tmp_path / "o" / "flooded_vs_nonflooded.csv").exists()
+
+    def test_infinite_iri_is_refused_and_writes_nothing(self, tmp_path, capsys):
+        # (FM0101, 0000, 2015) is the year after a flood, so its window's delta would read Infinity.
+        records, events = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
+        lines = open(records).read().splitlines()
+        iri = lines[0].split(",").index("TX_IRI_AVERAGE_SCORE")
+        row = next(i for i, line in enumerate(lines) if line.startswith("FM0101,0000,2015,"))
+        lines[row] = ",".join("inf" if j == iri else v for j, v in enumerate(lines[row].split(",")))
+        open(records, "w").write("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, records_csv=records, events_csv=events, out_dir=str(out))
+        assert main(["--config", cfg, "flood-analysis"]) == EXIT_SCHEMA
+        assert f"error: {records}: row (FM0101, 0000, 2015) holds inf in TX_IRI_AVERAGE_SCORE" in capsys.readouterr().err
+        assert not out.exists()
 
     FOUR_EVENTS = (
         "ROUTE_NAME,FLOOD_YEAR,START_MARKER,END_MARKER\n"
@@ -636,7 +677,7 @@ class TestTrain:
         out = tmp_path / "o"
         cfg = write_config(tmp_path, records_csv=records, out_dir=str(out), grids=SMALL_GRIDS)
         config = RunConfig.from_sources(cfg, {})
-        complete, _ = cli._training_frame(load_csv(records, schema=FEATURE_COLUMNS))
+        complete = cli._training_frame(load_csv(records, schema=FEATURE_COLUMNS))
         train, _ = train_test_split(complete, config.test_fraction, config.seed)
         assert np.std(train.col("TX_TRUCK_AADT_PCT")) > 0.0  # the mean rounds off 17.3
         assert main(["--config", cfg, "--quiet", "train", "--kinds", "linear,ridge"]) == EXIT_OK
@@ -706,13 +747,13 @@ class TestTrain:
 
     def test_infinite_feature_cell_is_refused(self, tmp_path, capsys):
         records, _ = make_dataset(tmp_path, n_sections=40, noise_std=1.0)
-        set_cell(records, "TX_TRUCK_AADT_PCT", "inf")
+        key = set_cell(records, "TX_TRUCK_AADT_PCT", "inf")
         out = tmp_path / "o"
         cfg = write_config(tmp_path, records_csv=records, out_dir=str(out), grids=SMALL_GRIDS)
-        assert main(["--config", cfg, "train"]) == EXIT_FAILURE
+        assert main(["--config", cfg, "train"]) == EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert "non-finite" in err and "TX_TRUCK_AADT_PCT" in err
-        assert not out.exists() or not list(out.glob("model_*.json"))
+        assert f"error: {records}: row {key} holds inf in TX_TRUCK_AADT_PCT" in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -952,14 +993,14 @@ class TestExplain:
         _, records, out = trained
         bad = tmp_path / "records.csv"
         bad.write_text(open(records).read(), encoding="utf-8")
-        set_cell(str(bad), "TX_TRUCK_AADT_PCT", "inf")
+        key = set_cell(str(bad), "TX_TRUCK_AADT_PCT", "inf")
         cfg = write_config(
             tmp_path, records_csv=str(bad), out_dir=str(tmp_path / "o"), seed=21,
             lime={"n_samples": 300}, explain={"model_path": str(out / "model_gradient_boosting.json")},
         )
-        assert main(["--config", cfg, "--quiet", "explain", "--explainers", explainers]) == EXIT_FAILURE
+        assert main(["--config", cfg, "--quiet", "explain", "--explainers", explainers]) == EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert "non-finite value(s) in column(s) ['TX_TRUCK_AADT_PCT']" in err
+        assert f"error: {bad}: row {key} holds inf in TX_TRUCK_AADT_PCT" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -977,8 +1018,9 @@ class TestExplain:
             ({"workers": 0}, "workers must be >= 1"),
             ({"explain": {"model_path": 5}}, "explain.model_path must be a string, got 5"),
             ({"lime": {"discretize": "false"}}, "lime.discretize must be a boolean"),
-            ({"lime": {"kernel_width_sigma": "1"}}, "lime.kernel_width_sigma must be a number"),
-            ({"lime": {"kernel_width_sigma": float("inf")}}, "lime.kernel_width_sigma must be a finite number"),
+            # The kernel width and the bins are fixed: 0.75 * sqrt(M) and quartiles.
+            ({"lime": {"kernel_width_sigma": 1.0}}, "unknown lime config key(s) ['kernel_width_sigma']"),
+            ({"lime": {"n_bins": 4}}, "unknown lime config key(s) ['n_bins']"),
             ({"shap": {"mode": 3}}, "shap.mode must be a string"),
             ({"shap": {"background_size": True}}, "shap.background_size must be an integer, got True"),
             # A JSON 1e400 parses to inf, as Infinity does.
@@ -1064,6 +1106,31 @@ class TestDeterminism:
             assert main(["--config", cfg2, "--quiet", "explain"]) == EXIT_OK
             hashes.append(hash_tree(out))
         assert hashes[0] == hashes[1]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    def test_every_report_parses_without_nan_or_infinity(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "o"
+        cfg = write_config(
+            tmp_path, seed=5, synth={"n_sections": 40}, grids=SMALL_GRIDS,
+            shap={"background_size": 20}, lime={"n_samples": 300}, explain={"instances": "sample:3"},
+        )
+        assert main(["--config", cfg, "--out", str(data), "--quiet", "synth-gen"]) == EXIT_OK
+        argv = ["--config", cfg, "--records", str(data / "records.csv"), "--events", str(data / "events.csv"), "--quiet"]
+        for command in ("describe", "flood-analysis", "train"):
+            assert main(argv + ["--out", str(out), command]) == EXIT_OK
+        for kind in models.MODEL_KINDS:
+            model = str(out / f"model_{kind}.json")
+            assert main(argv + ["--out", str(out / kind), "explain", "--model-path", model]) == EXIT_OK
+        written = sorted(tmp_path.glob("*/**/*.json"))
+        # ground truth; stats, flood and train summaries; per kind its model, SHAP summary and LIME explanations
+        assert len(written) == 1 + 3 + len(models.MODEL_KINDS) * 3
+        for path in written:
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
 
 
 class TestStartup:

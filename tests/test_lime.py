@@ -69,7 +69,7 @@ class TestKernel:
 class TestPerturbation:
     def test_first_sample_is_x(self):
         table = toy_table()
-        stats = training_stats(table, ["u", "v", "flag"], 4)
+        stats = training_stats(table, ["u", "v", "flag"])
         x = table.values[0]
         cfg = LimeConfig(n_samples=100, seed=1)
         samples, interp, dist = perturb_neighborhood(x, stats, cfg, np.random.default_rng(1))
@@ -86,21 +86,20 @@ class TestPerturbation:
         flag = (rng.random(301) < 0.3).astype(float)
         keys = tuple(("R", str(i), 2000) for i in range(301))
         table = DataTable(("u", "v", "flag"), np.column_stack([u, v, flag]), {}, keys)
-        for n_bins in (2, 4, 7):
-            stats = training_stats(table, ["u", "v", "flag"], n_bins)
-            for fs, col in zip(stats[:2], (u, v)):
-                want = np.quantile(col, [i / n_bins for i in range(1, n_bins)])
-                assert np.array(fs.bin_edges).tobytes() == want.tobytes()
-            distinct = np.unique(flag)
-            counts = np.array([(flag == c).sum() for c in distinct], dtype=float)
-            assert stats[2].categories == tuple(distinct.tolist())
-            assert stats[2].frequencies == tuple(counts / counts.sum())
+        stats = training_stats(table, ["u", "v", "flag"])
+        for fs, col in zip(stats[:2], (u, v)):
+            want = np.quantile(col, [0.25, 0.5, 0.75])
+            assert np.array(fs.bin_edges).tobytes() == want.tobytes()
+        distinct = np.unique(flag)
+        counts = np.array([(flag == c).sum() for c in distinct], dtype=float)
+        assert stats[2].categories == tuple(distinct.tolist())
+        assert stats[2].frequencies == tuple(counts / counts.sum())
 
     def test_zero_variance_feature_held_constant(self, caplog):
         # A constant column is a one-value category: it samples its training value.
         vals = np.column_stack([np.full(50, 7.0), np.arange(50.0)])
         table = DataTable(("c", "u"), vals, {}, tuple(("R", str(i), 2000) for i in range(50)))
-        stats = training_stats(table, ["c", "u"], 4)
+        stats = training_stats(table, ["c", "u"])
         assert (stats[0].kind, stats[0].categories, stats[0].frequencies) == ("categorical", (7.0,), (1.0,))
         cfg = LimeConfig(n_samples=64, seed=0)
         with caplog.at_level("WARNING"):
@@ -115,7 +114,7 @@ class TestPerturbation:
         # An instance off the training value keeps it in row 0 alone.
         vals = np.column_stack([np.full(50, 7.0), np.arange(50.0)])
         table = DataTable(("c", "u"), vals, {}, tuple(("R", str(i), 2000) for i in range(50)))
-        stats = training_stats(table, ["c", "u"], 4)
+        stats = training_stats(table, ["c", "u"])
         for discretize in (True, False):
             cfg = LimeConfig(n_samples=64, discretize=discretize, seed=0)
             samples, interp, _ = perturb_neighborhood(np.array([9.0, 3.0]), stats, cfg, np.random.default_rng(0))
@@ -126,12 +125,12 @@ class TestPerturbation:
         col = np.full(7130, 17.3)
         assert np.std(col) > 0.0  # the mean rounds off 17.3
         table = DataTable(("c",), col[:, None], {}, tuple(("R", str(i), 2000) for i in range(len(col))))
-        [fs] = training_stats(table, ["c"], 4)
+        [fs] = training_stats(table, ["c"])
         assert (fs.kind, fs.categories, fs.frequencies) == ("categorical", (17.3,), (1.0,))
 
     def test_categorical_resampled_from_frequencies(self):
         table = toy_table(n=2000, seed=3)
-        stats = training_stats(table, ["u", "v", "flag"], 4)
+        stats = training_stats(table, ["u", "v", "flag"])
         cfg = LimeConfig(n_samples=4000, seed=3)
         samples, interp, _ = perturb_neighborhood(
             table.values[0], stats, cfg, np.random.default_rng(3)
@@ -142,7 +141,7 @@ class TestPerturbation:
 
     def test_seeded_runs_are_byte_identical(self):
         table = toy_table()
-        stats = training_stats(table, ["u", "v", "flag"], 4)
+        stats = training_stats(table, ["u", "v", "flag"])
         cfg = LimeConfig(n_samples=500, seed=9)
         a = perturb_neighborhood(table.values[2], stats, cfg, np.random.default_rng(9))
         b = perturb_neighborhood(table.values[2], stats, cfg, np.random.default_rng(9))
@@ -151,7 +150,7 @@ class TestPerturbation:
 
     def test_distance_only_over_continuous_dims(self):
         table = toy_table()
-        stats = training_stats(table, ["u", "v", "flag"], 4)
+        stats = training_stats(table, ["u", "v", "flag"])
         cfg = LimeConfig(n_samples=50, seed=4)
         x = table.values[0]
         samples, _, dist = perturb_neighborhood(x, stats, cfg, np.random.default_rng(4))
@@ -193,7 +192,7 @@ class TestSurrogate:
         w = np.array([2.5, -1.25])
         f = manual_linear(w, intercept=4.0, names=("p", "q"))
         cfg = LimeConfig(n_samples=10000, max_features_K=2, discretize=False, seed=8)
-        stats = training_stats(table, ["p", "q"], cfg.n_bins)
+        stats = training_stats(table, ["p", "q"])
         exp = fit_local_surrogate(f, vals[0], table, cfg, stats=stats)
         recovered = {c.feature: c.weight / dict(p=stats[0], q=stats[1])[c.feature].std
                      for c in exp.contributions}
@@ -242,13 +241,13 @@ class TestSurrogate:
         train = flood_bump_split["train"]
         X = train.matrix(FEATS)
         cfg = LimeConfig(n_samples=800, seed=7)
-        stats = training_stats(train, FEATS, cfg.n_bins)
+        stats = training_stats(train, FEATS)
         for i in (0, 11, 42):
             x = X[i]
             rng = np.random.default_rng(cfg.seed)
             samples, interp, dist = perturb_neighborhood(x, stats, cfg, rng)
             outputs = flood_bump_boosting.predict(samples)
-            weights = kernel_weight(dist, cfg.sigma_for(len(FEATS)))
+            weights = kernel_weight(dist, 0.75 * math.sqrt(len(FEATS)))
             exp = fit_local_surrogate(flood_bump_boosting, x, train, cfg, stats=stats)
             idx = {name: j for j, name in enumerate(FEATS)}
             g = np.full(len(outputs), exp.intercept)
@@ -488,7 +487,7 @@ def reference_surrogate(predictor, x, stats, cfg, key):
                 interp[:, j] = (samples[:, j] - fs.mean) / fs.std
     outputs = predictor.predict(samples)
     outputs[0] = predictor.predict(x[None])[0]
-    weights = kernel_weight(np.sqrt(sq_dist), cfg.sigma_for(m))
+    weights = kernel_weight(np.sqrt(sq_dist), 0.75 * math.sqrt(m))
     return lime._surrogate(list(predictor.feature_names), stats, x, key, interp, outputs, weights, cfg)
 
 
@@ -499,7 +498,7 @@ class TestSharedNeighbourhood:
         train, fit_X, fit_y, X = shared_neighbourhood_case()
         predictor = models.fit(models.ModelSpec(kind, hp, 3), fit_X, fit_y, feature_names=list(train.column_names))
         cfg = LimeConfig(n_samples=500, discretize=discretize, seed=17)
-        stats = training_stats(train, list(train.column_names), cfg.n_bins)
+        stats = training_stats(train, list(train.column_names))
         assert [fs.kind for fs in stats] == ["continuous", "categorical", "categorical", "categorical"]
         assert stats[3].categories == (7.0,)
         keys = [("R", str(i), 2001) for i in range(len(X))]
@@ -527,11 +526,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             LimeConfig(n_samples=5)
         with pytest.raises(ValueError):
-            LimeConfig(kernel_width_sigma=0.0)
-        with pytest.raises(ValueError):
-            LimeConfig(n_bins=1)
+            LimeConfig(max_features_K=0)
 
-    def test_default_sigma_scales_with_features(self):
-        cfg = LimeConfig()
-        assert cfg.sigma_for(9) == pytest.approx(0.75 * math.sqrt(9))
-        assert LimeConfig(kernel_width_sigma=2.0).sigma_for(9) == 2.0
+    def test_default_sigma_scales_with_features(self, monkeypatch):
+        # The kernel width is the lime package's 0.75 * sqrt(M) for M features.
+        widths, weight = [], lime.kernel_weight
+        monkeypatch.setattr(lime, "kernel_weight", lambda d, sigma: widths.append(sigma) or weight(d, sigma))
+        table = toy_table()
+        for names in (["u"], ["u", "v", "flag"]):
+            f = manual_linear(np.ones(len(names)), names=tuple(names))
+            lime.fit_local_surrogates(f, table.matrix(names)[:1], [()], table, LimeConfig(n_samples=50))
+        assert widths == [0.75, 0.75 * math.sqrt(3)]

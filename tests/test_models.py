@@ -90,6 +90,16 @@ class TestLinearFamily:
         _, _, sigma = linear._standardize(x)
         assert sigma[1] == 1.0 and sigma[0] == np.std(x[:, 0])
 
+    @pytest.mark.parametrize("value", [17.3, 17.0])
+    def test_one_value_column_standardizes_to_zero_and_gets_no_ridge_weight(self, value):
+        # A column of 17.3 is centred on 17.3 itself, not on its mean, which rounds off it.
+        assert np.std(np.full(7130, 17.3)) > 0.0
+        x = np.column_stack([np.arange(7130.0), np.full(7130, value)])
+        z, mu, _ = linear._standardize(x)
+        assert mu[1] == value and np.all(z[:, 1] == 0.0)
+        ridge = models.fit(spec("ridge", alpha=1.0), x, 2.0 * np.arange(7130.0))
+        assert ridge.coef[1] == 0.0
+
     def test_zero_variance_feature_is_singular(self):
         x = np.column_stack([np.arange(6.0), np.full(6, 3.0)])
         with pytest.raises(SingularDesignError):
